@@ -18,9 +18,13 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
+
 from repro.dbsp.cluster import cluster_size
-from repro.dbsp.program import Message, ProcView, Program
+from repro.dbsp.program import Program
 from repro.functions import AccessFunction
+from repro.sim.kernel import run_bodies
 
 __all__ = ["DBSPMachine", "DBSPRunResult", "SuperstepRecord", "superstep_cost"]
 
@@ -81,10 +85,27 @@ class DBSPMachine:
         self.validate = validate
 
     def run(self, program: Program) -> DBSPRunResult:
-        """Execute ``program``; return final contexts and charged time."""
+        """Execute ``program``; return final contexts and charged time.
+
+        Bodies run in the shared superstep-major pass
+        (:func:`repro.sim.kernel.run_bodies`) — whole-machine array
+        bodies when the program declares them, per-processor bodies
+        otherwise; this method only folds each superstep's
+        ``tau + h * g(mu |C|)`` from the pass's local times and sends.
+        """
         v, mu = program.v, program.mu
         contexts = program.initial_contexts()
-        inboxes: list[list[Message]] = [[] for _ in range(v)]
+        check = None
+        if self.validate:
+            steps = program.supersteps
+
+            def check(s: int, dest: np.ndarray) -> None:
+                self._check_degrees(
+                    np.bincount(dest, minlength=v).tolist(), mu, s,
+                    steps[s].name,
+                )
+
+        bodies = run_bodies(program, contexts, [[] for _ in range(v)], check)
         records: list[SuperstepRecord] = []
         total = 0.0
         compute_total = 0.0
@@ -97,28 +118,18 @@ class DBSPMachine:
             tau = 1.0
             h = 0
             if step.is_dummy:
-                next_inboxes = inboxes  # nothing sent; pending stay empty
                 n_dummies += 1
             else:
-                next_inboxes = [[] for _ in range(v)]
-                sent_counts = [0] * v
-                recv_counts = [0] * v
-                for pid in range(v):
-                    view = ProcView(
-                        pid, v, mu, step.label, contexts[pid], inboxes[pid]
-                    )
-                    step.body(view)
-                    tau = max(tau, view.local_time)
-                    sent_counts[pid] = len(view.outbox)
-                    for dest, msg in view.outbox:
-                        next_inboxes[dest].append(msg)
-                        recv_counts[dest] += 1
-                if self.validate:
-                    self._check_degrees(recv_counts, mu, index, step.name)
-                for pid in range(v):
-                    next_inboxes[pid].sort()
-                h = max(max(sent_counts), max(recv_counts))
-                n_messages += sum(sent_counts)
+                tau = max(
+                    tau, float(bodies.local[index * v : (index + 1) * v].max())
+                )
+                src = bodies.src[index]
+                if src is not None:
+                    h = int(max(
+                        np.bincount(src, minlength=v).max(),
+                        np.bincount(bodies.dest[index], minlength=v).max(),
+                    ))
+                    n_messages += len(src)
             cost = superstep_cost(self.g, mu, v, step.label, tau, h)
             records.append(
                 SuperstepRecord(index, step.label, step.name, tau, h, cost)
@@ -127,7 +138,6 @@ class DBSPMachine:
             compute_total += tau
             comm_total += cost - tau
             max_h = max(max_h, h)
-            inboxes = next_inboxes
 
         return DBSPRunResult(
             contexts=contexts,

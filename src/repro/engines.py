@@ -1,8 +1,9 @@
 """Unified engine API: one protocol, one result type, one registry.
 
-The package has four execution engines — direct D-BSP, the D-BSP->HMM
-simulation (Thm 5), the D-BSP->BT simulation (Thm 12) and the Brent-style
-self-simulation (Thm 10).  Each keeps its native, fully-detailed result
+The package has five execution engines — direct D-BSP, the D-BSP->HMM
+simulation (Thm 5) on the scalar round loop (``hmm``) and on the
+vectorized kernel (``vec``), the D-BSP->BT simulation (Thm 12) and the
+Brent-style self-simulation (Thm 10).  Each keeps its native, fully-detailed result
 object, but they all speak one public surface here:
 
 * :class:`Engine` — the protocol: ``engine.run(program, f, trace=...)``;

@@ -27,13 +27,34 @@ local computation ``O(tau)`` is simulated on ``f(x)``-BT, for any
 (2, c)-uniform ``f(x) = O(x^alpha)``, in time
 ``O(v (tau + mu sum_i lambda_i log(mu v / 2^i)))`` — *independent of f*:
 block transfer hides the access costs almost completely.
+
+**Execution.**  With ``sort="ams"`` or ``"transpose"`` and chunked
+compute, every charge of the scheme is fixed by the schedule except the
+bodies' local times, and the schedule depends only on
+``(f, v, mu, labels, sort)``.  The round loop is therefore run once per
+such key in *recording* mode: no bodies run, and every charge, every
+local-time hole, every span event (by stream position), every counter
+add and every layout snapshot goes into a :class:`_BTPlan`, with the
+Theorem 12 invariants asserted on the way.  Plans live in an LRU of
+their own.  A run then executes the bodies in the shared superstep-major
+pass (:func:`repro.sim.kernel.run_bodies`), scatters their local times
+into the plan's holes and folds the operand stream with one
+``np.cumsum`` — the serial ``t += c`` sums bit for bit, intermediate
+clocks included — and the ``phases``/``full`` tracers replay the
+recorded events against the folded clock.  The two ablations whose
+charges depend on what the bodies compute (``sort="mergesort"``,
+``chunked_compute=False``) run the same round loop *inline*: bodies at
+their round, charges straight onto the machine clock.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Literal
+
+import numpy as np
 
 from repro.bt.machine import BTMachine
 from repro.bt.sorting import bt_merge_sort
@@ -42,13 +63,28 @@ from repro.dbsp.program import Message, ProcView, Program
 from repro.functions import AccessFunction
 from repro.obs.counters import NULL_COUNTERS, Counters
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
-from repro.sim.kernel import deliver_sorted
+from repro.sim.kernel import PlanCache, deliver_sorted, run_bodies
 from repro.sim.smoothing import SmoothedProgram, build_label_set_bt, smooth_program
 
-__all__ = ["BTSimulator", "BTSimResult", "LayoutSnapshot", "BT_PHASES"]
+__all__ = [
+    "BTSimulator",
+    "BTSimResult",
+    "LayoutSnapshot",
+    "BT_PHASES",
+    "plan_cache_info",
+]
 
 #: phase categories of the Fig. 5 scheme (the breakdown key set)
 BT_PHASES = ("pack_unpack", "compute", "delivery", "swaps", "dummies")
+
+_PLANS = PlanCache(8)
+
+
+def plan_cache_info() -> dict:
+    """Cached BT plan count plus lifetime hit/miss/eviction counters
+    (process-wide; the BT counterpart of
+    :func:`repro.sim.hmm_vec.plan_cache_info`)."""
+    return _PLANS.info()
 
 
 @dataclass(frozen=True)
@@ -169,6 +205,156 @@ class BTSimulator:
         )
 
 
+# ---------------------------------------------------------------- sinks
+# The round loop reports every charge, span and counter add to a sink.
+# _Inline applies them on the spot; _Recorder writes them into a plan.
+
+class _Inline:
+    """Charges straight onto the machine clock, spans and counters to the
+    run's live tracer and registry (the ablations' mode)."""
+
+    recording = False
+
+    def __init__(self, machine: BTMachine, tracer, counters):
+        self.machine = machine
+        self.tracer = tracer
+        self.count = counters.add
+
+    def charge(self, cost: float) -> None:
+        self.machine.time += cost
+
+    def now(self) -> float:
+        return self.machine.time
+
+    def leaf(self, name: str, category: str, start: float) -> None:
+        self.tracer.add_leaf(name, category, start, self.machine.time)
+
+    def open(self, name: str, category: str | None = None) -> None:
+        self.tracer.open(name, category)
+
+    def open_round(self, s: int, label: int, cluster: int) -> None:
+        tracer = self.tracer
+        tracer.open(
+            "round",
+            None,
+            {"superstep": s, "label": label, "cluster": cluster}
+            if tracer.record
+            else None,
+        )
+
+    def close(self) -> None:
+        self.tracer.close()
+
+
+#: span event kinds of a recorded plan
+_LEAF, _OPEN, _ROUND, _CLOSE = range(4)
+
+
+class _Recorder:
+    """Writes the round loop's charges into a plan, by stream position.
+
+    ``now()`` is the number of operands emitted so far: a span event
+    stores positions, and the replay reads the folded clock there.  A
+    round replays the same few dozen distinct charges, so the stream is
+    kept as codes into its distinct values.  Everything is appended to
+    flat typed arrays: recording a long run creates no Python object
+    per charge or event.
+    """
+
+    recording = True
+
+    def __init__(self) -> None:
+        self.values: dict[float, int] = {}
+        self.codes = array("i")
+        self.hole_pos: list[np.ndarray] = []
+        self.hole_src: list[np.ndarray] = []
+        #: four ints per event: kind, name code, start and end position
+        self.events = array("i")
+        self.names: dict[tuple[str, str | None], int] = {}
+        #: three ints per round: superstep, label, cluster
+        self.round_attrs = array("i")
+        self.counts: dict[str, int] = {}
+
+    def charge(self, cost: float) -> None:
+        code = self.values.get(cost)
+        if code is None:
+            code = self.values[cost] = len(self.values)
+        self.codes.append(code)
+
+    def now(self) -> int:
+        return len(self.codes)
+
+    def bodies(self, flat: list[float], offsets: np.ndarray, src: np.ndarray) -> None:
+        """A COMPUTE stream ``flat`` whose ``offsets`` hold the local
+        times of ``local[src]`` (placeholders until the fold)."""
+        self.hole_pos.append(offsets + len(self.codes))
+        self.hole_src.append(src)
+        for cost in flat:
+            self.charge(cost)
+
+    def _code(self, name: str, category: str | None) -> int:
+        return self.names.setdefault((name, category), len(self.names))
+
+    def leaf(self, name: str, category: str, start: int) -> None:
+        self.events.extend(
+            (_LEAF, self._code(name, category), start, len(self.codes))
+        )
+
+    def open(self, name: str, category: str | None = None) -> None:
+        self.events.extend(
+            (_OPEN, self._code(name, category), len(self.codes), 0)
+        )
+
+    def open_round(self, s: int, label: int, cluster: int) -> None:
+        self.round_attrs.extend((s, label, cluster))
+        self.events.extend(
+            (_ROUND, self._code("round", None), len(self.codes), 0)
+        )
+
+    def close(self) -> None:
+        self.events.extend((_CLOSE, 0, len(self.codes), 0))
+
+    def count(self, name: str, amount: int = 1) -> None:
+        self.counts[name] = self.counts.get(name, 0) + amount
+
+
+class _BTPlan:
+    """The recorded, body-independent part of one BT simulation run.
+
+    The run's operand stream, in charge order, is ``op_values[op_codes]``;
+    the bodies' local times go at ``hole_pos``, read from the body
+    pass's ``local`` array at ``hole_src``.  ``events`` are the span
+    open/leaf/close calls by stream position; ``counts`` the counter
+    totals, ``messages`` excepted (it is the pass's send count).
+    """
+
+    __slots__ = (
+        "op_values", "op_codes", "hole_pos", "hole_src", "events", "names",
+        "round_attrs", "counts", "block_transfers", "rounds", "layout",
+    )
+
+    def __init__(self, rec: _Recorder, run: "_BTSimRun"):
+        self.op_values = np.array(list(rec.values), dtype=np.float64)
+        self.op_codes = np.array(
+            rec.codes, dtype=np.min_scalar_type(max(len(rec.values) - 1, 0))
+        )
+        self.hole_pos = _concat(rec.hole_pos)
+        self.hole_src = _concat(rec.hole_src)
+        self.events = np.array(rec.events, dtype=np.int32).reshape(-1, 4)
+        self.names = tuple(rec.names)
+        self.round_attrs = np.array(rec.round_attrs, dtype=np.int32).reshape(-1, 3)
+        self.counts = rec.counts
+        self.block_transfers = run.machine.block_transfers
+        self.rounds = run.round_index
+        self.layout = tuple(run.layout_trace)
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    if not parts:
+        return np.empty(0, dtype=np.int32)
+    return np.concatenate(parts).astype(np.int32)
+
+
 class _BTSimRun:
     """Mutable state of one BT simulation run."""
 
@@ -213,12 +399,16 @@ class _BTSimRun:
         # moves every round: memoize each triple's charged cost (the table
         # is immutable, so the cached float is the exact value
         # block_copy_cost would recompute), and batch the per-move counter
-        # updates into one flush at the end of execute()
+        # updates into one flush at the end of the round loop
         self._move_cost: dict[tuple[int, int, int], float] = {}
         self._n_moves = 0
         self._moved_words = 0
         #: COMPUTE(n) charging plans, keyed by n (see _build_compute_plan)
         self._compute_plans: dict[int, tuple] = {}
+        self.sink: _Inline | _Recorder = _Inline(
+            self.machine, self.tracer, self.counters
+        )
+        self._checking = sim.check_invariants
         self._snapshot("initial")
 
     # ------------------------------------------------------------- helpers
@@ -247,7 +437,7 @@ class _BTSimRun:
                 self._word(src), self._word(dst), n_blocks * self.mu
             )
             self._move_cost[key] = cost
-        machine.time += cost
+        self.sink.charge(cost)
         machine.block_transfers += 1
         self._n_moves += 1
         self._moved_words += n_blocks * self.mu
@@ -307,28 +497,122 @@ class _BTSimRun:
     # ------------------------------------------------------ PACK / UNPACK
     def unpack(self, i: int) -> None:
         """Fig. 4: intersperse buffers through the topmost i-cluster."""
-        t0 = self.machine.time
+        t0 = self.sink.now()
         log_v = self.program.log_v
         level = i
         while level < log_v:
             n = cluster_size(self.v, level)
             self._charged_block_move(n // 2, n, n // 2)
             level += 1
-        self.tracer.add_leaf("UNPACK", "pack_unpack", t0, self.machine.time)
+        self.sink.leaf("UNPACK", "pack_unpack", t0)
 
     def pack(self, i: int) -> None:
         """Reverse of :meth:`unpack`: compact the topmost i-cluster."""
-        t0 = self.machine.time
+        t0 = self.sink.now()
         log_v = self.program.log_v
         for level in range(log_v - 1, i - 1, -1):
             n = cluster_size(self.v, level)
             self._charged_block_move(n, n // 2, n // 2)
-        self.tracer.add_leaf("PACK", "pack_unpack", t0, self.machine.time)
+        self.sink.leaf("PACK", "pack_unpack", t0)
 
     # --------------------------------------------------------------- main
+    def _plannable(self) -> bool:
+        """Whether every charge but the bodies' local times is fixed by
+        the schedule (not so for the two ablations)."""
+        return self.sim.sort != "mergesort" and self.sim.chunked_compute
+
     def execute(self) -> None:
-        n_steps = len(self.steps)
+        if not self._plannable():
+            self._rounds()
+            return
+        self._run_plan(self._plan())
+
+    def _plan(self) -> _BTPlan:
+        """The cached plan of this run's key, recorded on a miss."""
+        sim = self.sim
+        key = (
+            # an instrumented subclass records its own plans
+            type(self),
+            sim.f,
+            self.v,
+            self.mu,
+            tuple((s.label, s.body is None) for s in self.steps),
+            sim.sort,
+            sim.max_layout_snapshots if sim.record_layout else None,
+        )
+        return _PLANS.get(key, self._record)
+
+    def _record(self) -> _BTPlan:
+        """Run the round loop without bodies, into a new plan."""
+        recorder = _Recorder()
+        self.sink = recorder
+        self._checking = True  # the Thm 12 invariants, once per plan
+        self._rounds()
+        return _BTPlan(recorder, self)
+
+    def _run_plan(self, plan: _BTPlan) -> None:
+        """Run the bodies in the shared pass and fold the plan's stream."""
+        bodies = run_bodies(self.program, self.contexts, self.pending)
+        # one extra slot up front holds the starting clock; cumsum in
+        # place makes clk[p] the clock after the first p operands
+        machine = self.machine
+        clk = np.empty(len(plan.op_codes) + 1, dtype=np.float64)
+        clk[0] = machine.time
+        np.take(plan.op_values, plan.op_codes, out=clk[1:])
+        clk[plan.hole_pos + 1] = bodies.local[plan.hole_src]
+        np.cumsum(clk, out=clk)
+        machine.time = float(clk[-1])
+        machine.block_transfers = plan.block_transfers
+        self.round_index = plan.rounds
+        self.layout_trace = list(plan.layout)
+        counters = self.counters
+        if counters.enabled:
+            for name, amount in plan.counts.items():
+                counters.add(name, amount)
+            if "messages" in plan.counts:
+                counters.add(
+                    "messages", sum(len(s) for s in bodies.src if s is not None)
+                )
+        if self.tracer.enabled:
+            self._replay_spans(plan, clk)
+            machine.time = float(clk[-1])
+
+    def _replay_spans(self, plan: _BTPlan, clk: np.ndarray) -> None:
+        """Drive the tracer through the recorded calls, the clock placed
+        where the serial loop had it at each one."""
         tracer = self.tracer
+        machine = self.machine
+        add_leaf = tracer.add_leaf
+        names = plan.names
+        attrs = iter(plan.round_attrs.tolist()) if tracer.record else None
+        events = plan.events
+        for kind, code, t0, t1 in zip(
+            events[:, 0].tolist(),
+            events[:, 1].tolist(),
+            clk[events[:, 2]].tolist(),
+            clk[events[:, 3]].tolist(),
+        ):
+            if kind == _LEAF:
+                name, category = names[code]
+                add_leaf(name, category, t0, t1)
+                continue
+            machine.time = t0
+            if kind == _CLOSE:
+                tracer.close()
+            elif kind == _ROUND and attrs is not None:
+                s, label, cluster = next(attrs)
+                tracer.open(
+                    "round",
+                    None,
+                    {"superstep": s, "label": label, "cluster": cluster},
+                )
+            else:
+                tracer.open(*names[code])
+
+    def _rounds(self) -> None:
+        """The Fig. 5 round loop, reporting every charge to the sink."""
+        n_steps = len(self.steps)
+        sink = self.sink
         self.unpack(0)  # step 0 of Fig. 5
         self._snapshot("unpack(0)")
         while True:
@@ -342,60 +626,55 @@ class _BTSimRun:
             first_pid = cluster_of(top_pid, self.v, label) * csize
 
             self.round_index += 1
-            tracer.open(
-                "round",
-                None,
-                {"superstep": s, "label": label, "cluster": first_pid // csize}
-                if tracer.record
-                else None,
-            )
+            sink.open_round(s, label, first_pid // csize)
             self.pack(label)  # step 1.a
-            if self.sim.check_invariants:
+            if self._checking:
                 self._check_invariants(s, first_pid, csize)
 
             self._simulate_superstep(s, first_pid, csize)  # step 2
 
             if self.next_step[self.slots[0]] >= n_steps:  # step 3
-                tracer.close()
+                sink.close()
                 break
             if s + 1 < n_steps:
                 next_label = self.steps[s + 1].label
                 if next_label < label:  # step 4
                     self._cycle_swaps(label, next_label, first_pid, csize)
             self.unpack(label)  # step 5: UNPACK(is)
-            tracer.close()
+            sink.close()
             self._snapshot(f"round {self.round_index} end")
         if self._n_moves:
-            self.counters.add("block_transfers", self._n_moves)
-            self.counters.add("words_moved", self._moved_words)
+            sink.count("block_transfers", self._n_moves)
+            sink.count("words_moved", self._moved_words)
             self._n_moves = 0
             self._moved_words = 0
 
     # ---------------------------------------------------- step 2 (Fig. 7)
     def _simulate_superstep(self, s: int, first_pid: int, csize: int) -> None:
         step = self.steps[s]
-        machine = self.machine
-        tracer = self.tracer
+        sink = self.sink
 
         if step.is_dummy:
-            t0 = machine.time
-            machine.charge(float(csize))
-            tracer.add_leaf("dummy", "dummies", t0, machine.time)
-            self.counters.add("dummy_supersteps")
+            t0 = sink.now()
+            sink.charge(float(csize))
+            sink.leaf("dummy", "dummies", t0)
+            sink.count("dummy_supersteps")
             for k in range(csize):
                 self.next_step[self.slots[k]] += 1
             return
 
         outgoing: list[tuple[int, Message]] = []
-        t0 = machine.time
+        t0 = sink.now()
         self._compute(csize, s, outgoing)
-        tracer.add_leaf("COMPUTE", "compute", t0, machine.time)
+        sink.leaf("COMPUTE", "compute", t0)
         for k in range(csize):
             self.next_step[self.slots[k]] += 1
-        tracer.open("DELIVER", "delivery")
+        sink.open("DELIVER", "delivery")
         self._deliver_messages(csize, outgoing)
-        tracer.close()
-        self.counters.add("messages", len(outgoing))
+        sink.close()
+        # recording runs no bodies (outgoing stays empty): the plan adds
+        # the body pass's send count instead
+        sink.count("messages", len(outgoing))
 
     # ------------------------------------------------------------- Fig. 6
     def _chunk_size(self, n: int) -> int:
@@ -419,27 +698,34 @@ class _BTSimRun:
         if plan is None:
             plan = self._build_compute_plan(n)
             self._compute_plans[n] = plan
-        segments, order, n_moves, moved_words = plan
+        segments, order, n_moves, moved_words, flat, holes = plan
         machine = self.machine
         slots = self.slots
-        t = machine.time
-        for idx, origin in enumerate(order):
-            for cost in segments[idx]:
+        if self.sink.recording:
+            self.sink.bodies(
+                flat,
+                holes,
+                np.array([s * self.v + slots[k] for k in order], dtype=np.int64),
+            )
+        else:
+            t = machine.time
+            for idx, origin in enumerate(order):
+                for cost in segments[idx]:
+                    t += cost
+                machine.time = t
+                self._run_body(slots[origin], s, outgoing)
+                t = machine.time
+            for cost in segments[-1]:
                 t += cost
             machine.time = t
-            self._run_body(slots[origin], s, outgoing)
-            t = machine.time
-        for cost in segments[-1]:
-            t += cost
-        machine.time = t
         machine.block_transfers += n_moves
         self._n_moves += n_moves
         self._moved_words += moved_words
-        self.counters.add("words_touched", 2 * self.mu * len(order))
+        self.sink.count("words_touched", 2 * self.mu * len(order))
 
     def _build_compute_plan(
         self, n: int
-    ) -> tuple[list[list[float]], list[int], int, int]:
+    ) -> tuple[list[list[float]], list[int], int, int, list[float], np.ndarray]:
         """Precompute COMPUTE(n)'s charged move/touch sequence (Fig. 6).
 
         The chunked recursion's block moves depend only on ``n`` — the
@@ -449,9 +735,11 @@ class _BTSimRun:
         what ``block_copy_cost``/``touch_range`` would charge, in the same
         order (replaying keeps the charged time bit-identical to running
         the recursion); (b) the *order*: for the k-th body executed, the
-        slot its context occupies at round start.  The recursion returns
-        every block to its starting slot (asserted below), so replays skip
-        the per-move slot bookkeeping entirely.
+        slot its context occupies at round start; (c) the same stream
+        flattened, with a placeholder for each body's local time at the
+        returned hole offsets (what a recording run emits).  The
+        recursion returns every block to its starting slot (asserted
+        below), so replays skip the per-move slot bookkeeping entirely.
         """
         mu = self.mu
         machine = self.machine
@@ -526,7 +814,17 @@ class _BTSimRun:
 
         rec(n)
         assert vslots[:n] == list(range(n)), "COMPUTE must restore the layout"
-        return segments, order, counts[0], counts[1]
+        flat: list[float] = []
+        holes: list[int] = []
+        for seg in segments[:-1]:
+            flat.extend(seg)
+            holes.append(len(flat))
+            flat.append(0.0)
+        flat.extend(segments[-1])
+        return (
+            segments, order, counts[0], counts[1],
+            flat, np.array(holes, dtype=np.int64),
+        )
 
     def _run_body(self, pid: int, s: int, outgoing: list) -> None:
         step = self.steps[s]
@@ -547,7 +845,7 @@ class _BTSimRun:
     def _deliver_messages(self, csize: int, outgoing: list) -> None:
         """Sort-based delivery of the superstep's messages (Fig. 7)."""
         machine = self.machine
-        tracer = self.tracer
+        sink = self.sink
         mu = self.mu
         m = mu * csize  # elements to sort (constant-size context pieces)
         words_avail = (self.n_slots - csize) * mu
@@ -557,28 +855,28 @@ class _BTSimRun:
         # the cluster out of the way, opening an L(is)-word gap for sorting.
         # All of it is O(L(is)) block-transfer work, dominated by the sort.
         if space > csize * mu:
-            t0 = machine.time
-            machine.time += 4.0 * space
-            tracer.add_leaf("space-dance", "delivery", t0, machine.time)
+            t0 = sink.now()
+            sink.charge(4.0 * space)
+            sink.leaf("space-dance", "delivery", t0)
 
         if self.sim.sort == "ams":
             # Approx-Median-Sort bound of [2]: O(m log m) for f = O(x^alpha)
-            t0 = machine.time
-            machine.charge(m * math.log2(max(m, 2)))
-            tracer.add_leaf("sort", "delivery", t0, machine.time)
+            t0 = sink.now()
+            sink.charge(m * math.log2(max(m, 2)))
+            sink.leaf("sort", "delivery", t0)
         elif self.sim.sort == "transpose":
             # Section 6: the superstep routes a known rational permutation,
             # delivered by [2]'s routine at Theta(m f*(m)); no ALIGN needed
             # since regular routing leaves context sizes unchanged
-            t0 = machine.time
-            machine.charge(float(m) * self.sim.f.star(m))
-            tracer.add_leaf("transpose-route", "delivery", t0, machine.time)
+            t0 = sink.now()
+            sink.charge(float(m) * self.sim.f.star(m))
+            sink.leaf("transpose-route", "delivery", t0)
             deliver_sorted(self.pending, outgoing)
             return
         else:
             # operational delivery sort: order the cluster's elements by
             # destination tag with the chunked BT merge sort
-            tracer.open("sort")
+            sink.open("sort")
             base = csize * mu
             tags = [
                 (self.pid_to_slot[dest], k)
@@ -587,12 +885,12 @@ class _BTSimRun:
             tags.extend((k // mu, mu + k % mu) for k in range(m - len(tags)))
             machine.mem[base : base + m] = tags
             bt_merge_sort(machine, base, m)
-            tracer.close()
+            sink.close()
 
         # ALIGN(|C|): restore one context per block
-        t0 = machine.time
-        machine.time += self._align_cost(csize)
-        tracer.add_leaf("ALIGN", "delivery", t0, machine.time)
+        t0 = sink.now()
+        sink.charge(self._align_cost(csize))
+        sink.leaf("ALIGN", "delivery", t0)
 
         # semantics: file every message into its destination's buffer
         deliver_sorted(self.pending, outgoing)
@@ -627,23 +925,24 @@ class _BTSimRun:
         parent_first = cluster_of(first_pid, self.v, next_label) * parent_size
         j = (first_pid - parent_first) // csize
 
-        t0 = self.machine.time
+        sink = self.sink
+        t0 = sink.now()
         if j > 0:
             c0_first = parent_first  # pids of C0
             c0_slot = self.pid_to_slot[c0_first]
             self._check_parked(c0_first, c0_slot, csize)
             self._swap_blocks_via_scratch(0, c0_slot, csize)
-            self.counters.add("context_swaps", 2 * csize)
+            sink.count("context_swaps", 2 * csize)
         if j < b - 1:
             nxt_first = parent_first + (j + 1) * csize
             nxt_slot = self.pid_to_slot[nxt_first]
             self._check_parked(nxt_first, nxt_slot, csize)
             self._swap_blocks_via_scratch(0, nxt_slot, csize)
-            self.counters.add("context_swaps", 2 * csize)
-        self.tracer.add_leaf("cycle-swaps", "swaps", t0, self.machine.time)
+            sink.count("context_swaps", 2 * csize)
+        sink.leaf("cycle-swaps", "swaps", t0)
 
     def _check_parked(self, first_pid: int, slot: int, csize: int) -> None:
-        if not self.sim.check_invariants:
+        if not self._checking:
             return
         if self.slots[slot : slot + csize] != list(
             range(first_pid, first_pid + csize)

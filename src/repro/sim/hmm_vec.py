@@ -23,7 +23,8 @@ drives the real :class:`~repro.obs.trace.Tracer` through the identical
 open/leaf/close sequence the scalar engine performs — same breakdowns,
 same span records, same ±ulp self-cost attribution.
 
-Two body-execution modes share all of the above:
+Bodies run in the shared superstep-major pass
+(:func:`repro.sim.kernel.run_bodies`), in one of its two modes:
 
 * **array mode** — every non-dummy superstep carries an ``array_body``
   and the program declares an ``array_schema``: contexts become column
@@ -38,21 +39,14 @@ Two body-execution modes share all of the above:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-from repro.dbsp.program import Message
 from repro.obs.counters import NULL_COUNTERS
-from repro.sim.kernel import ArrayView, interleave2, ranges_concat
+from repro.sim.kernel import PlanCache, interleave2, ranges_concat, run_bodies
 
 __all__ = ["ChargePlan", "execute_vec", "plan_cache_info"]
 
-_PLAN_CACHE: "OrderedDict[tuple, ChargePlan]" = OrderedDict()
-_PLAN_CACHE_MAX = 8
-_PLAN_CACHE_HITS = 0
-_PLAN_CACHE_MISSES = 0
-_PLAN_CACHE_EVICTIONS = 0
+_PLANS = PlanCache(8)
 
 
 class ChargePlan:
@@ -242,7 +236,6 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
 
 
 def _plan_for(run) -> ChargePlan:
-    global _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES, _PLAN_CACHE_EVICTIONS
     sim = run.sim
     steps = run.steps
     sig = (
@@ -251,167 +244,20 @@ def _plan_for(run) -> ChargePlan:
         run.mu,
         tuple((s.label, s.body is None) for s in steps),
     )
-    plan = _PLAN_CACHE.get(sig)
-    if plan is not None:
-        _PLAN_CACHE_HITS += 1
-        _PLAN_CACHE.move_to_end(sig)
-        return plan
-    _PLAN_CACHE_MISSES += 1
-    plan = _build_plan(
+    return _PLANS.get(sig, lambda: _build_plan(
         run.v,
         run.mu,
         steps,
         run._block_cost,
         run._slot_word_cost,
         run.machine.table,
-    )
-    _PLAN_CACHE[sig] = plan
-    while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-        _PLAN_CACHE.popitem(last=False)
-        _PLAN_CACHE_EVICTIONS += 1
-    return plan
+    ))
 
 
 def plan_cache_info() -> dict:
     """Introspection hook for tests and ``/v1/metrics``: cached plan
     count plus lifetime hit/miss/eviction counters (process-wide)."""
-    return {
-        "size": len(_PLAN_CACHE),
-        "max": _PLAN_CACHE_MAX,
-        "hits": _PLAN_CACHE_HITS,
-        "misses": _PLAN_CACHE_MISSES,
-        "evictions": _PLAN_CACHE_EVICTIONS,
-    }
-
-
-# --------------------------------------------------------------- bodies
-def _array_mode_ok(run) -> bool:
-    program = run.program
-    if program.array_schema is None:
-        return False
-    if any(
-        s.array_body is None for s in run.steps if s.body is not None
-    ):
-        return False
-    # a run that starts with in-flight messages (Brent's chained fine
-    # runs) would need list->array inbox bridging; take the scalar-body
-    # path instead
-    return all(not box for box in run.pending)
-
-
-def _run_bodies_array(run, local_flat, step_src, step_dest):
-    """Array mode: column contexts, one ``array_body`` call per step."""
-    v = run.v
-    steps = run.steps
-    schema = run.program.array_schema
-    contexts = run.contexts
-    cols = {
-        name: np.array([ctx[name] for ctx in contexts], dtype=dt)
-        for name, dt in schema.items()
-    }
-    pids = np.arange(v, dtype=np.int64)
-    unconsumed = None  # (src, dest, payload) sent but not yet delivered
-    for s, st in enumerate(steps):
-        if st.body is None:
-            continue
-        if unconsumed is not None:
-            u_src, u_dest, u_payload = unconsumed
-            in_src = np.full(v, -1, dtype=np.int64)
-            in_src[u_dest] = u_src
-            in_payload = np.zeros(v, dtype=u_payload.dtype)
-            in_payload[u_dest] = u_payload
-            unconsumed = None
-        else:
-            in_src = in_payload = None
-        view = ArrayView(pids, v, run.mu, st.label, cols, in_src, in_payload)
-        st.array_body(view)
-        local_flat[s * v : (s + 1) * v] = view.local_time
-        sends = view._sends
-        if not sends:
-            continue
-        if len(sends) == 1:
-            dest, payload = sends[0]
-            src = pids
-        else:
-            # pid-major interleave: processor k's sends in call order,
-            # then processor k+1's — the scalar outbox order
-            dest = np.stack([d for d, _ in sends], axis=1).ravel()
-            payload = np.stack([p for _, p in sends], axis=1).ravel()
-            src = np.repeat(pids, len(sends))
-        counts = np.bincount(dest, minlength=v)
-        if counts.max() > 1:
-            raise RuntimeError(
-                f"array step {st.name!r} delivered multiple messages to "
-                f"one processor — aligned array inboxes require at most "
-                f"one; use the scalar body for this program"
-            )
-        step_src[s] = src
-        step_dest[s] = dest
-        unconsumed = (src, dest, payload)
-
-    # write columns back into the per-processor dicts (native scalars,
-    # exactly what the scalar bodies would have stored)
-    for name, col in cols.items():
-        values = col.tolist()
-        for pid in range(v):
-            contexts[pid][name] = values[pid]
-    if unconsumed is not None:
-        # the program ended with undelivered-to-a-body messages (its
-        # trailing steps were dummies): group them into sorted inboxes
-        src, dest, payload = unconsumed
-        order = np.argsort(dest, kind="stable")
-        d_sorted = dest[order].tolist()
-        s_sorted = src[order].tolist()
-        p_sorted = payload[order].tolist()
-        pending = run.pending
-        box: list[Message] = []
-        prev = None
-        for d, sp, pp in zip(d_sorted, s_sorted, p_sorted):
-            if d != prev:
-                box = pending[d] = []
-                prev = d
-            box.append(Message(sp, pp))
-
-
-def _run_bodies_scalar(run, local_flat, step_src, step_dest):
-    """Per-processor mode: scalar bodies, step-major, batched delivery."""
-    v = run.v
-    steps = run.steps
-    contexts = run.contexts
-    pending = run.pending
-    view = run._view
-    outbox = view.outbox
-    clear = outbox.clear
-    for s, st in enumerate(steps):
-        if st.body is None:
-            continue
-        body = st.body
-        view.label = st.label
-        base = s * v
-        src_list: list[int] = []
-        dest_list: list[int] = []
-        deliveries: list[tuple[int, Message]] = []
-        for pid in range(v):
-            view.pid = pid
-            view.ctx = contexts[pid]
-            view.inbox = pending[pid]
-            pending[pid] = []
-            view.local_time = 1.0
-            body(view)
-            local_flat[base + pid] = view.local_time
-            if outbox:
-                for dest, msg in outbox:
-                    src_list.append(msg.src)
-                    dest_list.append(dest)
-                    deliveries.append((dest, msg))
-                clear()
-        # deliveries are pid-major, so appending keeps every inbox
-        # sorted by sender — the invariant insort maintains serially
-        for dest, msg in deliveries:
-            pending[dest].append(msg)
-        if src_list:
-            step_src[s] = np.array(src_list, dtype=np.int64)
-            step_dest[s] = np.array(dest_list, dtype=np.int64)
+    return _PLANS.info()
 
 
 # ------------------------------------------------------------- assembly
@@ -588,17 +434,10 @@ def execute_vec(run) -> None:
     """
     assert run.round_index == 0, "vec kernel only executes full runs"
     plan = _plan_for(run)
-    v = run.v
-
-    local_flat = np.empty(plan.n_steps * v, dtype=np.float64)
-    step_src: list = [None] * plan.n_steps
-    step_dest: list = [None] * plan.n_steps
-    if _array_mode_ok(run):
-        _run_bodies_array(run, local_flat, step_src, step_dest)
-    else:
-        _run_bodies_scalar(run, local_flat, step_src, step_dest)
-
-    buf, off, b_len = _assemble_stream(plan, local_flat, step_src, step_dest)
+    bodies = run_bodies(run.program, run.contexts, run.pending)
+    buf, off, b_len = _assemble_stream(
+        plan, bodies.local, bodies.src, bodies.dest
+    )
     if run.tape_rec is not None:
         run.tape_rec.charges.frombytes(buf[1:].tobytes())
     _add_counters(run, plan, b_len)

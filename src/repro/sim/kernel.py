@@ -6,7 +6,8 @@ superstep bodies, moving messages).  The vectorized kernel
 (:mod:`repro.sim.hmm_vec`) splits the two: scheduling is compiled once
 into a :class:`~repro.sim.hmm_vec.ChargePlan` and execution becomes a
 handful of array operations.  This module holds the execution-side
-primitives:
+primitives, shared with the BT simulation and the direct executor, and
+the cache the compiled schedules live in:
 
 * :class:`ArrayView` — the whole-machine counterpart of
   :class:`~repro.dbsp.program.ProcView`, handed to
@@ -16,17 +17,26 @@ primitives:
 * :func:`interleave2` — pairwise interleaving of two equal-length
   arrays (the ``src``/``dst`` charge pattern of message delivery);
 * :func:`deliver_sorted` — batched replacement for per-message
-  ``bisect.insort`` delivery loops (used by the BT and Brent engines),
-  bit-identical in the resulting inbox order.
+  ``bisect.insort`` delivery loops (used by the Brent engine and the
+  BT ablations), bit-identical in the resulting inbox order;
+* :func:`run_bodies` — the superstep-major body pass: every superstep
+  of a program run for every processor, in step order, returning the
+  local times per ``(step, pid)`` and the send arrays per step.  The
+  ``vec`` and ``bt`` simulations and the direct executor all execute
+  bodies through it and keep only the *charging* to themselves;
+* :class:`PlanCache` — the bounded LRU both simulation kernels keep
+  their compiled, body-independent schedules in.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import threading
+from collections import OrderedDict
+from typing import Any, Callable, Hashable, NamedTuple
 
 import numpy as np
 
-from repro.dbsp.program import Message
+from repro.dbsp.program import Message, ProcView, Program
 
 __all__ = [
     "ArrayView",
@@ -34,6 +44,9 @@ __all__ = [
     "ranges_concat",
     "interleave2",
     "deliver_sorted",
+    "BodyPass",
+    "run_bodies",
+    "PlanCache",
 ]
 
 #: below this many messages the numpy fixed cost exceeds the insort loop
@@ -55,8 +68,10 @@ class ArrayView:
     identical to running the scalar ``body`` once per processor — same
     context updates, same messages, same ``charge`` calls.  Sends are
     full-width: every processor sends in each :meth:`send` call (partial
-    sends need the scalar body).  The equivalence suites enforce the
-    contract for the built-in algorithm library.
+    sends need the scalar body), and each processor receives at most one
+    message per superstep (the aligned inbox arrays hold one).  The
+    equivalence suites enforce the contract for the built-in algorithm
+    library.
     """
 
     __slots__ = (
@@ -241,3 +256,241 @@ def deliver_sorted(
             box.sort()
         else:
             pending[dest] = batch
+
+
+class BodyPass(NamedTuple):
+    """What one superstep-major body pass produced.
+
+    ``local[s * v + pid]`` is the local time processor ``pid`` charged
+    in superstep ``s`` (left unset for dummy steps); ``src[s]`` /
+    ``dest[s]`` are the endpoints of the messages sent in superstep
+    ``s``, pid-major (the order the scalar outboxes produce), or
+    ``None`` when the step sent none.
+    """
+
+    local: np.ndarray
+    src: list
+    dest: list
+
+
+def run_bodies(
+    program: Program,
+    contexts: list[dict],
+    pending: list[list[Message]],
+    check_sends: Callable[[int, np.ndarray], None] | None = None,
+) -> BodyPass:
+    """Run every superstep of ``program`` for every processor, step-major.
+
+    Processor bodies within a superstep are independent and messages
+    are delivered at the next superstep, so running step ``s`` for all
+    pids before step ``s + 1`` yields exactly the contexts and inboxes
+    of any schedule that keeps each processor's supersteps in order —
+    the round schedules of the simulations included.  ``contexts`` and
+    ``pending`` are updated in place; ``pending`` ends holding the
+    messages no body consumed.
+
+    Array mode — the program declares an ``array_schema``, every
+    non-dummy step carries an ``array_body`` and no message is in
+    flight at the start — runs each step as one whole-machine numpy
+    call; otherwise the scalar bodies run per processor.
+
+    ``check_sends(s, dest)``, when given, sees the destinations of each
+    step that sent messages right after the step ran, and may raise
+    (the direct executor's ``h <= mu`` degree check).
+    """
+    n = len(program.supersteps)
+    out = BodyPass(
+        np.empty(n * program.v, dtype=np.float64), [None] * n, [None] * n
+    )
+    if _array_mode_ok(program, pending):
+        _run_bodies_array(program, contexts, pending, out, check_sends)
+    else:
+        _run_bodies_scalar(program, contexts, pending, out, check_sends)
+    return out
+
+
+def _array_mode_ok(program: Program, pending: list[list[Message]]) -> bool:
+    if program.array_schema is None:
+        return False
+    if any(
+        s.array_body is None for s in program.supersteps if s.body is not None
+    ):
+        return False
+    # a run that starts with in-flight messages (Brent's chained fine
+    # runs) would need list->array inbox bridging; take the scalar-body
+    # path instead
+    return all(not box for box in pending)
+
+
+def _run_bodies_array(program, contexts, pending, out, check_sends):
+    """Array mode: column contexts, one ``array_body`` call per step."""
+    v = program.v
+    mu = program.mu
+    local_flat, step_src, step_dest = out
+    cols = {
+        name: np.array([ctx[name] for ctx in contexts], dtype=dt)
+        for name, dt in program.array_schema.items()
+    }
+    pids = np.arange(v, dtype=np.int64)
+    unconsumed = None  # (src, dest, payload) sent but not yet delivered
+    for s, st in enumerate(program.supersteps):
+        if st.body is None:
+            continue
+        if unconsumed is not None:
+            u_src, u_dest, u_payload = unconsumed
+            in_src = np.full(v, -1, dtype=np.int64)
+            in_src[u_dest] = u_src
+            in_payload = np.zeros(v, dtype=u_payload.dtype)
+            in_payload[u_dest] = u_payload
+            unconsumed = None
+        else:
+            in_src = in_payload = None
+        view = ArrayView(pids, v, mu, st.label, cols, in_src, in_payload)
+        st.array_body(view)
+        local_flat[s * v : (s + 1) * v] = view.local_time
+        sends = view._sends
+        if not sends:
+            continue
+        if len(sends) == 1:
+            dest, payload = sends[0]
+            src = pids
+        else:
+            # pid-major interleave: processor k's sends in call order,
+            # then processor k+1's — the scalar outbox order
+            dest = np.stack([d for d, _ in sends], axis=1).ravel()
+            payload = np.stack([p for _, p in sends], axis=1).ravel()
+            src = np.repeat(pids, len(sends))
+        if check_sends is not None:
+            check_sends(s, dest)
+        if np.bincount(dest, minlength=v).max() > 1:
+            raise RuntimeError(
+                f"array step {st.name!r} delivered multiple messages to "
+                f"one processor — aligned array inboxes require at most "
+                f"one; use the scalar body for this program"
+            )
+        step_src[s] = src
+        step_dest[s] = dest
+        unconsumed = (src, dest, payload)
+
+    # write columns back into the per-processor dicts (native scalars,
+    # exactly what the scalar bodies would have stored)
+    for name, col in cols.items():
+        values = col.tolist()
+        for pid in range(v):
+            contexts[pid][name] = values[pid]
+    if unconsumed is not None:
+        # the program ended with undelivered-to-a-body messages (its
+        # trailing steps were dummies): group them into sorted inboxes
+        src, dest, payload = unconsumed
+        order = np.argsort(dest, kind="stable")
+        d_sorted = dest[order].tolist()
+        s_sorted = src[order].tolist()
+        p_sorted = payload[order].tolist()
+        box: list[Message] = []
+        prev = None
+        for d, sp, pp in zip(d_sorted, s_sorted, p_sorted):
+            if d != prev:
+                box = pending[d] = []
+                prev = d
+            box.append(Message(sp, pp))
+
+
+def _run_bodies_scalar(program, contexts, pending, out, check_sends):
+    """Per-processor mode: scalar bodies, step-major, batched delivery."""
+    v = program.v
+    local_flat, step_src, step_dest = out
+    # one recycled view: pid/ctx/inbox/label/local_time are reset before
+    # every body call
+    view = ProcView(0, v, program.mu, 0, {}, [])
+    outbox = view.outbox
+    clear = outbox.clear
+    for s, st in enumerate(program.supersteps):
+        if st.body is None:
+            continue
+        body = st.body
+        view.label = st.label
+        base = s * v
+        src_list: list[int] = []
+        dest_list: list[int] = []
+        deliveries: list[tuple[int, Message]] = []
+        for pid in range(v):
+            view.pid = pid
+            view.ctx = contexts[pid]
+            view.inbox = pending[pid]
+            pending[pid] = []
+            view.local_time = 1.0
+            body(view)
+            local_flat[base + pid] = view.local_time
+            if outbox:
+                for dest, msg in outbox:
+                    src_list.append(msg.src)
+                    dest_list.append(dest)
+                    deliveries.append((dest, msg))
+                clear()
+        if src_list:
+            step_src[s] = np.array(src_list, dtype=np.int64)
+            step_dest[s] = np.array(dest_list, dtype=np.int64)
+            if check_sends is not None:
+                check_sends(s, step_dest[s])
+        # deliveries are pid-major, so appending keeps every inbox
+        # sorted by sender — the invariant insort maintains serially
+        for dest, msg in deliveries:
+            pending[dest].append(msg)
+
+
+class PlanCache:
+    """A bounded LRU of compiled plans, with lifetime counters.
+
+    The ``vec`` and ``bt`` kernels each compile a body-independent plan
+    per schedule key and keep the ``maxsize`` most recently used ones
+    (process-wide, shared by every thread); :meth:`info` is their
+    introspection hook for tests, ``/v1/metrics`` and the benchmark.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._plans: OrderedDict[Hashable, Any] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def get(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The plan cached under ``key``, built and cached on a miss.
+
+        ``build`` runs outside the lock, so two threads missing on one
+        key may both build it (plans are pure functions of the key).  A
+        key that cannot be hashed (a custom access function without
+        value equality) builds a fresh plan every time, uncached.
+        """
+        try:
+            hash(key)
+        except TypeError:
+            with self._lock:
+                self.misses += 1
+            return build()
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self.hits += 1
+                self._plans.move_to_end(key)
+                return plan
+            self.misses += 1
+        plan = build()
+        with self._lock:
+            self._plans[key] = plan
+            while len(self._plans) > self.maxsize:
+                self._plans.popitem(last=False)
+                self.evictions += 1
+        return plan
+
+    def info(self) -> dict:
+        """Cached plan count plus lifetime hit/miss/eviction counters."""
+        with self._lock:
+            return {
+                "size": len(self._plans),
+                "max": self.maxsize,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }

@@ -1,10 +1,12 @@
 """The central correctness property of the reproduction.
 
-One D-BSP program, four engines — the direct executor (ground truth), the
-HMM simulation (§3), the BT simulation (§5) and the Brent self-simulation
-(§4) — must produce *identical* final contexts.  Any scheduling error in a
-simulator (wrong cluster order, lost or early message, bad swap
-bookkeeping) shows up here.
+One D-BSP program, five engines — the direct executor (ground truth), the
+HMM simulation (§3), the BT simulation (§5), the Brent self-simulation
+(§4), and ``vec``, the HMM simulation on the vectorized kernel — must
+produce *identical* final contexts.  This suite runs the first four;
+``tests/test_vec_kernel.py`` pins ``vec`` to ``hmm`` with ``==``.  Any
+scheduling error in a simulator (wrong cluster order, lost or early
+message, bad swap bookkeeping) shows up here.
 """
 
 from __future__ import annotations
