@@ -117,7 +117,7 @@ def _run_engine_workload(
     except ValueError:
         return None  # e.g. matmul needs a power of 4
     opts = dict(w.opts)
-    if parallel.enabled and w.engine in ("hmm", "vec", "brent"):
+    if parallel.enabled and w.engine in ("hmm", "vec"):
         opts["parallel"] = parallel
     # raw engine throughput: span layer off, event counters on (the
     # throughput metric is charged words per second).  Older engine
@@ -342,7 +342,7 @@ def run_bench(
     """Run the matrix; return the JSON-serializable result document.
 
     ``jobs > 1`` turns on *engine-internal* parallelism for the hmm and
-    brent rows (the charged results are bit-identical either way); each
+    vec rows (the charged results are bit-identical either way); each
     cell's wall clock then includes all dispatch overhead, so the
     recorded throughput stays honest.  To distribute whole workloads
     across the pool instead, see

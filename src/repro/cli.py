@@ -118,7 +118,7 @@ def _engine_opts(engine: str, args) -> dict:
     if engine == "brent":
         opts["v_host"] = args.v_host or max(1, args.v // 4)
     jobs = getattr(args, "jobs", None)
-    if jobs and jobs > 1 and engine in ("hmm", "vec", "brent"):
+    if jobs and jobs > 1 and engine in ("hmm", "vec"):
         opts["parallel"] = jobs
     return opts
 
@@ -981,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--v-host", type=int, default=None,
                        help="host width for the brent engine (default v/4)")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the hmm/brent engines "
+                       help="worker processes for the hmm/vec engines "
                             "(charged costs are identical for any value)")
     p_run.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of text")
@@ -1032,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="allowed slow-down factor for --check")
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="worker processes inside each cell's engine "
-                              "(hmm/brent); charged costs are unchanged")
+                              "(hmm/vec); charged costs are unchanged")
     p_bench.add_argument("--distribute", action="store_true",
                          help="run one workload per worker task instead "
                               "(wall clock measured inside each worker)")
@@ -1090,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dag.add_argument("--v-host", type=int, default=None,
                        help="host width for the brent engine (default v/4)")
     p_dag.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the hmm/brent engines "
+                       help="worker processes for the hmm/vec engines "
                             "(charged costs are identical for any value)")
     p_dag.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of text")

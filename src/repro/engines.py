@@ -501,7 +501,7 @@ def run(
     opts:
         Passed through to the engine (e.g. ``sort="mergesort"`` for
         ``bt``, ``v_host=16`` for ``brent``, ``parallel=4`` for worker
-        processes on ``hmm``/``brent`` — ignored by engines with no
+        processes on ``hmm``/``vec`` — ignored by engines with no
         host side to parallelize).
 
     >>> from repro import run

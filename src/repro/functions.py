@@ -325,7 +325,7 @@ class CostTable:
 
     A table is immutable after construction; prefer :meth:`shared` to the
     constructor so machines built repeatedly over the same ``(f, size)``
-    (geometric benchmark sweeps, chained Brent runs) reuse one instance
+    (geometric benchmark sweeps, repeated simulations) reuse one instance
     instead of paying the O(size) evaluate + cumsum each time.
     """
 

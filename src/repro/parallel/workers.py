@@ -17,11 +17,6 @@ Task registry
     clock — float addition is not associative, so shipping a per-cluster
     *total* would not be bit-identical; shipping the elementary charges
     and re-folding them in cluster order is.
-``brent-hosts``
-    Simulate one host processor's fine run (the embedded Section 3 HMM
-    simulation) — each host's charged clock starts at zero in the serial
-    path already, so no tape is needed; the parent takes
-    ``max(host_times)`` and merges counters in host order.
 ``bench-workload``
     One full bench-matrix workload sweep, wall-clock measured inside the
     worker (serially), for the distributed bench runner.
@@ -43,7 +38,7 @@ from __future__ import annotations
 import pickle
 from typing import Any, Callable
 
-from repro.dbsp.program import Message, Program, Superstep
+from repro.dbsp.program import Message, ProcView, Program, Superstep
 
 __all__ = ["TASKS", "_OffsetBody", "_OffsetArrayBody"]
 
@@ -75,17 +70,48 @@ class _OffsetArrayBody:
         )
 
 
+class _GlobalizedView:
+    """A cluster-local :class:`ProcView` presented under global ids.
+
+    Translates pids on the way in (``pid``, inbox senders) and out
+    (``send`` destinations); ``label`` is the global superstep label.
+    """
+
+    __slots__ = ("_view", "_offset", "pid", "v", "mu", "label", "ctx", "inbox")
+
+    def __init__(self, view: ProcView, offset: int, v_global: int,
+                 label_shift: int):
+        self._view = view
+        self._offset = offset
+        self.pid = view.pid + offset
+        self.v = v_global
+        self.mu = view.mu
+        self.label = view.label + label_shift
+        self.ctx = view.ctx
+        # messages are immutable, so offset 0 can share the list
+        if offset:
+            self.inbox = [Message(m.src + offset, m.payload) for m in view.inbox]
+        else:
+            self.inbox = view.inbox
+
+    def send(self, dest: int, payload: Any = None) -> None:
+        self._view.send(dest - self._offset, payload)
+
+    def charge(self, t: float) -> None:
+        self._view.charge(t)
+
+    def received(self):
+        return (msg.payload for msg in self.inbox)
+
+
 class _OffsetBody:
     """Present a cluster-local view to a body that speaks global pids.
 
     The worker simulates processors ``offset .. offset + v_sub`` of a
     ``v_global``-processor guest as local pids ``0 .. v_sub``; program
-    bodies, however, index processors globally.  Wraps each view in the
-    same :class:`~repro.sim.brent._GlobalizedView` adapter the Brent
-    engine uses serially.  ``label_shift`` restores the global superstep
-    label on the presented view (the HMM segment scheme shifts labels
-    down by l1; the Brent fine-run scheme presents local labels, exactly
-    like its serial ``_shift_body``).
+    bodies, however, index processors globally.  Wraps each view in a
+    :class:`_GlobalizedView`; ``label_shift`` restores the global
+    superstep label (the HMM segment scheme shifts labels down by l1).
     """
 
     __slots__ = ("body", "offset", "v_global", "label_shift")
@@ -97,12 +123,9 @@ class _OffsetBody:
         self.label_shift = label_shift
 
     def __call__(self, view) -> None:
-        from repro.sim.brent import _GlobalizedView
-
-        gview = _GlobalizedView(view, self.offset, self.v_global)
-        if self.label_shift:
-            gview.label = view.label + self.label_shift
-        self.body(gview)
+        self.body(
+            _GlobalizedView(view, self.offset, self.v_global, self.label_shift)
+        )
 
 
 def _localize_pending(
@@ -174,35 +197,6 @@ def _hmm_segment(args: tuple) -> tuple:
     run.execute()
     counters = run.counters.snapshot() if counters_on else {}
     return (run.contexts, run.pending, tape.data(), run.round_index, counters)
-
-
-# ------------------------------------------------------------ brent-hosts
-def _brent_host(args: tuple) -> tuple:
-    """Simulate one Brent host processor's fine run."""
-    from repro.sim.hmm_sim import HMMSimulator
-
-    common, offset, contexts, pending = args
-    (g, c2, v_sub, mu, steps, v_global, trace_off, kernel) = pickle.loads(common)
-    program = Program(
-        v_sub,
-        mu,
-        _wrap_steps(steps, offset, v_global, label_shift=0),
-        name="brent-fine",
-    )
-    sim = HMMSimulator(
-        g,
-        c2=c2,
-        check_invariants="off",
-        trace="off" if trace_off else "counters",
-        parallel=1,
-        kernel=kernel,
-    )
-    res = sim.simulate(
-        program,
-        initial_contexts=contexts,
-        initial_pending=_localize_pending(pending, offset),
-    )
-    return (res.contexts, res.pending, res.time, res.counters)
 
 
 # ---------------------------------------------------------- sweep workers
@@ -287,7 +281,6 @@ def _run_dag(args: tuple) -> dict[str, Any]:
 
 TASKS: dict[str, Callable[[tuple], Any]] = {
     "hmm-segment": _hmm_segment,
-    "brent-hosts": _brent_host,
     "bench-workload": _bench_workload,
     "touch-cost": _touch_cost,
     "run-cell": _run_cell,

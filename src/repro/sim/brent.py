@@ -16,7 +16,8 @@ all ``>= log v'`` (fine runs — entirely local to each host processor):
   an ``h v/v'``-relation) followed by a host ``log v'``-superstep that
   files received messages into the destination guests' context blocks;
 * a fine run is handed verbatim (labels shifted by ``log v'``) to the
-  Section 3 HMM-simulation scheme running inside every host processor.
+  Section 3 HMM-simulation scheme running inside every host processor;
+  the run costs what its slowest host charges.
 
 Theorem 10: the host time is
 ``O((v/v')(tau + mu sum_i lambda_i g(mu v / 2^i)))``; for *full* programs
@@ -24,23 +25,85 @@ Theorem 10: the host time is
 full) this is an optimal ``Theta(T v / v')`` slowdown (Corollary 11),
 showing that D-BSP with hierarchical memory integrates network and memory
 hierarchies seamlessly.
+
+**Execution.**  Every charge of the scheme is fixed by the program's
+label and dummy sequence, except what the bodies contribute: their local
+times and the endpoints of the messages they send.  The schedule is
+therefore compiled once per ``(g, v, mu, v', c2, labels, dummy flags)``
+into a plan kept in an LRU of its own (:func:`plan_cache_info`): the
+maximal runs, each coarse superstep's message cost ``g(mu v / 2^i)``, the
+per-guest cycling and filing costs, and for every fine run the Section 3
+:class:`~repro.sim.hmm_vec.ChargePlan` of its smoothed, shifted local
+program — compiled by the same builder the ``vec`` kernel uses.  A run
+then
+
+1. executes every body once, superstep-major, over the whole guest
+   machine (:func:`repro.sim.kernel.run_bodies`) — the contexts and
+   inboxes of any schedule that keeps each guest's supersteps in order,
+   the host-by-host one included;
+2. folds each coarse superstep: a host's local time is a row-wise
+   ``cumsum`` over its guests' interleaved (cycling, local) charges,
+   ``h`` is the largest per-host send or receive count, and filing is a
+   ``bincount`` of the destination blocks' access costs in sender order;
+3. folds each fine run's per-host Section 3 charge streams as the rows
+   of one 2-D ``cumsum`` (zero padding at a row's end leaves its sum
+   unchanged) and charges the largest row;
+4. folds the host clock with one ``cumsum`` and, at ``phases``/``full``,
+   replays the tracer's spans against it.
+
+What the folds take from the messages alone (each coarse superstep's
+``h``-relation and filing charges, the fine runs' delivery charges and
+stream layout) is kept with the plan for the last message pattern seen,
+so a repeated run only gathers local times and folds.
+
+Each fold adds the same floats in the same order as the host-by-host
+scheme, so time, run records, counters, breakdowns and spans are exactly
+those of running every host's simulation in turn.
+
+With ``v' = 1`` the scheme is the Section 3 simulation itself, and with
+``v' = v`` the host is the guest machine:
+
+>>> from repro.dbsp.machine import DBSPMachine
+>>> from repro.functions import PolynomialAccess
+>>> from repro.sim.hmm_sim import HMMSimulator
+>>> from repro.testing import random_program
+>>> g = PolynomialAccess(0.5)
+>>> prog = random_program(16, n_steps=6, seed=3)
+>>> one = BrentSimulator(g, v_host=1).simulate(prog)
+>>> hmm = HMMSimulator(g).simulate(prog)
+>>> one.time == hmm.time and one.counters == hmm.counters
+True
+>>> guest = DBSPMachine(g).run(prog.with_global_sync())
+>>> BrentSimulator(g, v_host=16).simulate(prog).time == guest.total_time
+True
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Literal
+from typing import TYPE_CHECKING, Literal, NamedTuple
+
+import numpy as np
 
 from repro.dbsp.cluster import cluster_size, log2_exact
-from repro.dbsp.program import Message, ProcView, Program, Superstep
+from repro.dbsp.program import Program, Superstep
 from repro.functions import AccessFunction, CostTable
-from repro.obs.counters import NULL_COUNTERS, Counters
-from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
-from repro.parallel.config import ParallelConfig, resolve_parallel, warn_fallback_once
-from repro.sim.hmm_sim import HMMSimulator
-from repro.sim.kernel import deliver_sorted
+from repro.obs.counters import Counters
+from repro.obs.trace import SpanRecord, Tracer
+from repro.sim.hmm_vec import _build_plan as _build_hmm_plan
+from repro.sim.kernel import BodyPass, PlanCache, ranges_concat, run_bodies
+from repro.sim.smoothing import build_label_set_hmm, smooth_program
 
-__all__ = ["BrentSimulator", "BrentSimResult", "RunRecord", "BRENT_PHASES"]
+if TYPE_CHECKING:
+    from repro.parallel.config import ParallelConfig
+
+__all__ = [
+    "BrentSimulator",
+    "BrentSimResult",
+    "RunRecord",
+    "BRENT_PHASES",
+    "plan_cache_info",
+]
 
 #: phase categories of the Theorem 10 scheme: ``compute`` (cycling guest
 #: contexts through the host HMMs + body execution), ``communication``
@@ -48,6 +111,15 @@ __all__ = ["BrentSimulator", "BrentSimResult", "RunRecord", "BRENT_PHASES"]
 #: filing received messages), ``fine`` (whole fine runs, simulated by the
 #: embedded Section 3 scheme)
 BRENT_PHASES = ("compute", "communication", "filing", "fine")
+
+_PLANS = PlanCache(8)
+
+
+def plan_cache_info() -> dict:
+    """Cached Brent plan count plus lifetime hit/miss/eviction counters
+    (process-wide; the Brent counterpart of
+    :func:`repro.sim.hmm_vec.plan_cache_info`)."""
+    return _PLANS.info()
 
 
 @dataclass(frozen=True)
@@ -81,42 +153,13 @@ class BrentSimResult:
         return self.time / guest_time if guest_time > 0 else None
 
 
-class _GlobalizedView:
-    """Adapter exposing a cluster-local :class:`ProcView` under global ids.
-
-    Fine runs execute inside one host processor over the ``v/v'`` guests of
-    one ``log v'``-cluster; program bodies, however, speak global processor
-    ids.  This proxy translates pids on the way in and out.
-    """
-
-    __slots__ = ("_view", "_offset", "pid", "v", "mu", "label", "ctx", "inbox")
-
-    def __init__(self, view: ProcView, offset: int, v_global: int):
-        self._view = view
-        self._offset = offset
-        self.pid = view.pid + offset
-        self.v = v_global
-        self.mu = view.mu
-        self.label = view.label  # local label; bodies rarely inspect it
-        self.ctx = view.ctx
-        # messages are immutable, so host 0 (offset 0) can share the list
-        if offset:
-            self.inbox = [Message(m.src + offset, m.payload) for m in view.inbox]
-        else:
-            self.inbox = view.inbox
-
-    def send(self, dest: int, payload: Any = None) -> None:
-        self._view.send(dest - self._offset, payload)
-
-    def charge(self, t: float) -> None:
-        self._view.charge(t)
-
-    def received(self):
-        return (msg.payload for msg in self.inbox)
-
-
 class BrentSimulator:
-    """Theorem 10's self-simulation engine."""
+    """Theorem 10's self-simulation engine.
+
+    ``parallel`` and ``kernel`` are accepted for call compatibility with
+    the HMM engine and ignored: the whole simulation is one body pass
+    plus a few array folds, with no per-host work left to fan out.
+    """
 
     def __init__(
         self,
@@ -130,18 +173,10 @@ class BrentSimulator:
         self.g = g
         self.v_host = v_host
         self.c2 = c2
-        self.log_v_host = log2_exact(v_host)
+        log2_exact(v_host)  # raises unless v' is a power of two
         if trace not in ("off", "counters", "phases", "full"):
             raise ValueError(f"unknown trace level {trace!r}")
         self.trace = trace
-        #: execution kernel for the embedded Section 3 fine runs — passed
-        #: through to HMMSimulator (``None`` reads ``REPRO_ENGINE``)
-        self.kernel = kernel
-        # host-parallelism policy: with jobs > 1, the independent per-host
-        # fine runs are dispatched to worker processes; charged time,
-        # counters and breakdowns stay bit-identical to the serial path
-        # (see HMMSimulator's ``parallel`` parameter)
-        self.parallel = resolve_parallel(parallel)
 
     def simulate(self, program: Program) -> BrentSimResult:
         """Simulate ``program`` on ``D-BSP(v', mu v/v', g)``; charge host time."""
@@ -166,392 +201,387 @@ class BrentSimulator:
             )
 
         normalized = program.with_global_sync()
-        state = _BrentRun(self, normalized)
-        state.execute()
-        state.tracer.assert_closed()
-        if self.trace == "off":
-            breakdown = {}
-            counters: dict[str, int | float] = {}
-        else:
-            breakdown = {}
-            if self.trace != "counters":
-                breakdown = dict.fromkeys(BRENT_PHASES, 0.0)
-                breakdown.update(state.tracer.phase_totals())
-            counters = state.counters.snapshot()
+        key = (
+            self.g, v, normalized.mu, v_host, self.c2,
+            tuple((s.label, s.body is None) for s in normalized.supersteps),
+        )
+        plan = _PLANS.get(key, lambda: _BrentPlan(*key))
+        contexts = normalized.initial_contexts()
+        bodies = run_bodies(normalized, contexts, [[] for _ in range(v)])
+        clk, messages = plan.fold(bodies)
+        runs = [
+            RunRecord(kind, first, n, float(clk[end] - clk[start]))
+            for kind, first, n, start, end in plan.runs
+        ]
+
+        breakdown: dict[str, float] = {}
+        counters: dict[str, int | float] = {}
+        spans: list[SpanRecord] = []
+        if self.trace != "off":
+            counters = plan.counters(messages).snapshot()
+        if self.trace in ("phases", "full"):
+            tracer = plan.replay_spans(
+                clk.tolist(), record=(self.trace == "full")
+            )
+            breakdown = dict.fromkeys(BRENT_PHASES, 0.0)
+            breakdown.update(tracer.phase_totals())
+            spans = tracer.spans
         return BrentSimResult(
-            contexts=state.contexts,
-            time=state.time,
+            contexts=contexts,
+            time=float(clk[-1]),
             v_host=v_host,
-            runs=state.records,
+            runs=runs,
             breakdown=breakdown,
             counters=counters,
-            spans=state.tracer.spans,
+            spans=spans,
         )
 
 
-class _BrentRun:
-    def __init__(self, sim: BrentSimulator, program: Program):
-        self.sim = sim
-        self.program = program
-        self.v = program.v
-        self.mu = program.mu
-        self.v_host = sim.v_host
-        self.log_v_host = sim.log_v_host
-        self.guests_per_host = self.v // self.v_host
-        #: local memory of one host processor, in words
-        self.mu_host = self.mu * self.guests_per_host
-        self.table = CostTable.shared(sim.g, max(self.mu_host, 2))
-        # per-guest charged costs reused by every coarse superstep (the
-        # same floats the prefix table would produce, added in the same
-        # order — charged time is bit-identical): cycling a guest context
-        # through the top of the local HMM, and filing one message into a
-        # guest's context block
-        table, mu = self.table, self.mu
-        top_cost = table.range_cost(0, mu)
-        self._cycle_cost = [
-            2.0 * (table.range_cost(k * mu, (k + 1) * mu) + top_cost)
-            for k in range(self.guests_per_host)
-        ]
-        self._file_cost = [
-            table.access(k * mu) for k in range(self.guests_per_host)
-        ]
-        self.contexts = program.initial_contexts()
-        self.pending: list[list[Message]] = [[] for _ in range(self.v)]
-        # recycled per-body view (see _coarse_superstep)
-        self._view = ProcView(0, self.v, self.mu, 0, {}, [])
-        self.time = 0.0
-        self.records: list[RunRecord] = []
-        #: pid offset of the host processor currently simulated (fine runs)
-        self.current_offset = 0
-        if sim.trace == "off":
-            self.counters = NULL_COUNTERS
-            self.tracer = NULL_TRACER
-        elif sim.trace == "counters":
-            self.counters = Counters()
-            self.tracer = NULL_TRACER
-        else:
-            self.counters = Counters()
-            self.tracer = Tracer(
-                clock=lambda: self.time, record=(sim.trace == "full")
-            )
-
-    # ------------------------------------------------------------- helpers
-    def _host_of(self, pid: int) -> int:
-        return pid // self.guests_per_host
-
-    def _block_range(self, pid: int) -> tuple[int, int]:
-        """Word range of guest ``pid``'s context inside its host's memory."""
-        local = pid % self.guests_per_host
-        return local * self.mu, (local + 1) * self.mu
-
-    # --------------------------------------------------------------- main
-    def execute(self) -> None:
-        steps = self.program.supersteps
-        pos = 0
-        while pos < len(steps):
-            coarse = steps[pos].label < self.log_v_host
-            end = pos
-            while end < len(steps) and (
-                (steps[end].label < self.log_v_host) == coarse
-            ):
-                end += 1
-            before = self.time
-            if coarse:
-                for s in range(pos, end):
-                    self.tracer.open(
-                        "coarse-superstep",
-                        None,
-                        {"superstep": s, "label": steps[s].label}
-                        if self.tracer.record
-                        else None,
-                    )
-                    self._coarse_superstep(steps[s])
-                    self.tracer.close()
-            else:
-                self.tracer.open(
-                    "fine-run",
-                    "fine",
-                    {"first_step": pos, "n_steps": end - pos}
-                    if self.tracer.record
-                    else None,
-                )
-                self._fine_run(steps[pos:end])
-                self.tracer.close()
-            self.records.append(
-                RunRecord(
-                    kind="coarse" if coarse else "fine",
-                    first_step=pos,
-                    n_steps=end - pos,
-                    host_time=self.time - before,
-                )
-            )
-            pos = end
-
-    # ----------------------------------------------------- coarse supersteps
-    def _coarse_superstep(self, step: Superstep) -> None:
-        """One guest i-superstep with ``i < log v'`` on the host machine."""
-        local_times = [0.0] * self.v_host
-        sent_counts = [0] * self.v_host
-        recv_counts = [0] * self.v_host
-        deliveries: list[list[tuple[int, Message]]] = [
-            [] for _ in range(self.v_host)
-        ]
-
-        if not step.is_dummy:
-            g_per_host = self.guests_per_host
-            cycle_cost = self._cycle_cost
-            pending = self.pending
-            contexts = self.contexts
-            body = step.body
-            # recycled per-body view, same discipline as the HMM engine
-            view = self._view
-            view.label = step.label
-            outbox = view.outbox
-            clear = outbox.clear
-            pid = 0
-            for host in range(self.v_host):
-                lt = local_times[host]
-                for k in range(g_per_host):
-                    # bring the guest context to the top of the local HMM
-                    # and back (same float order as the pid loop: cycle
-                    # charge then local charge, guest by guest)
-                    lt += cycle_cost[k]
-                    view.pid = pid
-                    view.ctx = contexts[pid]
-                    view.inbox = pending[pid]  # kept ordered at delivery
-                    pending[pid] = []
-                    view.local_time = 1.0
-                    body(view)
-                    lt += view.local_time
-                    sent_counts[host] += len(outbox)
-                    for dest, msg in outbox:
-                        dest_host = dest // g_per_host
-                        recv_counts[dest_host] += 1
-                        deliveries[dest_host].append((dest, msg))
-                    clear()
-                    pid += 1
-                local_times[host] = lt
-        else:
-            for host in range(self.v_host):
-                local_times[host] = 1.0
-
-        # host i-superstep: local simulation plus an (h v/v')-relation
-        # within host i-clusters; message cost g(mu_host * v'/2^i) = g(mu v/2^i)
-        h_host = max(max(sent_counts), max(recv_counts), 0)
-        comm = h_host * self.sim.g(self.mu_host * cluster_size(self.v_host, step.label))
-        self.tracer.open("compute", "compute")
-        self.time += max(local_times)
-        self.tracer.close()
-        self.tracer.open("communication", "communication")
-        self.time += comm
-        self.tracer.close()
-
-        # host (log v')-superstep: file received messages into the guests'
-        # incoming buffers (an access into the destination block)
-        self.tracer.open("filing", "filing")
-        file_cost = self._file_cost
-        g_per_host = self.guests_per_host
-        pending = self.pending
-        max_filing = 0.0
-        n_delivered = 0
-        all_outgoing: list[tuple[int, Message]] = []
-        for host in range(self.v_host):
-            box = deliveries[host]
-            n_delivered += len(box)
-            host_filing = 0.0
-            for dest, _msg in box:
-                host_filing += file_cost[dest % g_per_host]
-            if host_filing > max_filing:
-                max_filing = host_filing
-            all_outgoing.extend(box)
-        # host-order concatenation preserves the per-message insort tie
-        # order, so the batched delivery rebuilds identical inboxes
-        deliver_sorted(pending, all_outgoing)
-        self.time += max_filing + 1.0
-        self.tracer.close()
-        self.counters.add("messages", n_delivered)
-
-    # --------------------------------------------------------- fine runs
-    def _fine_run(self, steps: list[Superstep]) -> None:
-        """A maximal run with labels ``>= log v'``: local to each host."""
-        g_per_host = self.guests_per_host
-        cfg = self.sim.parallel
-        host_times: list[float] = []
-        start_host = 0
-        if (
-            cfg.enabled
-            and self.sim.trace != "full"
-            and self.v_host >= 2
-            and len(steps) * g_per_host >= cfg.min_work_per_task
-        ):
-            start_host = self._fine_run_parallel(cfg, steps, host_times)
-        if start_host < self.v_host:
-            self._fine_run_serial(steps, host_times, start_host)
-        # the run is local: one host "superstep" costing the slowest member
-        self.time += max(host_times)
-
-    def _fine_run_serial(
-        self, steps: list[Superstep], host_times: list[float], start_host: int
-    ) -> None:
-        """Serial host loop (also the tail after a degraded dispatch)."""
-        g_per_host = self.guests_per_host
-        shifted = [
-            Superstep(
-                s.label - self.log_v_host,
-                None if s.is_dummy else _shift_body(s.body, self),
-                name=s.name,
-            )
-            for s in steps
-        ]
-        # parallel=1: each host's embedded run is already scheduled here
-        hmm = HMMSimulator(
-            self.sim.g,
-            c2=self.sim.c2,
-            check_invariants="off",
-            trace=(
-                self.sim.trace
-                if self.sim.trace in ("off", "counters")
-                else "phases"
-            ),
-            parallel=1,
-            kernel=self.sim.kernel,
-        )
-        # one shared Program for all hosts: its smoothing (and the label
-        # set) is computed once by the first host's simulate() call and
-        # served from the per-program memo for the other v'-1 hosts
-        local_program = Program(
-            g_per_host,
-            self.mu,
-            shifted,
-            make_context=lambda pid: {},  # replaced via initial_contexts
-            name=f"{self.program.name}@fine",
-        )
-        for host in range(start_host, self.v_host):
-            offset = host * g_per_host
-            self.current_offset = offset
-            local_contexts = self.contexts[offset : offset + g_per_host]
-            if offset:
-                local_pending = [
-                    [Message(m.src - offset, m.payload) for m in self.pending[pid]]
-                    for pid in range(offset, offset + g_per_host)
-                ]
-            else:
-                # messages are immutable and the HMM run copies the boxes
-                local_pending = self.pending[:g_per_host]
-            result = hmm.simulate(
-                local_program,
-                initial_contexts=local_contexts,
-                initial_pending=local_pending,
-            )
-            host_times.append(result.time)
-            self.counters.merge(result.counters)
-            # contexts are shared dict objects: mutations already visible
-            if offset:
-                for k in range(g_per_host):
-                    self.pending[offset + k] = [
-                        Message(m.src + offset, m.payload)
-                        for m in result.pending[k]
-                    ]
-            else:
-                self.pending[:g_per_host] = result.pending
-
-    def _fine_run_parallel(
-        self, cfg: ParallelConfig, steps: list[Superstep], host_times: list[float]
-    ) -> int:
-        """Dispatch per-host fine runs to the pool; merge in host order.
-
-        Each host's embedded HMM run starts from charged time zero in the
-        serial path already, so no charge tape is needed: the worker ships
-        back ``(contexts, pending, time, counters)`` and the parent takes
-        ``max`` over host times exactly as the serial loop does.  Returns
-        the number of hosts merged; on a mid-flight pool failure the
-        caller's serial loop finishes the remaining hosts (host runs are
-        independent, so the prefix/suffix split is sound).
-        """
-        from repro.parallel.pool import PoolUnavailable, dumps_payload, shared_pool
-
-        g_per_host = self.guests_per_host
-        counters_on = self.counters is not NULL_COUNTERS
-        done = 0
-        try:
-            pool = shared_pool(cfg.jobs)
-            # ship the *original* bodies: the worker adds its own
-            # _OffsetBody wrapper (the picklable equivalent of
-            # _shift_body, which closes over this run)
-            payload_steps = [
-                Superstep(
-                    s.label - self.log_v_host,
-                    None if s.is_dummy else s.body,
-                    name=s.name,
-                )
-                for s in steps
-            ]
-            common = dumps_payload(
-                (
-                    self.sim.g,
-                    self.sim.c2,
-                    g_per_host,
-                    self.mu,
-                    payload_steps,
-                    self.v,
-                    self.sim.trace == "off",
-                    self.sim.kernel,
-                )
-            )
-            payloads = []
-            for host in range(self.v_host):
-                offset = host * g_per_host
-                args = (
-                    common,
-                    offset,
-                    self.contexts[offset : offset + g_per_host],
-                    self.pending[offset : offset + g_per_host],
-                )
-                payloads.append(dumps_payload(("brent-hosts", args)))
-            futures = pool.submit_many("brent-hosts", payloads)
-            results = pool.gather_ordered(
-                futures,
-                kind="brent-hosts",
-                payloads=payloads,
-                policy=cfg.retry,
-            )
-            for host, result in enumerate(results):
-                w_contexts, w_pending, w_time, w_counters = result
-                offset = host * g_per_host
-                self.contexts[offset : offset + g_per_host] = w_contexts
-                if offset:
-                    for k in range(g_per_host):
-                        self.pending[offset + k] = [
-                            Message(m.src + offset, m.payload)
-                            for m in w_pending[k]
-                        ]
-                else:
-                    self.pending[:g_per_host] = w_pending
-                host_times.append(w_time)
-                if counters_on:
-                    self.counters.merge(w_counters)
-                done = host + 1
-        except PoolUnavailable as exc:
-            if not cfg.fallback:
-                raise
-            warn_fallback_once(
-                f"parallel fine-run degraded to serial: {exc}"
-            )
-        return done
+def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For groups of ``lengths`` elements laid end to end: each
+    element's group and its offset within the group."""
+    return (
+        np.repeat(np.arange(len(lengths)), lengths),
+        ranges_concat(np.zeros(len(lengths), dtype=np.int64), lengths),
+    )
 
 
-class _shift_body:
-    """Wrap a superstep body so it sees global processor ids.
+def _message_pattern(bodies: BodyPass, pid_type: np.dtype) -> bytes:
+    """Every message the pass sent, as one compact byte string: the
+    per-step send counts, then all endpoints in ``pid_type`` (the
+    smallest type that holds a pid).  Everything a layout holds is a
+    function of it."""
+    counts = np.array([-1 if src is None else len(src) for src in bodies.src])
+    ends = [
+        end for src, dest in zip(bodies.src, bodies.dest) if src is not None
+        for end in (src, dest)
+    ]
+    if not ends:
+        return counts.tobytes()
+    return counts.tobytes() + np.concatenate(ends).astype(pid_type).tobytes()
 
-    Host processors are simulated one after another; the enclosing
-    :class:`_BrentRun` records the pid offset of the host currently being
-    simulated in ``current_offset``, and the wrapper hands bodies a
-    :class:`_GlobalizedView` built from it.
+
+def _planned_body(view) -> None:  # pragma: no cover - never executed
+    raise AssertionError("plan programs are compiled, never run")
+
+
+class _FineRun:
+    """One fine run: its Section 3 plan, mapped onto the guest's pass.
+
+    ``plan`` schedules the host-local program (``v/v'`` guests, labels
+    shifted by ``log v'``, smoothed as the HMM simulation smooths it).
+    Every host runs the same schedule; only the bodies' local times and
+    messages differ, so host ``j``'s charge stream is the plan's
+    templates with host ``j``'s values scattered in.
     """
 
-    def __init__(self, body, run: _BrentRun):
-        self.body = body
-        self.run = run
+    __slots__ = (
+        "op", "plan", "hole_src", "sends",
+        "a_round", "a_rel", "c_round", "c_rel",
+    )
 
-    def __call__(self, view: ProcView) -> None:
-        self.body(_GlobalizedView(view, self.run.current_offset, self.run.v))
+    def __init__(self, op: int, first: int, labels, v_host: int, v: int,
+                 mu: int, g: AccessFunction, c2: float, costs) -> None:
+        self.op = op
+        per_host = v // v_host
+        local = Program(
+            per_host, mu,
+            [Superstep(label, None if dummy else _planned_body)
+             for label, dummy in labels],
+        )
+        smoothed = smooth_program(
+            local, build_label_set_hmm(g, per_host, mu, c2)
+        )
+        block_cost, word_cost, table = costs
+        plan = self.plan = _build_hmm_plan(
+            per_host, mu, smoothed.program.supersteps,
+            block_cost, word_cost, table,
+        )
+        # local step -> guest step; the closing global sync smoothing may
+        # append is a dummy, so it never reaches a hole or a send
+        guest_step = np.array(
+            [-1 if o is None or o >= len(labels) else first + o
+             for o in smoothed.origin],
+            dtype=np.int64,
+        )
+        #: index into the pass's local times of every hole, host-major
+        self.hole_src = (
+            (guest_step[plan.local_src // per_host] * v
+             + plan.local_src % per_host)
+            + (np.arange(v_host) * per_host)[:, None]
+        ).ravel()
+        #: per non-dummy local step: (guest step, cluster size, the round
+        #: simulating each of a host's clusters)
+        self.sends = []
+        for s, rounds in plan.rounds_of_step.items():
+            csize = plan.csize_of_step[s]
+            round_of = np.empty(per_host // csize, dtype=np.int64)
+            round_of[plan.first[rounds] // csize] = rounds
+            self.sends.append((int(guest_step[s]), csize, round_of))
+        self.a_round, self.a_rel = _ranges(plan.a_len)
+        self.c_round, c_rel = _ranges(plan.c_len)
+        # swap charges close their round: offsets from the round's end
+        self.c_rel = c_rel - plan.c_len[self.c_round]
+
+    def streams(self, bodies: BodyPass, v_host: int
+                ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Every host's Section 3 charge stream, local-time holes zero.
+
+        A host's stream is, round by round, the plan's cycling template
+        with holes for the local times, then two endpoint charges per
+        message the cluster sent, then the round's swap charges — the
+        scalar scheme's ``t += c`` sequence from ``t = 0``.  Returns the
+        ``(v', width)`` streams (rows zero-padded at the end), the flat
+        position of every hole (in :attr:`hole_src` order) and the
+        number of messages the run's bodies sent.
+        """
+        plan = self.plan
+        n_rounds = plan.R
+        per_host = len(plan.wc)
+        hosts = np.arange(v_host)
+        keys, ranks, src_cost, dest_cost = [], [], [], []
+        for step, csize, round_of in self.sends:
+            src = bodies.src[step]
+            if src is None:
+                continue
+            dest = bodies.dest[step]
+            cluster = src // csize  # nondecreasing: sends are pid-major
+            keys.append(
+                (src // per_host) * n_rounds + round_of[cluster % len(round_of)]
+            )
+            ranks.append(
+                np.arange(len(src)) - np.searchsorted(cluster, cluster)
+            )
+            # the cluster sits on top sorted by pid: slot = pid mod |C|
+            src_cost.append(plan.wc[src & (csize - 1)])
+            dest_cost.append(plan.wc[dest & (csize - 1)])
+        key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+        n_msgs = np.bincount(key, minlength=v_host * n_rounds)
+        off = np.zeros((v_host, n_rounds + 1), dtype=np.int64)
+        np.cumsum(
+            plan.a_len + 2 * n_msgs.reshape(v_host, n_rounds) + plan.c_len,
+            axis=1, out=off[:, 1:],
+        )
+        width = int(off[:, -1].max())
+        row = (hosts * width)[:, None]
+        buf = np.zeros((v_host, width), dtype=np.float64)
+        flat = buf.reshape(-1)
+        a_pos = row + off[:, self.a_round] + self.a_rel
+        flat[a_pos] = plan.A_all
+        if plan.C_all.size:
+            flat[row + off[:, self.c_round + 1] + self.c_rel] = plan.C_all
+        if keys:
+            host, rnd = np.divmod(key, n_rounds)
+            pos = (
+                host * width + off[host, rnd] + plan.a_len[rnd]
+                + 2 * np.concatenate(ranks)
+            )
+            flat[pos] = np.concatenate(src_cost)
+            flat[pos + 1] = np.concatenate(dest_cost)
+        return buf, a_pos[:, plan.local_pos].ravel(), len(key)
+
+
+class _Layout(NamedTuple):
+    """The part of a fold that depends on which messages the bodies
+    sent (repeated runs of one program send the same ones)."""
+
+    ops: np.ndarray  #: the operand template, coarse message charges in
+    #: per fine run: its distinct host streams, each host's stream and
+    #: the flat positions of the local-time holes in the hosts' streams
+    streams: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    messages: tuple[int, int]  #: sent in coarse supersteps, in fine runs
+
+
+class _BrentPlan:
+    """The body-independent part of one self-simulation.
+
+    ``ops`` is the template of the host clock's operand sequence (a
+    leading 0.0, then per coarse superstep its compute, communication
+    and filing charges, per fine run its slowest host), prefilled with
+    what those charges are when no body sends or charges anything
+    beyond the unit superstep cost.
+    """
+
+    def __init__(self, g: AccessFunction, v: int, mu: int, v_host: int,
+                 c2: float, steps: tuple[tuple[int, bool], ...]) -> None:
+        log_vh = log2_exact(v_host)
+        per_host = self.per_host = v // v_host
+        self.v = v
+        self.v_host = v_host
+        mu_host = mu * per_host
+        table = CostTable.shared(g, mu_host)  # one host's HMM
+        block_cost = [table.range_cost(k * mu, (k + 1) * mu)
+                      for k in range(per_host)]
+        word_cost = [table.access(k * mu) for k in range(per_host)]
+        #: bring guest k's context to the top of its host's HMM and back
+        self.cycle_cost = np.array(
+            [2.0 * (bc + block_cost[0]) for bc in block_cost]
+        )
+        #: file one message into guest k's context block
+        self.file_cost = np.array(word_cost)
+
+        ops = [0.0]
+        #: (kind, first step, n steps, first op, last op) per maximal run
+        self.runs: list[tuple[str, int, int, int, int]] = []
+        #: per coarse superstep: (step, label, first op, message cost)
+        self.coarse: list[tuple[int, int, int, float]] = []
+        self.fine: list[_FineRun] = []
+        body_steps, body_ops = [], []
+        pos = 0
+        while pos < len(steps):
+            coarse = steps[pos][0] < log_vh
+            end = pos
+            while end < len(steps) and (steps[end][0] < log_vh) == coarse:
+                end += 1
+            start = len(ops) - 1
+            if coarse:
+                for s in range(pos, end):
+                    label, dummy = steps[s]
+                    if not dummy:
+                        body_steps.append(s)
+                        body_ops.append(len(ops))
+                    self.coarse.append((
+                        s, label, len(ops),
+                        g(mu_host * cluster_size(v_host, label)),
+                    ))
+                    ops += [1.0, 0.0, 1.0]
+            else:
+                self.fine.append(_FineRun(
+                    len(ops), pos,
+                    [(label - log_vh, dummy) for label, dummy in steps[pos:end]],
+                    v_host, v, mu, g, c2, (block_cost, word_cost, table),
+                ))
+                ops.append(0.0)
+            self.runs.append(
+                ("coarse" if coarse else "fine", pos, end - pos,
+                 start, len(ops) - 1)
+            )
+            pos = end
+        self.ops = np.array(ops)
+        self.body_steps = np.array(body_steps, dtype=np.int64)
+        self.body_ops = np.array(body_ops, dtype=np.int64)
+        #: one message pattern's layout (see :func:`_message_pattern`)
+        self._layouts: dict[bytes, _Layout] = {}
+        self.pid_type = np.min_scalar_type(v - 1)
+
+    # ------------------------------------------------------------- fold
+    def fold(self, bodies: BodyPass) -> tuple[np.ndarray, tuple[int, int]]:
+        """The host clock after each operand (``clk[0] = 0.0``), and the
+        number of messages sent in coarse supersteps and in fine runs."""
+        pattern = _message_pattern(bodies, self.pid_type)
+        layout = self._layouts.get(pattern)
+        if layout is None:
+            layout = self._layout(bodies)
+            self._layouts = {pattern: layout}  # keep one pattern resident
+        ops = layout.ops.copy()
+        if self.body_steps.size:
+            # guest by guest: cycle its context to the top, then run it
+            v_host, per_host = self.v_host, self.per_host
+            local = bodies.local[
+                self.body_steps[:, None] * self.v + np.arange(self.v)
+            ]
+            inter = np.empty((len(self.body_steps), v_host, 2 * per_host))
+            inter[..., 0::2] = self.cycle_cost
+            inter[..., 1::2] = local.reshape(-1, v_host, per_host)
+            ops[self.body_ops] = np.cumsum(inter, axis=2)[..., -1].max(axis=1)
+        for fine, (distinct, stream_of, holes) in zip(self.fine, layout.streams):
+            streams = distinct[stream_of]
+            streams.reshape(-1)[holes] = bodies.local[fine.hole_src]
+            ops[fine.op] = np.cumsum(streams, axis=1)[:, -1].max()
+        return np.cumsum(ops), layout.messages
+
+    def _layout(self, bodies: BodyPass) -> _Layout:
+        """Charge what the messages cost: each coarse superstep's
+        ``h``-relation and filing, and every fine run's host streams."""
+        ops = self.ops.copy()
+        v_host, per_host = self.v_host, self.per_host
+        coarse_messages = 0
+        for step, _label, op, message_cost in self.coarse:
+            src = bodies.src[step]
+            if src is None:
+                continue
+            dest = bodies.dest[step]
+            dest_host = dest // per_host
+            h = max(
+                np.bincount(src // per_host, minlength=v_host).max(),
+                np.bincount(dest_host, minlength=v_host).max(),
+            )
+            ops[op + 1] = int(h) * message_cost
+            ops[op + 2] = np.bincount(
+                dest_host, weights=self.file_cost[dest % per_host],
+                minlength=v_host,
+            ).max() + 1.0
+            coarse_messages += len(src)
+        streams = []
+        fine_messages = 0
+        for fine in self.fine:
+            buf, holes, n_msgs = fine.streams(bodies, v_host)
+            # hosts whose guests send alike share one stream: keep each
+            # distinct one once
+            kind_of: dict[bytes, int] = {}
+            first: list[int] = []
+            stream_of = []
+            for k, row in enumerate(buf):
+                kind = kind_of.setdefault(row.tobytes(), len(first))
+                if kind == len(first):
+                    first.append(k)
+                stream_of.append(kind)
+            streams.append((buf[first], np.array(stream_of), holes))
+            fine_messages += n_msgs
+        return _Layout(ops, streams, (coarse_messages, fine_messages))
+
+    # ---------------------------------------------------- observability
+    def counters(self, messages: tuple[int, int]) -> Counters:
+        """The counters of the scheme: coarse deliveries plus every
+        host's embedded Section 3 counters (constants of each fine
+        run's plan, plus two words touched per message)."""
+        coarse_messages, fine_messages = messages
+        counters = Counters()
+        if self.coarse:
+            counters.add("messages", coarse_messages)
+        v_host = self.v_host
+        if any(fine.plan.n_normal_rounds for fine in self.fine):
+            counters.add("words_touched", 2 * fine_messages)
+            counters.add("messages", fine_messages)
+        for fine in self.fine:
+            plan = fine.plan
+            if plan.n_normal_rounds:
+                counters.add("words_touched", v_host * plan.cycle_words)
+            if plan.total_context_swaps:
+                counters.add("context_swaps", v_host * plan.total_context_swaps)
+                counters.add("words_touched", v_host * plan.total_swap_words)
+                counters.add("words_moved", v_host * plan.total_swap_words)
+            if plan.n_dummy_rounds:
+                counters.add("dummy_supersteps", v_host * plan.n_dummy_rounds)
+            counters.add("rounds", v_host * plan.R)
+        return counters
+
+    def replay_spans(self, clk: list[float], record: bool) -> Tracer:
+        """A tracer driven through the scheme's span sequence, the clock
+        placed where the host-by-host run had it at each call."""
+        now = 0.0
+        tracer = Tracer(clock=lambda: now, record=record)
+        add_leaf = tracer.add_leaf
+        coarse = iter(self.coarse)
+        for kind, first, n, start, _end in self.runs:
+            if kind == "fine":
+                now = clk[start]
+                tracer.open("fine-run", "fine",
+                            {"first_step": first, "n_steps": n}
+                            if record else None)
+                now = clk[start + 1]
+                tracer.close()
+                continue
+            for _ in range(n):
+                s, label, op, _cost = next(coarse)
+                now = clk[op - 1]
+                tracer.open("coarse-superstep", None,
+                            {"superstep": s, "label": label}
+                            if record else None)
+                add_leaf("compute", "compute", clk[op - 1], clk[op])
+                add_leaf("communication", "communication", clk[op], clk[op + 1])
+                add_leaf("filing", "filing", clk[op + 1], clk[op + 2])
+                now = clk[op + 2]
+                tracer.close()
+        tracer.assert_closed()
+        return tracer

@@ -139,8 +139,8 @@ class HMMSimResult:
     smoothed: SmoothedProgram
     f: AccessFunction
     trace: list[RoundSnapshot] = field(default_factory=list)
-    #: messages left undelivered when the program ended (consumed by the
-    #: Brent self-simulation, which chains runs of supersteps)
+    #: messages left undelivered when the program ended (a caller chaining
+    #: runs of supersteps passes them on as ``initial_pending``)
     pending: list[list[Message]] = field(default_factory=list)
     #: charged time attributed to each phase of the scheme:
     #: ``local`` (guest computation), ``cycling`` (contexts to/from the
@@ -237,8 +237,7 @@ class HMMSimulator:
             raise ValueError(f"unknown kernel {kernel!r}")
         self.kernel = kernel
         # per-(v, mu) charged-cost lists shared by every run on this
-        # simulator — the Brent engine re-enters simulate() once per host
-        # per fine run, always with the same program shape
+        # simulator (repeated simulate() calls reuse them)
         self._run_artifacts: dict[tuple[int, int], tuple[list, list]] = {}
 
     # ------------------------------------------------------------ frontend
@@ -252,8 +251,8 @@ class HMMSimulator:
         """Simulate ``program``; return final contexts, charged time, trace.
 
         ``initial_contexts`` / ``initial_pending`` override the program's
-        own initial state — the Brent self-simulation uses them to chain
-        runs of supersteps while preserving in-flight messages.
+        own initial state — to chain runs of supersteps while preserving
+        in-flight messages (the parallel segment workers do).
         """
         if label_set is None:
             label_set = build_label_set_hmm(

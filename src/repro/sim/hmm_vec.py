@@ -34,7 +34,7 @@ Bodies run in the shared superstep-major pass
   the ordinary :class:`~repro.dbsp.program.ProcView`; charging and
   delivery batching are still vectorized.  Any program runs this way
   (it is also the fallback when a run starts with in-flight messages,
-  e.g. the Brent engine's chained fine runs).
+  e.g. a simulation given ``initial_pending``).
 """
 
 from __future__ import annotations

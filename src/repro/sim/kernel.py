@@ -17,14 +17,15 @@ the cache the compiled schedules live in:
 * :func:`interleave2` — pairwise interleaving of two equal-length
   arrays (the ``src``/``dst`` charge pattern of message delivery);
 * :func:`deliver_sorted` — batched replacement for per-message
-  ``bisect.insort`` delivery loops (used by the Brent engine and the
-  BT ablations), bit-identical in the resulting inbox order;
+  ``bisect.insort`` delivery loops (used by the BT simulation's
+  inline and transpose paths), bit-identical in the resulting inbox
+  order;
 * :func:`run_bodies` — the superstep-major body pass: every superstep
   of a program run for every processor, in step order, returning the
   local times per ``(step, pid)`` and the send arrays per step.  The
-  ``vec`` and ``bt`` simulations and the direct executor all execute
-  bodies through it and keep only the *charging* to themselves;
-* :class:`PlanCache` — the bounded LRU both simulation kernels keep
+  ``vec``, ``bt`` and ``brent`` simulations and the direct executor all
+  execute bodies through it and keep only the *charging* to themselves;
+* :class:`PlanCache` — the bounded LRU the simulation kernels keep
   their compiled, body-independent schedules in.
 """
 
@@ -143,7 +144,7 @@ class ArrayView:
 class GlobalizedArrayView:
     """Present global pids to an array body running on a sub-machine.
 
-    The array analog of :class:`repro.sim.brent._GlobalizedView`: worker
+    The array analog of :class:`repro.parallel.workers._GlobalizedView`: worker
     processes simulate a pid slice ``offset .. offset + v_sub`` as local
     pids ``0 .. v_sub``, while program bodies index processors globally.
     Sends are translated back to local coordinates; the underlying
@@ -316,9 +317,9 @@ def _array_mode_ok(program: Program, pending: list[list[Message]]) -> bool:
         s.array_body is None for s in program.supersteps if s.body is not None
     ):
         return False
-    # a run that starts with in-flight messages (Brent's chained fine
-    # runs) would need list->array inbox bridging; take the scalar-body
-    # path instead
+    # a run that starts with in-flight messages (``initial_pending``)
+    # would need list->array inbox bridging; take the scalar-body path
+    # instead
     return all(not box for box in pending)
 
 
@@ -441,10 +442,11 @@ def _run_bodies_scalar(program, contexts, pending, out, check_sends):
 class PlanCache:
     """A bounded LRU of compiled plans, with lifetime counters.
 
-    The ``vec`` and ``bt`` kernels each compile a body-independent plan
-    per schedule key and keep the ``maxsize`` most recently used ones
-    (process-wide, shared by every thread); :meth:`info` is their
-    introspection hook for tests, ``/v1/metrics`` and the benchmark.
+    The ``vec``, ``bt`` and ``brent`` simulations each compile a
+    body-independent plan per schedule key and keep the ``maxsize`` most
+    recently used ones (process-wide, shared by every thread);
+    :meth:`info` is their introspection hook for tests, ``/v1/metrics``
+    and the benchmark.
     """
 
     def __init__(self, maxsize: int):

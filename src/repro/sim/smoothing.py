@@ -167,9 +167,8 @@ def smooth_program(program: Program, label_set: list[int]) -> SmoothedProgram:
     program.
 
     Results are memoized per ``(program, label_set)`` on the program object
-    itself (so the cache lives and dies with the program): the Brent
-    self-simulation smooths the identical fine-run program once per host
-    processor, and chained runs re-smooth the same program repeatedly.
+    itself (so the cache lives and dies with the program): repeated
+    simulations of one program re-smooth it with the same label set.
     Supersteps are immutable, so sharing the smoothed result is safe.
     """
     key = tuple(label_set)

@@ -3,11 +3,13 @@
 ``tests/data/identity_digests.json`` holds the sha256 of the canonical
 ``EngineResult.to_json()`` document (``json.dumps`` in document order,
 so the key order of ``counters`` and ``breakdown`` is pinned along with
-every float) for the ``bt`` and ``direct`` engines over every bundled
-program, two machine widths, two access functions and the three traced
-observability levels, plus ``bt`` with ``sort="transpose"`` on the
-recursive FFT.  Any change to how these engines execute must reproduce
-every digest.
+every float) for the ``bt``, ``direct`` and ``brent`` engines over
+every bundled program, two machine widths, two access functions and the
+three traced observability levels, plus ``bt`` with ``sort="transpose"``
+on the recursive FFT, ``brent`` at host widths ``v' = 1, 2, v/2`` on
+three programs, and ``brent`` on generated programs
+(:func:`repro.testing.random_program`).  Any change to how these
+engines execute must reproduce every digest.
 
 Regenerate (only when a charged number is meant to change) with::
 
@@ -25,6 +27,7 @@ import pytest
 
 import repro
 from repro.engines import PROGRAMS
+from repro.testing import random_program
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "identity_digests.json"
 
@@ -36,7 +39,7 @@ TRACES = ("counters", "phases", "full")
 def cases() -> list[tuple[str, str, str, int, str, dict]]:
     """``(case id, engine, program, v, f, opts)`` for every pinned run."""
     out = []
-    for engine in ("bt", "direct"):
+    for engine in ("bt", "direct", "brent"):
         for program in sorted(PROGRAMS):
             for v in WIDTHS:
                 for f in FUNCTIONS:
@@ -49,11 +52,29 @@ def cases() -> list[tuple[str, str, str, int, str, dict]]:
                 out.append((f"bt-transpose/fft-rec/v{v}/{f}/{trace}",
                             "bt", "fft-rec", v, f,
                             {"trace": trace, "sort": "transpose"}))
+    for program in ("sort", "fft-rec", "matmul"):
+        for v in WIDTHS:
+            for v_host in (1, 2, v // 2):
+                for f in FUNCTIONS:
+                    for trace in ("counters", "full"):
+                        out.append((f"brent-vh{v_host}/{program}/v{v}/{f}/{trace}",
+                                    "brent", program, v, f,
+                                    {"trace": trace, "v_host": v_host}))
+    for seed in range(8):
+        for trace in ("counters", "full"):
+            out.append((f"brent/random-seed{seed}/v16/x^0.5/{trace}",
+                        "brent", f"random-seed{seed}", 16, "x^0.5",
+                        {"trace": trace}))
     return out
 
 
 def digest(engine: str, program: str, v: int, f: str, opts: dict) -> str:
-    res = repro.run(program, engine, f, v=v, **opts)
+    # "random-seedN" names a generated program rather than a bundled one
+    if program.startswith("random-seed"):
+        built = random_program(v, seed=int(program.removeprefix("random-seed")))
+        res = repro.run(built, engine, f, **opts)
+    else:
+        res = repro.run(program, engine, f, v=v, **opts)
     doc = json.dumps(res.to_json(), separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(doc.encode()).hexdigest()
 

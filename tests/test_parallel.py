@@ -152,15 +152,23 @@ def test_hmm_failing_pool_falls_back_serial_with_one_warning(monkeypatch):
 
 
 def test_brent_failing_pool_falls_back_serial(monkeypatch):
-    monkeypatch.setattr(
-        "repro.parallel.pool.shared_pool", lambda jobs: _FailingPool()
-    )
+    """brent has no per-host fan-out: ``parallel`` is accepted and
+    ignored, so even a failing pool is never touched and nothing warns."""
+    pool = _FailingPool()
+
+    def shared_pool(jobs):
+        pool.tasks_submitted += 1
+        return pool
+
+    monkeypatch.setattr("repro.parallel.pool.shared_pool", shared_pool)
     reset_fallback_warnings()
     g = resolve_access_function("x^0.5")
     program = build_program("sort", 16, 4)
     serial = BrentSimulator(g, v_host=4).simulate(program)
-    with pytest.warns(ParallelFallbackWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         par = BrentSimulator(g, v_host=4, parallel=EAGER).simulate(program)
+    assert pool.tasks_submitted == 0
     assert par.time == serial.time
     assert par.counters == serial.counters
 
