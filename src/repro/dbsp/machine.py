@@ -24,7 +24,7 @@ import numpy as np
 from repro.dbsp.cluster import cluster_size
 from repro.dbsp.program import Program
 from repro.functions import AccessFunction
-from repro.sim.kernel import run_bodies
+from repro.sim.kernel import BodyPass, run_bodies
 
 __all__ = ["DBSPMachine", "DBSPRunResult", "SuperstepRecord", "superstep_cost"]
 
@@ -90,8 +90,7 @@ class DBSPMachine:
         Bodies run in the shared superstep-major pass
         (:func:`repro.sim.kernel.run_bodies`) — whole-machine array
         bodies when the program declares them, per-processor bodies
-        otherwise; this method only folds each superstep's
-        ``tau + h * g(mu |C|)`` from the pass's local times and sends.
+        otherwise — and :meth:`fold` charges it.
         """
         v, mu = program.v, program.mu
         contexts = program.initial_contexts()
@@ -106,51 +105,96 @@ class DBSPMachine:
                 )
 
         bodies = run_bodies(program, contexts, [[] for _ in range(v)], check)
-        records: list[SuperstepRecord] = []
-        total = 0.0
-        compute_total = 0.0
-        comm_total = 0.0
-        n_messages = 0
-        n_dummies = 0
-        max_h = 0
+        result = self.fold(program, bodies)
+        result.contexts = contexts
+        return result
 
-        for index, step in enumerate(program.supersteps):
-            tau = 1.0
-            h = 0
-            if step.is_dummy:
-                n_dummies += 1
-            else:
-                tau = max(
-                    tau, float(bodies.local[index * v : (index + 1) * v].max())
-                )
-                src = bodies.src[index]
-                if src is not None:
-                    h = int(max(
-                        np.bincount(src, minlength=v).max(),
-                        np.bincount(bodies.dest[index], minlength=v).max(),
-                    ))
-                    n_messages += len(src)
-            cost = superstep_cost(self.g, mu, v, step.label, tau, h)
-            records.append(
-                SuperstepRecord(index, step.label, step.name, tau, h, cost)
+    def fold(self, program: Program, bodies: BodyPass) -> DBSPRunResult:
+        """Charge a body pass of ``program``: the result :meth:`run`
+        returns, without contexts (``[]``), and nothing checked.
+
+        Superstep ``s`` costs ``tau + h * g(mu |C|)``, with ``tau`` the
+        largest local time (at least 1) and ``h`` the larger of the
+        most messages one processor sends and receives; the totals add
+        the supersteps in order (``np.cumsum`` adds one at a time, like
+        the ``+=`` loop it replaces).  Any pass of ``program``'s bodies
+        does — the simulations hand theirs over
+        (:meth:`BodyPass.select <repro.sim.kernel.BodyPass.select>`)
+        once :meth:`reproduces` has vouched for it.
+        """
+        v, mu = program.v, program.mu
+        steps = program.supersteps
+        n = len(steps)
+        labels = np.array([step.label for step in steps], dtype=np.int64)
+        body = np.array([not step.is_dummy for step in steps], dtype=bool)
+        tau = np.ones(n)
+        if body.any():
+            top = bodies.local.reshape(n, v)[body].max(axis=1)
+            tau[body] = np.where(top > 1.0, top, 1.0)
+        h = np.zeros(n, dtype=np.int64)
+        sent, src, dest = _sends(bodies, body)
+        if sent.size:
+            key = np.repeat(sent * v, [len(bodies.src[s]) for s in sent])
+            out_deg = np.bincount(key + src, minlength=n * v).reshape(n, v)
+            in_deg = np.bincount(key + dest, minlength=n * v).reshape(n, v)
+            h[sent] = np.maximum(out_deg.max(axis=1), in_deg.max(axis=1))[sent]
+        per_label = {
+            lab: self.g(mu * cluster_size(v, lab)) for lab in set(labels.tolist())
+        }
+        cost = tau + h * np.array([per_label[lab] for lab in labels.tolist()])
+        records = [
+            SuperstepRecord(index, step.label, step.name, t, hs, c)
+            for index, (step, t, hs, c) in enumerate(
+                zip(steps, tau.tolist(), h.tolist(), cost.tolist())
             )
-            total += cost
-            compute_total += tau
-            comm_total += cost - tau
-            max_h = max(max_h, h)
+        ]
+
+        def total(x: np.ndarray) -> float:
+            return float(np.cumsum(x)[-1]) if n else 0.0
 
         return DBSPRunResult(
-            contexts=contexts,
-            total_time=total,
+            contexts=[],
+            total_time=total(cost),
             records=records,
-            breakdown={"compute": compute_total, "communication": comm_total},
+            breakdown={
+                "compute": total(tau), "communication": total(cost - tau),
+            },
             counters={
-                "supersteps": len(records),
-                "dummy_supersteps": n_dummies,
-                "messages": n_messages,
-                "max_h": max_h,
+                "supersteps": n,
+                "dummy_supersteps": int(n - body.sum()),
+                "messages": len(src),
+                "max_h": int(h.max()) if n else 0,
             },
         )
+
+    def reproduces(self, program: Program, bodies: BodyPass) -> bool:
+        """Whether :meth:`run` would have run ``program`` to this pass.
+
+        A simulation's pass ran its *smoothed* program, whose labels
+        are coarser than the original ones, so a send across the
+        original label's cluster went through there; and it checks no
+        degrees.  So the pass stands for a direct run only if every
+        send stays inside its superstep's original-label cluster and,
+        when validating, no processor receives more than ``mu``
+        messages in a superstep.  Otherwise the caller runs ``program``
+        directly, which raises the error.
+        """
+        v, mu = program.v, program.mu
+        steps = program.supersteps
+        body = np.array([not step.is_dummy for step in steps], dtype=bool)
+        sent, src, dest = _sends(bodies, body)
+        if not sent.size:
+            return True
+        lens = [len(bodies.src[s]) for s in sent]
+        reach = np.repeat(
+            [v >> steps[s].label for s in sent.tolist()], lens
+        )
+        if np.any((src ^ dest) >= reach):
+            return False
+        if not self.validate:
+            return True
+        key = np.repeat(sent * v, lens) + dest
+        return int(np.bincount(key).max()) <= mu
 
     @staticmethod
     def _check_degrees(
@@ -164,3 +208,21 @@ class DBSPMachine:
                 f"{worst} messages > mu = {mu} (buffers are part of the "
                 f"context, so h cannot exceed mu)"
             )
+
+
+def _sends(
+    bodies: BodyPass, body: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The body steps that sent messages, and all their endpoints
+    concatenated in step order."""
+    sent = [
+        s for s, src in enumerate(bodies.src) if src is not None and body[s]
+    ]
+    if not sent:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    return (
+        np.array(sent, dtype=np.int64),
+        np.concatenate([bodies.src[s] for s in sent]),
+        np.concatenate([bodies.dest[s] for s in sent]),
+    )

@@ -55,6 +55,7 @@ from repro.obs.trace import OTHER, SpanRecord
 from repro.sim.brent import BrentSimulator
 from repro.sim.bt_sim import BTSimulator
 from repro.sim.hmm_sim import HMMSimulator
+from repro.sim.kernel import BodyPass
 from repro.testing import random_program
 
 __all__ = [
@@ -467,6 +468,18 @@ ENGINES: dict[str, Engine] = {
 }
 
 
+def _direct_baseline(
+    program: Program, f: AccessFunction, bodies: BodyPass | None
+) -> DBSPRunResult:
+    """The direct run of ``program``, folded from a simulation's body
+    pass when it stands for one (see :func:`run`)."""
+    normalized = program.with_global_sync()
+    machine = DBSPMachine(f)
+    if bodies is not None and machine.reproduces(normalized, bodies):
+        return machine.fold(normalized, bodies)
+    return machine.run(normalized)
+
+
 def run(
     program: str | Program,
     engine: str = "direct",
@@ -496,8 +509,19 @@ def run(
         Observability level: ``off`` | ``counters`` | ``phases``
         (default) | ``full``.
     baseline:
-        For simulation engines, also run the direct D-BSP execution and
-        attach ``baseline_time`` and the measured ``slowdown``.
+        For simulation engines, also charge the direct D-BSP execution
+        and attach ``baseline_time`` and the measured ``slowdown``.
+        ``vec``, ``bt`` and ``brent`` run every body once, in one
+        superstep-major pass that a direct run would make too, so the
+        baseline is folded from that pass
+        (:meth:`DBSPMachine.fold <repro.dbsp.machine.DBSPMachine.fold>`)
+        without running a body again.  The direct run is made
+        separately when the engine made no such pass (scalar ``hmm``,
+        ``parallel`` fan-out, the ``bt`` ablations, ``brent`` at
+        ``v' = v``) or when the pass breaks a rule of the direct run
+        that the simulation does not check — a send leaving its
+        original label's cluster, or more than ``mu`` messages to one
+        processor — so that run raises the error.
     opts:
         Passed through to the engine (e.g. ``sort="mergesort"`` for
         ``bt``, ``v_host=16`` for ``brent``, ``parallel=4`` for worker
@@ -519,7 +543,9 @@ def run(
         program = build_program(program, v, mu)
     result = ENGINES[engine].run(program, f, trace=trace, **opts)
     if baseline and engine != "direct":
-        guest = DBSPMachine(f).run(program.with_global_sync())
+        guest = _direct_baseline(
+            program, f, getattr(result.native, "body_pass", None)
+        )
         result.baseline_time = guest.total_time
         result.slowdown = (
             result.time / guest.total_time if guest.total_time > 0 else None

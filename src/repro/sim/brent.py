@@ -51,6 +51,10 @@ then
 4. folds the host clock with one ``cumsum`` and, at ``phases``/``full``,
    replays the tracer's spans against it.
 
+The pass indexes the original program's supersteps, so it is kept on
+the result (``BrentSimResult.body_pass``) and :func:`repro.run` folds
+the direct baseline from it without running the bodies again.
+
 What the folds take from the messages alone (each coarse superstep's
 ``h``-relation and filing charges, the fine runs' delivery charges and
 stream layout) is kept with the plan for the last message pattern seen,
@@ -147,6 +151,10 @@ class BrentSimResult:
     counters: dict[str, int | float] = field(default_factory=dict)
     #: recorded spans (``trace="full"`` only)
     spans: list[SpanRecord] = field(default_factory=list)
+    #: the run's body pass, indexed by the steps of
+    #: ``program.with_global_sync()`` — ``None`` at ``v' = v``, which
+    #: is a direct run
+    body_pass: BodyPass | None = None
 
     def slowdown(self, guest_time: float) -> float | None:
         """``None`` when the guest time is zero (no meaningful ratio)."""
@@ -234,6 +242,7 @@ class BrentSimulator:
             breakdown=breakdown,
             counters=counters,
             spans=spans,
+            body_pass=bodies,
         )
 
 

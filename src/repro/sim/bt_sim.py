@@ -40,9 +40,14 @@ their own.  A run then executes the bodies in the shared superstep-major
 pass (:func:`repro.sim.kernel.run_bodies`), scatters their local times
 into the plan's holes and folds the operand stream with one
 ``np.cumsum`` — the serial ``t += c`` sums bit for bit, intermediate
-clocks included — and the ``phases``/``full`` tracers replay the
-recorded events against the folded clock.  The two ablations whose
-charges depend on what the bodies compute (``sort="mergesort"``,
+clocks included.  At ``phases`` the recorded span events, compiled once
+per plan into an event table, fold to the breakdown with two
+``np.bincount`` calls (:func:`~repro.sim.kernel.fold_phases`); at
+``full``, which records every span, the tracer replays them against the
+folded clock.  The pass, mapped back onto the original supersteps, is
+kept on the result (``BTSimResult.body_pass``) for :func:`repro.run` to
+fold the direct baseline from.  The two ablations whose charges depend
+on what the bodies compute (``sort="mergesort"``,
 ``chunked_compute=False``) run the same round loop *inline*: bodies at
 their round, charges straight onto the machine clock.
 """
@@ -52,6 +57,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Literal
 
 import numpy as np
@@ -63,7 +69,15 @@ from repro.dbsp.program import Message, ProcView, Program
 from repro.functions import AccessFunction
 from repro.obs.counters import NULL_COUNTERS, Counters
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
-from repro.sim.kernel import PlanCache, deliver_sorted, run_bodies
+from repro.sim.kernel import (
+    BodyPass,
+    EventRecorder,
+    PhaseEvents,
+    PlanCache,
+    deliver_sorted,
+    fold_phases,
+    run_bodies,
+)
 from repro.sim.smoothing import SmoothedProgram, build_label_set_bt, smooth_program
 
 __all__ = [
@@ -121,6 +135,10 @@ class BTSimResult:
     counters: dict[str, int | float] = field(default_factory=dict)
     #: recorded spans (``trace="full"`` only)
     spans: list[SpanRecord] = field(default_factory=list)
+    #: the run's body pass, indexed by the steps of
+    #: ``program.with_global_sync()`` — ``None`` for the two ablations,
+    #: which run each body at its round
+    body_pass: BodyPass | None = None
 
     def slowdown(self, dbsp_time: float) -> float | None:
         """``None`` when the guest time is zero (no meaningful ratio)."""
@@ -202,6 +220,7 @@ class BTSimulator:
             breakdown=breakdown,
             counters=counters,
             spans=run.tracer.spans,
+            body_pass=run.body_pass,
         )
 
 
@@ -331,6 +350,7 @@ class _BTPlan:
     __slots__ = (
         "op_values", "op_codes", "hole_pos", "hole_src", "events", "names",
         "round_attrs", "counts", "block_transfers", "rounds", "layout",
+        "phases",
     )
 
     def __init__(self, rec: _Recorder, run: "_BTSimRun"):
@@ -347,6 +367,53 @@ class _BTPlan:
         self.block_transfers = run.machine.block_transfers
         self.rounds = run.round_index
         self.layout = tuple(run.layout_trace)
+        #: ``events`` as a :class:`PhaseEvents` table (on first use)
+        self.phases: PhaseEvents | None = None
+
+    def phase_events(self) -> PhaseEvents:
+        """The recorded span calls compiled for :func:`fold_phases
+        <repro.sim.kernel.fold_phases>` (on the first ``phases`` run)."""
+        if self.phases is None:
+            at = SimpleNamespace(time=0)
+            rec = EventRecorder(clock=lambda: at.time)
+            _replay_spans(rec, at, self, np.arange(len(self.op_codes) + 1))
+            self.phases = rec.table()
+        return self.phases
+
+
+def _replay_spans(tracer, machine, plan: _BTPlan, clk: np.ndarray) -> None:
+    """Drive ``tracer`` through the plan's recorded calls, the clock
+    (``machine.time``) placed where the serial loop had it at each
+    one.  Over positions (``clk`` an ``arange``) an
+    :class:`~repro.sim.kernel.EventRecorder` compiles them."""
+    add_leaf = tracer.add_leaf
+    names = plan.names
+    attrs = iter(plan.round_attrs.tolist())
+    events = plan.events
+    for kind, code, t0, t1 in zip(
+        events[:, 0].tolist(),
+        events[:, 1].tolist(),
+        clk[events[:, 2]].tolist(),
+        clk[events[:, 3]].tolist(),
+    ):
+        if kind == _LEAF:
+            name, category = names[code]
+            add_leaf(name, category, t0, t1)
+            continue
+        machine.time = t0
+        if kind == _CLOSE:
+            tracer.close()
+        elif kind == _ROUND:
+            s, label, cluster = next(attrs)
+            tracer.open(
+                "round",
+                None,
+                {"superstep": s, "label": label, "cluster": cluster}
+                if tracer.record
+                else None,
+            )
+        else:
+            tracer.open(*names[code])
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
@@ -409,6 +476,8 @@ class _BTSimRun:
             self.machine, self.tracer, self.counters
         )
         self._checking = sim.check_invariants
+        #: the planned path's body pass (see ``BTSimResult.body_pass``)
+        self.body_pass: BodyPass | None = None
         self._snapshot("initial")
 
     # ------------------------------------------------------------- helpers
@@ -553,6 +622,7 @@ class _BTSimRun:
     def _run_plan(self, plan: _BTPlan) -> None:
         """Run the bodies in the shared pass and fold the plan's stream."""
         bodies = run_bodies(self.program, self.contexts, self.pending)
+        self.body_pass = bodies.select(self.smoothed.original_steps)
         # one extra slot up front holds the starting clock; cumsum in
         # place makes clk[p] the clock after the first p operands
         machine = self.machine
@@ -573,41 +643,13 @@ class _BTSimRun:
                 counters.add(
                     "messages", sum(len(s) for s in bodies.src if s is not None)
                 )
-        if self.tracer.enabled:
-            self._replay_spans(plan, clk)
-            machine.time = float(clk[-1])
-
-    def _replay_spans(self, plan: _BTPlan, clk: np.ndarray) -> None:
-        """Drive the tracer through the recorded calls, the clock placed
-        where the serial loop had it at each one."""
         tracer = self.tracer
-        machine = self.machine
-        add_leaf = tracer.add_leaf
-        names = plan.names
-        attrs = iter(plan.round_attrs.tolist()) if tracer.record else None
-        events = plan.events
-        for kind, code, t0, t1 in zip(
-            events[:, 0].tolist(),
-            events[:, 1].tolist(),
-            clk[events[:, 2]].tolist(),
-            clk[events[:, 3]].tolist(),
-        ):
-            if kind == _LEAF:
-                name, category = names[code]
-                add_leaf(name, category, t0, t1)
-                continue
-            machine.time = t0
-            if kind == _CLOSE:
-                tracer.close()
-            elif kind == _ROUND and attrs is not None:
-                s, label, cluster = next(attrs)
-                tracer.open(
-                    "round",
-                    None,
-                    {"superstep": s, "label": label, "cluster": cluster},
-                )
-            else:
-                tracer.open(*names[code])
+        if tracer.record:
+            _replay_spans(tracer, machine, plan, clk)
+            machine.time = float(clk[-1])
+        elif tracer.enabled:
+            # the totals the replay would leave in this fresh tracer
+            tracer.totals = fold_phases(plan.phase_events(), clk)
 
     def _rounds(self) -> None:
         """The Fig. 5 round loop, reporting every charge to the sink."""

@@ -31,7 +31,7 @@ import os
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 from repro.dbsp.cluster import cluster_of, cluster_size
 from repro.dbsp.program import Message, ProcView, Program, Superstep
@@ -41,6 +41,9 @@ from repro.obs.counters import NULL_COUNTERS, Counters
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
 from repro.parallel.config import ParallelConfig, resolve_parallel, warn_fallback_once
 from repro.sim.smoothing import SmoothedProgram, build_label_set_hmm, smooth_program
+
+if TYPE_CHECKING:
+    from repro.sim.kernel import BodyPass
 
 __all__ = [
     "HMMSimulator",
@@ -153,6 +156,10 @@ class HMMSimResult:
     counters: dict[str, int | float] = field(default_factory=dict)
     #: recorded spans (``trace="full"`` only)
     spans: list[SpanRecord] = field(default_factory=list)
+    #: the run's body pass, indexed by the steps of
+    #: ``program.with_global_sync()`` — ``None`` unless the ``vec``
+    #: kernel ran the whole program from its initial state
+    body_pass: BodyPass | None = None
 
     def slowdown(self, dbsp_time: float) -> float | None:
         """Measured slowdown w.r.t. the guest D-BSP running time.
@@ -292,6 +299,9 @@ class HMMSimulator:
             breakdown=breakdown,
             counters=counters,
             spans=run.tracer.spans,
+            body_pass=run.body_pass
+            if initial_contexts is None and initial_pending is None
+            else None,
         )
 
 
@@ -367,6 +377,8 @@ class _HMMSimRun:
         #: charge tape (:class:`FlatTape` / :class:`SpanTape`), set by
         #: worker processes only; ``None`` on the serial/parent path
         self.tape_rec: "FlatTape | SpanTape | None" = None
+        #: the ``vec`` kernel's body pass (see ``HMMSimResult.body_pass``)
+        self.body_pass: BodyPass | None = None
 
     # ------------------------------------------------------------- helpers
     def _word(self, slot: int, offset: int = 0) -> int:

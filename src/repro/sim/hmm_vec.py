@@ -17,11 +17,18 @@ uses, which reproduces the serial ``t += c`` sequence bit-for-bit,
 including every intermediate clock value.
 
 Observability is preserved exactly: counters replicate the scalar
-``add`` calls (amounts *and* key-creation), and in ``phases``/``full``
-trace modes a post-pass walks the plan against the folded clock and
-drives the real :class:`~repro.obs.trace.Tracer` through the identical
-open/leaf/close sequence the scalar engine performs — same breakdowns,
-same span records, same ±ulp self-cost attribution.
+``add`` calls (amounts *and* key-creation).  The span structure of a
+run — which open/leaf/close calls the scalar engine makes, at which
+stream positions — is fixed by the plan and the per-round message
+counts, so at ``phases`` it is compiled once per delivery pattern into
+an event table (:class:`~repro.sim.kernel.PhaseEvents`) and the
+breakdown is two ``np.bincount`` folds over the clock
+(:func:`~repro.sim.kernel.fold_phases`), with no tracer call per span.
+At ``full``, which records every span, a post-pass walks the plan
+against the folded clock and drives the real
+:class:`~repro.obs.trace.Tracer` through that call sequence.  Either
+way: same breakdowns, same span records, same ±ulp self-cost
+attribution as the scalar engine.
 
 Bodies run in the shared superstep-major pass
 (:func:`repro.sim.kernel.run_bodies`), in one of its two modes:
@@ -35,14 +42,28 @@ Bodies run in the shared superstep-major pass
   delivery batching are still vectorized.  Any program runs this way
   (it is also the fallback when a run starts with in-flight messages,
   e.g. a simulation given ``initial_pending``).
+
+The pass, mapped back onto the original supersteps, is kept on the
+result (``HMMSimResult.body_pass``): :func:`repro.run` folds the direct
+baseline from it instead of running the bodies a second time.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.obs.counters import NULL_COUNTERS
-from repro.sim.kernel import PlanCache, interleave2, ranges_concat, run_bodies
+from repro.sim.kernel import (
+    EventRecorder,
+    PhaseEvents,
+    PlanCache,
+    fold_phases,
+    interleave2,
+    ranges_concat,
+    run_bodies,
+)
 
 __all__ = ["ChargePlan", "execute_vec", "plan_cache_info"]
 
@@ -298,45 +319,54 @@ def _delivery_stream(plan, step_src, step_dest):
     return inter_concat[ranges_concat(b_start, b_len)], b_len
 
 
+class _Pattern:
+    """The scatter indices of one delivery pattern, and the plan's span
+    walk at this pattern's stream positions (compiled on first use)."""
+
+    __slots__ = ("off", "a_idx", "b_idx", "c_idx", "local_idx", "events")
+
+    def __init__(self, plan, b_len):
+        r_len = plan.a_len + b_len + plan.c_len
+        off = self.off = np.zeros(plan.R + 1, dtype=np.int64)
+        np.cumsum(r_len, out=off[1:])
+        self.a_idx = ranges_concat(off[:-1], plan.a_len)
+        self.b_idx = ranges_concat(off[:-1] + plan.a_len, b_len)
+        self.c_idx = ranges_concat(off[:-1] + plan.a_len + b_len, plan.c_len)
+        self.local_idx = self.a_idx[plan.local_pos]
+        self.events: PhaseEvents | None = None
+
+
 def _assemble_stream(plan, local_flat, step_src, step_dest):
     """Scatter charge templates, local times and delivery charges into
     the one operand stream the scalar engine folds serially.
 
     The scatter indices depend on the plan and on ``b_len`` only — and
     repeated runs of the same program deliver the same per-round message
-    counts — so they are cached on the plan (one entry, keyed by the
-    ``b_len`` bytes; a different delivery pattern just rebuilds).  The
-    cache turns assembly from three index constructions plus a template
-    copy into three fancy-index writes.
+    counts — so they are cached on the plan (one :class:`_Pattern`,
+    keyed by the ``b_len`` bytes; a different delivery pattern just
+    rebuilds).  The cache turns assembly from three index constructions
+    plus a template copy into three fancy-index writes.
     """
     B, b_len = _delivery_stream(plan, step_src, step_dest)
     key = b_len.tobytes()
-    cached = plan.b_starts_cache.get(key)
-    if cached is None:
-        r_len = plan.a_len + b_len + plan.c_len
-        off = np.zeros(plan.R + 1, dtype=np.int64)
-        np.cumsum(r_len, out=off[1:])
-        a_idx = ranges_concat(off[:-1], plan.a_len)
-        b_idx = ranges_concat(off[:-1] + plan.a_len, b_len)
-        c_idx = ranges_concat(off[:-1] + plan.a_len + b_len, plan.c_len)
-        local_idx = a_idx[plan.local_pos]
+    pattern = plan.b_starts_cache.get(key)
+    if pattern is None:
+        pattern = _Pattern(plan, b_len)
         plan.b_starts_cache.clear()  # keep exactly one pattern resident
-        cached = (off, a_idx, b_idx, c_idx, local_idx)
-        plan.b_starts_cache[key] = cached
-    off, a_idx, b_idx, c_idx, local_idx = cached
+        plan.b_starts_cache[key] = pattern
     # one extra slot up front: the caller seeds it with the machine
     # clock and cumsums in place, so the stream never has to be copied
     # into a separate fold buffer
-    buf = np.empty(off[-1] + 1, dtype=np.float64)
+    buf = np.empty(pattern.off[-1] + 1, dtype=np.float64)
     stream = buf[1:]
-    stream[a_idx] = plan.A_all
-    if local_idx.size:
-        stream[local_idx] = local_flat[plan.local_src]
+    stream[pattern.a_idx] = plan.A_all
+    if pattern.local_idx.size:
+        stream[pattern.local_idx] = local_flat[plan.local_src]
     if B.size:
-        stream[b_idx] = B
+        stream[pattern.b_idx] = B
     if plan.C_all.size:
-        stream[c_idx] = plan.C_all
-    return buf, off, b_len
+        stream[pattern.c_idx] = plan.C_all
+    return buf, pattern, b_len
 
 
 # ----------------------------------------------------------- observability
@@ -359,19 +389,18 @@ def _add_counters(run, plan, b_len) -> None:
         counters.add("dummy_supersteps", plan.n_dummy_rounds)
 
 
-def _walk_tracer(run, plan, clk, off, b_len) -> None:
-    """Drive the real tracer through the scalar call sequence.
+def _walk_tracer(tracer, machine, plan, clk, off, b_len) -> None:
+    """Drive ``tracer`` through the scalar call sequence.
 
     ``clk[i]`` is the charged clock after the first ``i`` elementary
     operands — every value the serial run's ``machine.time`` ever takes,
     reproduced by the cumsum fold.  ``open``/``close`` sample the clock
     through ``machine.time``, so it is positioned before each call
-    exactly where the scalar engine would have it.
+    exactly where the scalar engine would have it.  With an
+    :class:`~repro.sim.kernel.EventRecorder` over positions (``clk`` a
+    ``range``) the same walk compiles the plan's event table.
     """
-    tracer = run.tracer
-    machine = run.machine
     record = tracer.record
-    steps = run.steps
     off_l = off.tolist()
     b_l = b_len.tolist()
     c_l = plan.c_len.tolist()
@@ -390,7 +419,7 @@ def _walk_tracer(run, plan, clk, off, b_len) -> None:
                 None,
                 {
                     "superstep": s,
-                    "label": steps[s].label,
+                    "label": int(plan.label[r]),
                     "cluster": first // csize,
                 },
             )
@@ -424,6 +453,19 @@ def _walk_tracer(run, plan, clk, off, b_len) -> None:
         tracer.close()
 
 
+def _phase_events(plan, pattern: _Pattern, b_len) -> PhaseEvents:
+    """The plan's span walk at ``pattern``'s stream positions, compiled
+    on the pattern's first ``phases`` run."""
+    if pattern.events is None:
+        at = SimpleNamespace(time=0)
+        rec = EventRecorder(clock=lambda: at.time)
+        _walk_tracer(
+            rec, at, plan, range(pattern.off[-1] + 1), pattern.off, b_len
+        )
+        pattern.events = rec.table()
+    return pattern.events
+
+
 # ------------------------------------------------------------------ entry
 def execute_vec(run) -> None:
     """Vectorized replacement for ``_HMMSimRun._execute_scalar()``.
@@ -435,7 +477,8 @@ def execute_vec(run) -> None:
     assert run.round_index == 0, "vec kernel only executes full runs"
     plan = _plan_for(run)
     bodies = run_bodies(run.program, run.contexts, run.pending)
-    buf, off, b_len = _assemble_stream(
+    run.body_pass = bodies.select(run.smoothed.original_steps)
+    buf, pattern, b_len = _assemble_stream(
         plan, bodies.local, bodies.src, bodies.dest
     )
     if run.tape_rec is not None:
@@ -445,7 +488,11 @@ def execute_vec(run) -> None:
     machine = run.machine
     buf[0] = machine.time
     np.cumsum(buf, out=buf)
-    if run.tracer.enabled:
-        _walk_tracer(run, plan, buf.tolist(), off, b_len)
+    tracer = run.tracer
+    if tracer.record:
+        _walk_tracer(tracer, machine, plan, buf.tolist(), pattern.off, b_len)
+    elif tracer.enabled:
+        # the totals the walk would leave in this fresh tracer
+        tracer.totals = fold_phases(_phase_events(plan, pattern, b_len), buf)
     machine.time = float(buf[-1])
     run.round_index = plan.R

@@ -25,6 +25,10 @@ the cache the compiled schedules live in:
   local times per ``(step, pid)`` and the send arrays per step.  The
   ``vec``, ``bt`` and ``brent`` simulations and the direct executor all
   execute bodies through it and keep only the *charging* to themselves;
+* :class:`PhaseEvents` / :func:`fold_phases` — a plan's span walk
+  compiled into an event table (:class:`EventRecorder` builds it from
+  the walk's open/leaf/close calls), and the two-``bincount`` fold of
+  the ``phases`` breakdown from it;
 * :class:`PlanCache` — the bounded LRU the simulation kernels keep
   their compiled, body-independent schedules in.
 """
@@ -38,6 +42,7 @@ from typing import Any, Callable, Hashable, NamedTuple
 import numpy as np
 
 from repro.dbsp.program import Message, ProcView, Program
+from repro.obs.trace import OTHER
 
 __all__ = [
     "ArrayView",
@@ -47,6 +52,9 @@ __all__ = [
     "deliver_sorted",
     "BodyPass",
     "run_bodies",
+    "PhaseEvents",
+    "EventRecorder",
+    "fold_phases",
     "PlanCache",
 ]
 
@@ -273,6 +281,18 @@ class BodyPass(NamedTuple):
     src: list
     dest: list
 
+    def select(self, steps) -> "BodyPass":
+        """The pass restricted to ``steps`` (ascending step indices),
+        renumbered ``0 .. len(steps) - 1`` — how a simulation maps its
+        smoothed program's pass back onto the original steps."""
+        n = len(self.src)
+        local = self.local.reshape(n, -1) if n else self.local
+        return BodyPass(
+            local[steps].ravel(),
+            [self.src[s] for s in steps],
+            [self.dest[s] for s in steps],
+        )
+
 
 def run_bodies(
     program: Program,
@@ -437,6 +457,141 @@ def _run_bodies_scalar(program, contexts, pending, out, check_sends):
         # sorted by sender — the invariant insort maintains serially
         for dest, msg in deliveries:
             pending[dest].append(msg)
+
+
+class PhaseEvents(NamedTuple):
+    """A span walk compiled into rows, for :func:`fold_phases`.
+
+    One row per ``add_leaf`` and per ``close`` the walk makes, in call
+    order: row ``k`` has category ``names[category[k]]``, covers the
+    clock from ``clk[start[k]]`` to ``clk[end[k]]`` and lies inside the
+    span closed at row ``parent[k]`` (``len(category)`` for a root
+    row).  ``names`` is in order of first appearance, the key order of
+    :attr:`Tracer.totals <repro.obs.trace.Tracer.totals>`.
+    """
+
+    names: tuple[str, ...]
+    category: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    parent: np.ndarray
+
+
+class EventRecorder:
+    """Compiles a span walk into a :class:`PhaseEvents` table.
+
+    Stands in for a non-recording :class:`~repro.obs.trace.Tracer`: the
+    same ``open``/``add_leaf``/``close`` calls, with ``clock`` and the
+    leaf bounds giving *positions* (indices into the clock array the
+    walk's charges will fold to) where the tracer takes clock values.
+    A span opened without a category inherits its parent's, and a
+    root span without one counts as ``"other"``, as in the tracer.
+    """
+
+    enabled = True
+    record = False
+
+    def __init__(self, clock: Callable[[], int]) -> None:
+        self.clock = clock
+        self.names: dict[str, int] = {}
+        self._category: list[int] = []
+        self._start: list[int] = []
+        self._end: list[int] = []
+        self._parent: list[int] = []  # open index of the enclosing span
+        self._close_row: list[int] = []  # row of each open's close
+        self._stack: list[tuple[str | None, int, int]] = []
+
+    def _row(self, category: str, start: int, end: int) -> None:
+        self._category.append(self.names.setdefault(category, len(self.names)))
+        self._start.append(start)
+        self._end.append(end)
+        self._parent.append(self._stack[-1][2] if self._stack else -1)
+
+    def open(self, name: str, category: str | None = None,
+             attrs: dict | None = None) -> None:
+        if category is None and self._stack:
+            category = self._stack[-1][0]
+        self._stack.append((category, self.clock(), len(self._close_row)))
+        self._close_row.append(-1)
+
+    def add_leaf(self, name: str, category: str, start: int, end: int) -> None:
+        self._row(category, start, end)
+
+    def close(self) -> None:
+        category, start, index = self._stack.pop()
+        self._close_row[index] = len(self._category)
+        self._row(
+            category if category is not None else OTHER, start, self.clock()
+        )
+
+    def table(self) -> PhaseEvents:
+        assert not self._stack, "unclosed spans in a compiled walk"
+        n = len(self._category)
+        # root rows point one past the last row: a bin nobody reads
+        close_row = np.array(self._close_row + [n], dtype=np.int64)
+        # plans stay cached: keep each column in its smallest type
+        pos_type = np.min_scalar_type(max(self._end, default=0))
+        return PhaseEvents(
+            tuple(self.names),
+            np.array(self._category, dtype=np.min_scalar_type(len(self.names))),
+            np.array(self._start, dtype=pos_type),
+            np.array(self._end, dtype=pos_type),
+            close_row[self._parent].astype(np.min_scalar_type(n)),
+        )
+
+
+def fold_phases(events: PhaseEvents, clk) -> dict[str, float]:
+    """Per-category self-cost totals of a compiled walk over ``clk``.
+
+    Exactly the :attr:`Tracer.totals <repro.obs.trace.Tracer.totals>`
+    the walk would leave, bit for bit and in the same key order: a
+    row's cost is ``clk[end] - clk[start]``, a span's child cost is the
+    sum of its child rows' costs in call order (one ``bincount``), its
+    self cost is cost minus child cost (a leaf has no children), and
+    each category's total is the sum of its rows' self costs in call
+    order (a second ``bincount``).  ``bincount`` adds its weights one
+    at a time from ``0.0``, the order of the tracer's ``+=`` — unlike
+    ``np.add.reduce``, which may add pairwise.
+
+    Two rounds, the first with a swap span inside it, walked once by a
+    tracer over the clock and once by a recorder over its positions:
+
+    >>> from repro.obs.trace import Tracer
+    >>> clk = [0.0, 0.1, 0.3, 0.7, 1.5, 3.1]
+    >>> pos = 0
+    >>> tracer = Tracer(clock=lambda: clk[pos])
+    >>> rec = EventRecorder(clock=lambda: pos)
+    >>> for walker, at in ((tracer, clk), (rec, range(len(clk)))):
+    ...     for first, last in ((0, 3), (3, 5)):
+    ...         pos = first
+    ...         walker.open("round")
+    ...         walker.add_leaf("local", "local", at[first], at[first + 1])
+    ...         if last - first == 3:
+    ...             pos = first + 1
+    ...             walker.open("cycle-swaps", "swaps")
+    ...             walker.add_leaf("swap", "swaps", at[first + 1], at[last])
+    ...             pos = last
+    ...             walker.close()
+    ...         pos = last
+    ...         walker.close()
+    >>> events = rec.table()
+    >>> events.names
+    ('local', 'swaps', 'other')
+    >>> totals = fold_phases(events, clk)
+    >>> list(totals) == list(tracer.totals)
+    True
+    >>> [x.hex() for x in totals.values()] == [
+    ...     x.hex() for x in tracer.totals.values()]
+    True
+    """
+    clk = np.asarray(clk, dtype=np.float64)
+    n = len(events.category)
+    cost = clk[events.end] - clk[events.start]
+    child = np.bincount(events.parent, weights=cost, minlength=n + 1)[:n]
+    totals = np.bincount(
+        events.category, weights=cost - child, minlength=len(events.names)
+    )
+    return dict(zip(events.names, totals.tolist()))
 
 
 class PlanCache:

@@ -155,6 +155,12 @@ class SmoothedProgram:
     def n_dummies(self) -> int:
         return sum(1 for o in self.origin if o is None)
 
+    @property
+    def original_steps(self) -> list[int]:
+        """Where each superstep of ``program.with_global_sync()`` went:
+        ``origin`` inverted, ascending."""
+        return [k for k, o in enumerate(self.origin) if o is not None]
+
 
 def smooth_program(program: Program, label_set: list[int]) -> SmoothedProgram:
     """Transform ``program`` into an equivalent L-smooth program.

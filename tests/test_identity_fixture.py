@@ -3,11 +3,13 @@
 ``tests/data/identity_digests.json`` holds the sha256 of the canonical
 ``EngineResult.to_json()`` document (``json.dumps`` in document order,
 so the key order of ``counters`` and ``breakdown`` is pinned along with
-every float) for the ``bt``, ``direct`` and ``brent`` engines over
-every bundled program, two machine widths, two access functions and the
-three traced observability levels, plus ``bt`` with ``sort="transpose"``
-on the recursive FFT, ``brent`` at host widths ``v' = 1, 2, v/2`` on
-three programs, and ``brent`` on generated programs
+every float) for the ``bt``, ``direct``, ``brent`` and ``vec`` engines
+over every bundled program, two machine widths, two access functions
+and the three traced observability levels, plus ``bt`` with
+``sort="transpose"`` on the recursive FFT and with ``sort="mergesort"``
+(the inline ablation, whose baseline takes the separate direct run) on
+two programs, ``brent`` at host widths ``v' = 1, 2, v/2`` on three
+programs, and ``brent`` on generated programs
 (:func:`repro.testing.random_program`).  Any change to how these
 engines execute must reproduce every digest.
 
@@ -39,7 +41,7 @@ TRACES = ("counters", "phases", "full")
 def cases() -> list[tuple[str, str, str, int, str, dict]]:
     """``(case id, engine, program, v, f, opts)`` for every pinned run."""
     out = []
-    for engine in ("bt", "direct", "brent"):
+    for engine in ("bt", "direct", "brent", "vec"):
         for program in sorted(PROGRAMS):
             for v in WIDTHS:
                 for f in FUNCTIONS:
@@ -52,6 +54,12 @@ def cases() -> list[tuple[str, str, str, int, str, dict]]:
                 out.append((f"bt-transpose/fft-rec/v{v}/{f}/{trace}",
                             "bt", "fft-rec", v, f,
                             {"trace": trace, "sort": "transpose"}))
+    for program in ("sort", "fft-rec"):
+        for f in FUNCTIONS:
+            for trace in ("counters", "phases"):
+                out.append((f"bt-mergesort/{program}/v16/{f}/{trace}",
+                            "bt", program, 16, f,
+                            {"trace": trace, "sort": "mergesort"}))
     for program in ("sort", "fft-rec", "matmul"):
         for v in WIDTHS:
             for v_host in (1, 2, v // 2):
