@@ -46,12 +46,19 @@ import hashlib
 import http.client
 import json
 import threading
+from dataclasses import replace
 from http.server import ThreadingHTTPServer
 from typing import Any
 
 from repro.obs.counters import Counters
 from repro.service.errors import ApiError
-from repro.service.scheduler import SERVICE_SCHEMA, parse_run_request
+from repro.service.scheduler import (
+    SERVICE_SCHEMA,
+    decode_body,
+    parse_cache_info,
+    parse_run_body,
+    parse_run_doc,
+)
 from repro.service.server import _STREAMED, API_VERSION, JsonApiHandler
 
 __all__ = [
@@ -407,6 +414,7 @@ class Router:
             "unavailable": 0,
         }
         router.update(self.counters.snapshot())
+        router["parse_cache"] = parse_cache_info()
         shards: dict[str, Any] = {}
         rollup = {"hits": 0, "misses": 0, "stores": 0, "preloaded": 0}
         planner_rollup: dict[str, Any] = {
@@ -527,26 +535,41 @@ class RouterHandler(JsonApiHandler):
         tenant = (self.headers.get("X-Tenant") or "").strip()
         return {"X-Tenant": tenant} if tenant else {}
 
-    def _resolve_engine(self, body: Any) -> tuple[Any, bytes]:
+    def _resolve_engine(self, parsed, body):
         """Resolve an unset/``"auto"`` engine at the front door.
 
-        The chosen engine is written *into the forwarded body*, so the
-        ring key computed here and the cache key the shard derives are
-        one and the same.  Without a router planner the body passes
-        through untouched (the shard's own planner may still choose,
-        shifting only which shard's cache holds the result).
+        ``parsed`` is ``body``'s :func:`parse_run_doc` triple; ``body``
+        is the raw bytes of a run/plan request or one decoded batch
+        entry.  Returns ``(body, ring key)``.  With a router planner the
+        chosen engine is written *into the forwarded body*, so the ring
+        key computed here and the cache key the shard derives are one
+        and the same.  Otherwise the body passes through untouched (the
+        shard's own planner may still choose, shifting only which
+        shard's cache holds the result).
         """
-        if (
-            self.router.planner is not None
-            and isinstance(body, dict)
-            and ("engine" not in body or body.get("engine") == "auto")
-        ):
-            probe = {k: v for k, v in body.items() if k != "engine"}
-            decision = self.router.planner.plan(
-                parse_run_request(probe), engine_unset=True
-            )
-            body = dict(probe, engine=decision.engine)
-        return body, json.dumps(body).encode("utf-8")
+        request, engine_unset, key = parsed
+        if self.router.planner is None or not engine_unset:
+            return body, key
+        decision = self.router.planner.plan(request, engine_unset=True)
+        doc = decode_body(body) if isinstance(body, bytes) else body
+        doc = {k: v for k, v in doc.items() if k != "engine"}
+        doc["engine"] = decision.engine
+        key = replace(request, engine=decision.engine).key()
+        if isinstance(body, bytes):
+            return json.dumps(doc).encode("utf-8"), key
+        return doc, key
+
+    def _forward_run(self, endpoint: str, headers):
+        """Forward one run/plan body to its key's owner shard."""
+        raw = self._read_raw_body()
+        # the router validates and hashes exactly like a shard would, so
+        # a malformed request 400s here without consuming shard capacity
+        raw, key = self._resolve_engine(parse_run_body(raw), raw)
+        result = self.router.forward_by_key(
+            key, "POST", f"/{API_VERSION}/{endpoint}", raw,
+            headers=self._forward_headers(),
+        )
+        return self._relay(result, headers)
 
     def _relay(
         self,
@@ -570,36 +593,12 @@ class RouterHandler(JsonApiHandler):
         return 200, self.router.metrics()
 
     def ep_run(self, headers):
-        raw = self._read_raw_body()
-        try:
-            body = json.loads(raw)
-        except ValueError:
-            raise ValueError("request body is not valid JSON") from None
-        body, raw = self._resolve_engine(body)
-        # the router validates and hashes exactly like a shard would, so
-        # a malformed request 400s here without consuming shard capacity
-        key = parse_run_request(body).key()
-        result = self.router.forward_by_key(
-            key, "POST", f"/{API_VERSION}/run", raw,
-            headers=self._forward_headers(),
-        )
-        return self._relay(result, headers)
+        return self._forward_run("run", headers)
 
     def ep_plan(self, headers):
-        raw = self._read_raw_body()
-        try:
-            body = json.loads(raw)
-        except ValueError:
-            raise ValueError("request body is not valid JSON") from None
-        body, raw = self._resolve_engine(body)
         # the owner shard answers: its planner holds the cost budgets
         # for exactly this request's slice of the key space
-        key = parse_run_request(body).key()
-        result = self.router.forward_by_key(
-            key, "POST", f"/{API_VERSION}/plan", raw,
-            headers=self._forward_headers(),
-        )
-        return self._relay(result, headers)
+        return self._forward_run("plan", headers)
 
     def ep_batch(self, headers):
         body = self._read_body()
@@ -610,19 +609,20 @@ class RouterHandler(JsonApiHandler):
         requests = body["requests"]
         if not isinstance(requests, list) or not requests:
             raise ValueError('"requests" must be a non-empty list')
-        resolved = [self._resolve_engine(doc)[0] for doc in requests]
-        parsed = [parse_run_request(doc) for doc in resolved]
+        resolved = [
+            self._resolve_engine(parse_run_doc(doc), doc) for doc in requests
+        ]
         # split by owner, forward sub-batches, stitch in request order —
         # a batch spanning shards still answers as one document
         groups: dict[int, list[int]] = {}
-        for position, request in enumerate(parsed):
-            owner = self.router.ring.owner(request.key())
+        for position, (_, key) in enumerate(resolved):
+            owner = self.router.ring.owner(key)
             groups.setdefault(owner, []).append(position)
-        results: list[Any] = [None] * len(parsed)
+        results: list[Any] = [None] * len(resolved)
         forward_headers = self._forward_headers()
         for owner, positions in groups.items():
-            sub = {"requests": [resolved[p] for p in positions]}
-            key = parsed[positions[0]].key()
+            sub = {"requests": [resolved[p][0] for p in positions]}
+            key = resolved[positions[0]][1]
             status, _, payload = self.router.forward_by_key(
                 key, "POST", f"/{API_VERSION}/batch",
                 json.dumps(sub).encode("utf-8"),

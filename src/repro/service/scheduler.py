@@ -26,6 +26,11 @@ One request flows through four stages::
   the engine runs with ``parallel=1`` inside the task, so the charged
   document is identical at any ``jobs`` value.
 
+Before admission, :func:`parse_run_body` turns a raw ``/v1/run`` body
+into its validated request and content key through a bounded memo on
+the body bytes, so a repeat body (the usual cache hit) is neither
+decoded, validated nor hashed again.
+
 Every computed document passes one ``json.loads(json.dumps(...))``
 round-trip before it is cached or returned, so computed, coalesced,
 cache-hit and ledger-replayed responses are ``==``-identical.
@@ -33,6 +38,7 @@ cache-hit and ledger-replayed responses are ``==``-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
@@ -57,6 +63,10 @@ __all__ = [
     "PoolGate",
     "SimRequest",
     "Scheduler",
+    "decode_body",
+    "parse_cache_info",
+    "parse_run_body",
+    "parse_run_doc",
     "parse_run_request",
 ]
 
@@ -75,6 +85,14 @@ DEFAULT_QUEUE_LIMIT = 64
 
 #: ``Retry-After`` seconds advertised on a 429
 DEFAULT_RETRY_AFTER_S = 1.0
+
+#: entries of the raw-body parse memo (:func:`parse_run_body`), a
+#: thread-safe ``functools.lru_cache``
+PARSE_MEMO_ENTRIES = 256
+
+#: bodies, and expanded DAG specs, above this many bytes bypass the
+#: parse memo, which keeps it at a few MiB however it is filled
+PARSE_MEMO_MAX_BYTES = 16 * 1024
 
 
 class QueueFull(RuntimeError):
@@ -283,6 +301,7 @@ class Scheduler:
         request: SimRequest,
         tenant: str = "default",
         decision=None,
+        key: str | None = None,
     ) -> tuple[str, Any, str]:
         """Serve one request; returns ``(key, document, served)``.
 
@@ -300,9 +319,11 @@ class Scheduler:
         ``decision`` is the server's already-computed
         :class:`~repro.service.planner.PlanDecision` (so planning runs
         once per request); left ``None`` with a planner set, the
-        scheduler plans here.
+        scheduler plans here.  ``key`` is ``request.key()`` when the
+        caller already has it (:func:`parse_run_body` memoizes it).
         """
-        key = request.key()
+        if key is None:
+            key = request.key()
         with self._lock:
             cached = self.cache.get(key)
             if cached is not MISSING:
@@ -432,6 +453,89 @@ def parse_run_request(doc: Any):
             )
         doc = {k: v for k, v in doc.items() if k != "kind"}
     return SimRequest.from_json(doc)
+
+
+def parse_run_doc(doc: Any) -> tuple[Any, bool, str]:
+    """Parse one decoded ``/v1/run`` document: ``(request, engine_unset, key)``.
+
+    ``engine_unset`` is true when the engine is absent or the explicit
+    ``"auto"``, which is stripped before validation, so without a
+    planner both spellings resolve to the request type's default
+    engine.  ``key`` is ``request.key()``.
+    """
+    engine_unset = isinstance(doc, dict) and (
+        "engine" not in doc or doc["engine"] == "auto"
+    )
+    if engine_unset and "engine" in doc:
+        doc = {k: v for k, v in doc.items() if k != "engine"}
+    request = parse_run_request(doc)
+    return request, engine_unset, request.key()
+
+
+def decode_body(raw: bytes) -> Any:
+    """Decode one JSON request body (a 400-mapped ``ValueError`` if it
+    is not JSON)."""
+    try:
+        return json.loads(raw)
+    except ValueError:
+        raise ValueError("request body is not valid JSON") from None
+
+
+class _Unmemoized(Exception):
+    """Carries a parse whose expanded DAG spec is too large to keep
+    (``lru_cache`` stores no exception)."""
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)
+def _parse_memo(raw: bytes) -> tuple[Any, bool, str]:
+    parsed = parse_run_doc(decode_body(raw))
+    if len(getattr(parsed[0], "spec_json", "")) > PARSE_MEMO_MAX_BYTES:
+        raise _Unmemoized(parsed)
+    return parsed
+
+
+def parse_run_body(raw: bytes) -> tuple[Any, bool, str]:
+    """:func:`parse_run_doc` of a raw ``/v1/run`` body, memoized on its bytes.
+
+    A repeat body skips the JSON decode, the validation, the DAG spec
+    generation and the key hash: it returns the very same request.
+    Bodies are memoized by their bytes, so a body that spells the same
+    request differently is a miss that still reaches the same key.
+    Errors are never memoized (a bad body raises its ``ValueError``
+    again on every repeat), and bodies or expanded specs over
+    :data:`PARSE_MEMO_MAX_BYTES` are parsed without being kept.
+
+    >>> body = b'{"program": "sort", "v": 16, "engine": "auto"}'
+    >>> request, engine_unset, key = parse_run_body(body)
+    >>> parse_run_body(bytes(bytearray(body)))[0] is request
+    True
+    >>> request.engine, engine_unset, key == request.key()
+    ('vec', True, True)
+    >>> named = parse_run_body(
+    ...     b'{"kind": "dag", "workload": "stream-scan",'
+    ...     b' "params": {"epochs": 2, "partitions": 2}}'
+    ... )[0]
+    >>> inlined = json.dumps({"kind": "dag", "spec": named.to_json()["spec"]})
+    >>> parse_run_body(inlined.encode())[2] == named.key()
+    True
+    """
+    if len(raw) > PARSE_MEMO_MAX_BYTES:
+        return parse_run_doc(decode_body(raw))
+    try:
+        return _parse_memo(raw)
+    except _Unmemoized as skipped:
+        return skipped.args[0]
+
+
+def parse_cache_info() -> dict[str, int]:
+    """The parse memo's counters (``parse_cache`` in ``/v1/metrics``)."""
+    info = _parse_memo.cache_info()
+    return {
+        "hits": info.hits,
+        "misses": info.misses,
+        "size": info.currsize,
+        "capacity": info.maxsize,
+    }
 
 
 def _normalize(doc: dict[str, Any]) -> dict[str, Any]:

@@ -78,7 +78,10 @@ from repro.service.scheduler import (
     PoolGate,
     QueueFull,
     Scheduler,
-    parse_run_request,
+    decode_body,
+    parse_cache_info,
+    parse_run_body,
+    parse_run_doc,
 )
 
 __all__ = [
@@ -165,34 +168,38 @@ class SimService:
 
     # ------------------------------------------------------------ handlers
     def _resolve(self, body: Any):
-        """Validate one request document, letting the planner fill the
-        engine when it is unset (absent or the explicit ``"auto"``).
+        """Validate one request, letting the planner fill the engine
+        when it is unset (absent or the explicit ``"auto"``).
 
-        Returns ``(request, decision)`` — ``decision`` is ``None``
-        exactly when no planner is configured.  Without a planner,
-        ``"auto"`` and an absent engine both resolve to the service
-        default (``vec``), matching pre-planner behaviour.
+        ``body`` is a decoded document or the raw bytes of an HTTP body
+        (parsed through the :func:`parse_run_body` memo).  Returns
+        ``(request, decision, key)`` — ``decision`` is ``None`` exactly
+        when no planner is configured.  Without a planner, ``"auto"``
+        and an absent engine both resolve to the service default
+        (``vec``), matching pre-planner behaviour.
         """
-        engine_unset = isinstance(body, dict) and (
-            "engine" not in body or body.get("engine") == "auto"
-        )
-        if isinstance(body, dict) and body.get("engine") == "auto":
-            body = {k: v for k, v in body.items() if k != "engine"}
-        request = parse_run_request(body)
+        if isinstance(body, bytes):
+            request, engine_unset, key = parse_run_body(body)
+        else:
+            request, engine_unset, key = parse_run_doc(body)
         if self.planner is None:
-            return request, None
+            return request, None, key
+        # planning runs on every request: the memo holds the request
+        # as parsed, before any engine is chosen for it
         decision = self.planner.plan(request, engine_unset=engine_unset)
         if decision.engine != request.engine:
             request = replace(request, engine=decision.engine)
-        return request, decision
+            key = request.key()
+        return request, decision, key
 
     def handle_run(
         self, body: Any, tenant: str = DEFAULT_TENANT
     ) -> dict[str, Any]:
-        """Serve one request document; raises ``ValueError``/``QueueFull``."""
-        request, decision = self._resolve(body)
+        """Serve one request document (or raw body bytes); raises
+        ``ValueError``/``QueueFull``."""
+        request, decision, key = self._resolve(body)
         key, doc, served = self.scheduler.submit(
-            request, tenant=tenant, decision=decision
+            request, tenant=tenant, decision=decision, key=key
         )
         return {"key": key, "served": served, "result": doc}
 
@@ -211,9 +218,9 @@ class SimService:
         # half-execute a batch
         resolved = [self._resolve(doc) for doc in requests]
         results = []
-        for request, decision in resolved:
+        for request, decision, key in resolved:
             key, doc, served = self.scheduler.submit(
-                request, tenant=tenant, decision=decision
+                request, tenant=tenant, decision=decision, key=key
             )
             results.append({"key": key, "served": served, "result": doc})
         return {"results": results}
@@ -223,18 +230,20 @@ class SimService:
     ) -> dict[str, Any]:
         """``POST /v1/plan``: predict and decide without running anything."""
         if self.planner is None:
+            if isinstance(body, bytes):
+                decode_body(body)  # a non-JSON body is still the 400
             raise ApiError(
                 400, "planner_disabled",
                 "this server has no calibration profile; run "
                 "`python -m repro calibrate` and restart with "
                 "--calibration to enable the planner",
             )
-        request, decision = self._resolve(body)
+        request, decision, key = self._resolve(body)
         plan_doc = decision.to_json()
         prediction = plan_doc.pop("prediction")
         return {
             "request": request.to_json(),
-            "key": request.key(),
+            "key": key,
             "plan": plan_doc,
             "prediction": prediction,
             "admission": self.planner.probe(tenant, decision),
@@ -287,8 +296,9 @@ class SimService:
             "errors": 0,
         }
         requests.update(self.scheduler.counters.snapshot())
-        http = {"deprecated_requests": 0}
+        http: dict[str, Any] = {"deprecated_requests": 0}
         http.update(self.http_counters.snapshot())
+        http["parse_cache"] = parse_cache_info()
         if self.job_manager is not None:
             jobs_section = self.job_manager.gauges()
         else:
@@ -426,10 +436,7 @@ class JsonApiHandler(BaseHTTPRequestHandler):
         return self.rfile.read(length)
 
     def _read_body(self) -> Any:
-        try:
-            return json.loads(self._read_raw_body())
-        except ValueError:
-            raise ValueError("request body is not valid JSON") from None
+        return decode_body(self._read_raw_body())
 
     # ----------------------------------------------------------- dispatch
     def do_GET(self) -> None:
@@ -548,7 +555,7 @@ class _Handler(JsonApiHandler):
 
     def ep_run(self, headers) -> tuple[int, Any]:
         return 200, self.service.handle_run(
-            self._read_body(), tenant=self._tenant()
+            self._read_raw_body(), tenant=self._tenant()
         )
 
     def ep_batch(self, headers) -> tuple[int, Any]:
@@ -558,7 +565,7 @@ class _Handler(JsonApiHandler):
 
     def ep_plan(self, headers) -> tuple[int, Any]:
         return 200, self.service.handle_plan(
-            self._read_body(), tenant=self._tenant()
+            self._read_raw_body(), tenant=self._tenant()
         )
 
     def ep_jobs_submit(self, headers) -> tuple[int, Any]:

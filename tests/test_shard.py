@@ -281,6 +281,28 @@ class TestRouter:
             # the router validated it; no shard burned capacity on it
             assert tier.router.counters.snapshot().get("forwards", 0) == 0
 
+    def test_auto_and_absent_engine_match_a_single_server(self):
+        # without a router planner both spellings fall back to the
+        # service default, as they do on an unsharded server
+        absent = {"program": "sort", "v": 16, "f": "x^0.47"}
+        reference = SimService(cache_capacity=8)
+        try:
+            expected = reference.handle_run(absent)
+        finally:
+            reference.close()
+        with _ThreadTier() as tier:
+            for body in (dict(absent, engine="auto"), absent):
+                status, doc, _ = _post(tier.url, "/v1/run", body)
+                assert status == 200, doc
+                assert doc["key"] == expected["key"]
+                assert doc["result"] == expected["result"]
+            for batch in ([dict(absent, engine="auto")], [absent]):
+                status, doc, _ = _post(
+                    tier.url, "/v1/batch", {"requests": batch}
+                )
+                assert status == 200, doc
+                assert doc["results"][0]["result"] == expected["result"]
+
     def test_deprecated_alias_carries_marker_through_the_router(self):
         with _ThreadTier() as tier:
             status, doc, headers = _get(tier.url, "/healthz")
