@@ -88,9 +88,7 @@ def fft_dag_program(
 class _dag_stage_body:
     """Stage-``t`` body of the DAG schedule.
 
-    A module-level class (not a closure) so built programs can cross
-    process boundaries — the parallel round scheduler pickles superstep
-    bodies into worker processes.
+    A module-level class (not a closure), so a built program pickles.
     """
 
     __slots__ = ("prev_m", "half")
@@ -264,8 +262,8 @@ def fft_recursive_program(
 class _chain:
     """Compose an apply body and a send body into one superstep body.
 
-    Module-level and attribute-based (rather than a specialized closure)
-    so the composed bodies pickle into parallel workers.
+    Module-level and attribute-based (rather than a specialized closure),
+    so the composed bodies pickle.
     """
 
     __slots__ = ("apply_fn", "send_fn")

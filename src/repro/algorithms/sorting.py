@@ -98,9 +98,7 @@ def _apply_exchange(view: ProcView, k: int, j: int) -> None:
 class _exchange_body:
     """Compare-exchange step body.
 
-    A module-level class (not a closure) so built programs can cross
-    process boundaries — the parallel round scheduler pickles superstep
-    bodies into worker processes.
+    A module-level class (not a closure), so a built program pickles.
     """
 
     __slots__ = ("prev", "bit")

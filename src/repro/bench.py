@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engines import ENGINES, build_program, resolve_access_function
-from repro.parallel.config import SERIAL, ParallelConfig, resolve_parallel
 
 __all__ = [
     "Workload",
@@ -103,7 +102,7 @@ SMOKE_CAPS = {"default": 128, "touch": 1 << 16}
 
 
 def _run_engine_workload(
-    w: Workload, v: int, repeats: int = 3, parallel: ParallelConfig = SERIAL
+    w: Workload, v: int, repeats: int = 3
 ) -> dict[str, Any] | None:
     """One (engine, program, v) cell; None when the program can't build.
 
@@ -117,8 +116,6 @@ def _run_engine_workload(
     except ValueError:
         return None  # e.g. matmul needs a power of 4
     opts = dict(w.opts)
-    if parallel.enabled and w.engine in ("hmm", "vec"):
-        opts["parallel"] = parallel
     # raw engine throughput: span layer off, event counters on (the
     # throughput metric is charged words per second).  Older engine
     # revisions only know off/phases/full: probe the level on the first
@@ -249,7 +246,6 @@ def sweep_workload(
     w: Workload,
     budget_s: float = DEFAULT_BUDGET_S,
     smoke: bool = False,
-    parallel: ParallelConfig = SERIAL,
     echo=None,
 ) -> dict[str, Any]:
     """Sweep one workload's sizes; return its document entry.
@@ -273,7 +269,7 @@ def sweep_workload(
         cell = (
             _run_touch_workload(w.engine, v)
             if touch
-            else _run_engine_workload(w, v, parallel=parallel)
+            else _run_engine_workload(w, v)
         )
         if cell is not None:
             sweep.append(cell)
@@ -309,16 +305,14 @@ def sweep_workload(
     }
 
 
-def workload_cell_key(
-    w: Workload, budget_s: float, smoke: bool, jobs: int = 1
-) -> str:
+def workload_cell_key(w: Workload, budget_s: float, smoke: bool) -> str:
     """The ledger key identifying one workload's full sweep.
 
     Shared between the serial bench and the distributed runner: the
     args mirror the ``bench-workload`` worker task's, and the context
-    pins the bench schema plus the engine-internal job count (the
-    distributed runner measures each cell serially in its worker, so it
-    records under ``jobs=1`` — interchangeable with a serial run).
+    pins the bench schema plus a nominal ``jobs=1`` (every cell is
+    measured serially, in this process or in one worker, so a serial
+    and a distributed run are interchangeable).
     """
     import dataclasses
 
@@ -327,7 +321,7 @@ def workload_cell_key(
     return cell_key(
         "bench-workload",
         (dataclasses.asdict(w), budget_s, smoke),
-        {"schema": BENCH_SCHEMA, "jobs": jobs},
+        {"schema": BENCH_SCHEMA, "jobs": 1},
     )
 
 
@@ -336,30 +330,24 @@ def run_bench(
     smoke: bool = False,
     workloads: tuple[Workload, ...] = WORKLOADS,
     echo=None,
-    jobs: int = 1,
     ledger=None,
 ) -> dict[str, Any]:
-    """Run the matrix; return the JSON-serializable result document.
+    """Run the matrix serially; return the JSON-serializable document.
 
-    ``jobs > 1`` turns on *engine-internal* parallelism for the hmm and
-    vec rows (the charged results are bit-identical either way); each
-    cell's wall clock then includes all dispatch overhead, so the
-    recorded throughput stays honest.  To distribute whole workloads
-    across the pool instead, see
+    To distribute whole workloads across the worker pool instead, see
     :func:`repro.parallel.sweep.run_matrix_distributed`.
 
     With a :class:`~repro.resilience.ledger.SweepLedger`, each
     workload's completed sweep is checkpointed as one ledger cell; a
     rerun against the same ledger replays completed workloads verbatim
     and only computes the missing ones.  Ledger entries are shared with
-    ``bench --distribute`` (same keys, same shape) when ``jobs == 1``.
+    ``bench --distribute`` (same keys, same shape).
     """
-    parallel = resolve_parallel(jobs) if jobs > 1 else SERIAL
-    doc = bench_header(budget_s, smoke, jobs)
+    doc = bench_header(budget_s, smoke)
     if ledger is None:
         for w in workloads:
             doc["workloads"][w.name] = sweep_workload(
-                w, budget_s, smoke, parallel=parallel, echo=echo
+                w, budget_s, smoke, echo=echo
             )
         return doc
 
@@ -367,16 +355,14 @@ def run_bench(
     from repro.resilience.ledger import MISSING
 
     for w in workloads:
-        key = workload_cell_key(w, budget_s, smoke, jobs)
+        key = workload_cell_key(w, budget_s, smoke)
         recorded = ledger.get(key)
         if recorded is not MISSING:
             name, wl_doc = recorded
             recovery.record("cells_resumed", kind="bench-workload", name=name)
             doc["workloads"][name] = wl_doc
             continue
-        wl_doc = sweep_workload(
-            w, budget_s, smoke, parallel=parallel, echo=echo
-        )
+        wl_doc = sweep_workload(w, budget_s, smoke, echo=echo)
         wl_doc = json.loads(json.dumps(wl_doc))
         ledger.record(key, "bench-workload", [w.name, wl_doc])
         recovery.record("cells_recomputed", kind="bench-workload", name=w.name)

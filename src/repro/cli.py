@@ -3,12 +3,11 @@
 ::
 
     python -m repro run sort --v 64 --f x^0.5 --engine all
-    python -m repro run sort --v 64 --engine hmm --jobs 4
+    python -m repro run sort --v 64 --engine vec
     python -m repro profile sort --v 64 --f x^0.5 --engine bt
     python -m repro touch --n 65536 --f log
     python -m repro touch --sweep 4096,16384,65536 --jobs 4
     python -m repro bench --smoke
-    python -m repro bench --jobs 4
     python -m repro bench --distribute --jobs 4 --checkpoint bench.ledger
     python -m repro bench --distribute --jobs 4 --resume bench.ledger
     python -m repro serve --port 8173 --jobs 2 --checkpoint cache.ledger
@@ -117,9 +116,6 @@ def _engine_opts(engine: str, args) -> dict:
     opts: dict = {}
     if engine == "brent":
         opts["v_host"] = args.v_host or max(1, args.v // 4)
-    jobs = getattr(args, "jobs", None)
-    if jobs and jobs > 1 and engine in ("hmm", "vec"):
-        opts["parallel"] = jobs
     return opts
 
 
@@ -341,6 +337,11 @@ def cmd_bench(args) -> int:
 
     if args.dag:
         return _bench_dag(args)
+    if args.jobs > 1 and not args.distribute:
+        raise SystemExit(
+            "--jobs N > 1 needs --distribute (a single simulation always "
+            "runs in one process)"
+        )
     workloads = WORKLOADS
     if args.only:
         workloads = tuple(
@@ -373,7 +374,7 @@ def cmd_bench(args) -> int:
             )
         else:
             doc = run_bench(budget_s=args.budget, smoke=args.smoke, echo=echo,
-                            workloads=workloads, jobs=args.jobs, ledger=ledger)
+                            workloads=workloads, ledger=ledger)
     finally:
         if ledger is not None:
             ledger.close()
@@ -980,9 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["direct", "hmm", "vec", "bt", "brent", "all"])
     p_run.add_argument("--v-host", type=int, default=None,
                        help="host width for the brent engine (default v/4)")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the hmm/vec engines "
-                            "(charged costs are identical for any value)")
     p_run.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of text")
     p_run.set_defaults(func=cmd_run)
@@ -1003,9 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["direct", "hmm", "vec", "bt", "brent"])
     p_prof.add_argument("--v-host", type=int, default=None,
                         help="host width for the brent engine (default v/4)")
-    p_prof.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (full tracing pins the run "
-                             "serial; kept for flag symmetry with run)")
     p_prof.add_argument("--json", action="store_true",
                         help="emit the full result (trace included) as JSON")
     p_prof.add_argument("--jsonl", metavar="PATH", default=None,
@@ -1031,8 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--tolerance", type=float, default=3.0,
                          help="allowed slow-down factor for --check")
     p_bench.add_argument("--jobs", type=int, default=1,
-                         help="worker processes inside each cell's engine "
-                              "(hmm/vec); charged costs are unchanged")
+                         help="worker processes for --distribute")
     p_bench.add_argument("--distribute", action="store_true",
                          help="run one workload per worker task instead "
                               "(wall clock measured inside each worker)")
@@ -1089,9 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"access function: {FUNCTION_HELP}")
     p_dag.add_argument("--v-host", type=int, default=None,
                        help="host width for the brent engine (default v/4)")
-    p_dag.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the hmm/vec engines "
-                            "(charged costs are identical for any value)")
     p_dag.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of text")
     p_dag.set_defaults(func=cmd_dag)

@@ -315,10 +315,6 @@ class DirectEngine:
         trace: str = "phases",
         **opts: Any,
     ) -> EngineResult:
-        opts = dict(opts)
-        # the direct executor has no host side to parallelize; accept and
-        # ignore the knob so callers can pass it engine-agnostically
-        opts.pop("parallel", None)
         res: DBSPRunResult = DBSPMachine(f, **opts).run(
             program.with_global_sync()
         )
@@ -406,10 +402,6 @@ class BTEngine:
         trace: str = "phases",
         **opts: Any,
     ) -> EngineResult:
-        opts = dict(opts)
-        # the BT scheduler is a single recursive descent with no
-        # independent sub-simulations; accept and ignore the knob
-        opts.pop("parallel", None)
         res = BTSimulator(f, trace=trace, **opts).simulate(program)
         return EngineResult(
             engine=self.name,
@@ -471,8 +463,9 @@ ENGINES: dict[str, Engine] = {
 def _direct_baseline(
     program: Program, f: AccessFunction, bodies: BodyPass | None
 ) -> DBSPRunResult:
-    """The direct run of ``program``, folded from a simulation's body
-    pass when it stands for one (see :func:`run`)."""
+    """The direct run of ``program``: folded from a simulation's body
+    pass when it stands for one, run separately when the engine made no
+    pass or the pass breaks a rule of the direct run (see :func:`run`)."""
     normalized = program.with_global_sync()
     machine = DBSPMachine(f)
     if bodies is not None and machine.reproduces(normalized, bodies):
@@ -517,16 +510,15 @@ def run(
         (:meth:`DBSPMachine.fold <repro.dbsp.machine.DBSPMachine.fold>`)
         without running a body again.  The direct run is made
         separately when the engine made no such pass (scalar ``hmm``,
-        ``parallel`` fan-out, the ``bt`` ablations, ``brent`` at
-        ``v' = v``) or when the pass breaks a rule of the direct run
-        that the simulation does not check — a send leaving its
-        original label's cluster, or more than ``mu`` messages to one
-        processor — so that run raises the error.
+        the ``bt`` ablations, ``brent`` at ``v' = v``) or when the pass
+        breaks a rule of the direct run that the simulation does not
+        check — a send leaving its original label's cluster, or more
+        than ``mu`` messages to one processor — so that run raises the
+        error.
     opts:
         Passed through to the engine (e.g. ``sort="mergesort"`` for
-        ``bt``, ``v_host=16`` for ``brent``, ``parallel=4`` for worker
-        processes on ``hmm``/``vec`` — ignored by engines with no
-        host side to parallelize).
+        ``bt``, ``v_host=16`` for ``brent``, ``kernel="scalar"`` for
+        ``vec``).
 
     >>> from repro import run
     >>> result = run("sort", engine="bt", f="x^0.5", v=16)

@@ -147,9 +147,7 @@ class HMMMachine:
         """Exchange two disjoint ranges of ``length`` words.
 
         Charged two accesses per word on each side (read + write), i.e.
-        ``2 * (sum f(a..) + sum f(b..))``.  Returns the charged amount —
-        the parallel round scheduler records it on the charge tape so the
-        parent process can re-fold the identical float.
+        ``2 * (sum f(a..) + sum f(b..))``.  Returns the charged amount.
         """
         self._check_disjoint(a, b, length)
         charge = 2.0 * (

@@ -1,18 +1,20 @@
-"""Host-parallel execution: worker pool, round scheduling, sweep runner.
+"""Host-parallel execution: worker pool and sweep runner.
 
-This package reclaims *host* parallelism — multiple worker processes on
-the machine running the simulators — without ever changing *model*
-results: charged costs, counters and phase breakdowns are bit-identical
-to the serial path for any job count (see ``DESIGN.md: Host parallelism
-vs. model parallelism``, and ``tests/test_parallel.py`` which pins the
-claim).
+This package runs independent cells — bench workloads, Fact 1/2 touch
+cells, served ``run-cell``/``run-dag`` requests — in multiple worker
+processes on the machine running the simulators, without ever changing
+*model* results: every task is a pure function of its payload, so a
+cell's charged costs, counters and phase breakdown are the same
+wherever it runs (see ``DESIGN.md: Host parallelism vs. model
+parallelism``).  A single simulation always runs in one process.
 
 Entry points:
 
-* simulators accept ``parallel=`` (a :class:`ParallelConfig`, a job
-  count, or ``None`` to read ``REPRO_JOBS``);
-* ``python -m repro bench --jobs N`` / ``run --jobs N`` on the CLI;
-* :mod:`repro.parallel.sweep` for distributing independent cells.
+* :mod:`repro.parallel.sweep` for distributing independent cells;
+* ``python -m repro bench --distribute --jobs N`` and
+  ``touch --sweep ... --jobs N`` on the CLI;
+* ``REPRO_JOBS`` sets the default job count for sweeps and
+  checkpointed sweeps (:func:`resolve_parallel` with ``None``).
 """
 
 from repro.parallel.config import (

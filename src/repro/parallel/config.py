@@ -1,17 +1,14 @@
 """Parallelism configuration and graceful-degradation policy.
 
-A :class:`ParallelConfig` says *how much* host parallelism a simulator or
-sweep runner may use; it never changes *what* is computed — charged model
-costs are bit-identical with any ``jobs`` value (see
-``DESIGN.md: Host parallelism vs. model parallelism``).
+A :class:`ParallelConfig` says *how much* host parallelism a sweep runner
+or the service's worker pool may use; it never changes *what* is
+computed — charged model costs are bit-identical with any ``jobs`` value
+(see ``DESIGN.md: Host parallelism vs. model parallelism``).
 
-``jobs <= 1`` disables fan-out entirely.  ``min_work_per_task`` is the
-work-estimate floor (roughly "processor-supersteps" of guest work) below
-which a candidate task stays inline: dispatching a tiny cluster to a
-worker process costs more in pickling than the simulation itself.
+``jobs <= 1`` disables fan-out entirely.
 
 Degradation is always graceful: when the pool cannot be used (process
-start failure, unpicklable program bodies, a worker lost mid-flight) the
+start failure, unpicklable payloads, a worker lost mid-flight) the
 caller falls back to the serial path — same results, one
 :class:`ParallelFallbackWarning` per process per reason.
 """
@@ -35,10 +32,6 @@ __all__ = [
     "reset_fallback_warnings",
 ]
 
-#: default work floor: a fanned-out task should simulate at least this
-#: many (processor, superstep) body executions to amortize dispatch
-DEFAULT_MIN_WORK_PER_TASK = 4096
-
 
 class ParallelFallbackWarning(RuntimeWarning):
     """A parallel path silently degraded to the serial one (results are
@@ -53,8 +46,6 @@ class ParallelConfig:
     ----------
     jobs:
         Worker-process count; ``<= 1`` means serial (no pool is touched).
-    min_work_per_task:
-        Work-estimate floor below which candidate tasks stay inline.
     fallback:
         When ``True`` (default), pool or pickling failures degrade to the
         serial path with a one-shot :class:`ParallelFallbackWarning`;
@@ -74,13 +65,12 @@ class ParallelConfig:
     >>> SERIAL.enabled
     False
     >>> resolve_parallel(2)
-    ParallelConfig(jobs=2, min_work_per_task=4096, fallback=True, retry=None)
+    ParallelConfig(jobs=2, fallback=True, retry=None)
     >>> resolve_parallel(1) is SERIAL
     True
     """
 
     jobs: int = 1
-    min_work_per_task: int = DEFAULT_MIN_WORK_PER_TASK
     fallback: bool = True
     retry: "RetryPolicy | None" = None
 

@@ -4,8 +4,8 @@
 lazily: no process is started until the first dispatch, and the pool then
 persists for the life of the interpreter (one warm-up per process, not
 per simulation).  Pools are shared per job count through
-:func:`shared_pool` so every consumer (round schedulers, sweep runner)
-reuses the same workers.
+:func:`shared_pool` so every consumer (sweep runner, service scheduler,
+jobs manager) reuses the same workers.
 
 Failure taxonomy — the part that matters for bit-identical fallback:
 
@@ -54,7 +54,7 @@ def dumps_payload(obj: Any) -> bytes:
     """Pickle a task payload, raising :class:`PoolUnavailable` on failure.
 
     Pre-pickling in the parent keeps the failure mode clean: an
-    unpicklable program body surfaces here, before any process is
+    unpicklable payload surfaces here, before any process is
     touched, and the caller degrades to serial — instead of surfacing as
     an opaque executor error after dispatch.
     """
@@ -92,9 +92,6 @@ class WorkerPool:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self._executor: ProcessPoolExecutor | None = None
-        #: tasks handed to the executor over the pool's lifetime (the
-        #: min_work_per_task gate tests assert this stays put)
-        self.tasks_submitted = 0
 
     # ----------------------------------------------------------- lifecycle
     def _ensure_executor(self) -> ProcessPoolExecutor:
@@ -143,7 +140,6 @@ class WorkerPool:
                 raise PoolUnavailable(
                     f"cannot submit to pool: {exc!r}"
                 ) from exc
-            self.tasks_submitted += len(futures)
             return futures
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -151,13 +147,11 @@ class WorkerPool:
         """Submit one payload to a (possibly freshly rebuilt) executor."""
         executor = self._ensure_executor()
         try:
-            fut = executor.submit(_run_payload, blob)
+            return executor.submit(_run_payload, blob)
         except Exception as exc:
             if isinstance(exc, BrokenProcessPool):
                 self._discard_broken()
             raise PoolUnavailable(f"cannot resubmit to pool: {exc!r}") from exc
-        self.tasks_submitted += 1
-        return fut
 
     @staticmethod
     def _needs_resubmit(fut: Future) -> bool:

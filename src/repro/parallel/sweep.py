@@ -10,9 +10,7 @@ Three consumers, all built on :func:`parallel_map`:
 * :func:`run_matrix_distributed` — the bench matrix with one worker task
   per workload.  Wall clock is measured *inside* each worker, serially
   per cell, so distribution shortens the overall run without distorting
-  any cell's own numbers.  (For engine-internal parallelism — the thing
-  that can raise a single cell's throughput — use
-  ``repro.bench.run_bench(jobs=...)`` instead.)
+  any cell's own numbers.
 * :func:`run_cells` — ad-hoc (engine, program, f, v) cells, with
   recorded spans tagged per task and merged into one forest
   (:func:`repro.obs.trace.tag_spans` / ``merge_span_lists``).

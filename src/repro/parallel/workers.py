@@ -1,22 +1,13 @@
 """Worker-side task bodies for the process pool.
 
 Every task is a pure function of its (pickled) arguments: workers never
-see parent state, so a task's charged costs depend only on the payload —
-this is what makes the fan-out deterministic.  The parent folds worker
-results back **in task order**; see ``DESIGN.md: Host parallelism vs.
-model parallelism`` for why that reproduces the serial charge sequence
-bit-for-bit.
+see parent state, so a task's result depends only on the payload —
+this is what makes the fan-out deterministic.  The parent collects
+worker results **in task order**; see ``DESIGN.md: Host parallelism vs.
+model parallelism``.
 
 Task registry
 -------------
-``hmm-segment``
-    Simulate one l1-cluster's whole segment of supersteps (all labels >=
-    l1) on a sub-machine, returning final contexts/pending, the *charge
-    tape* (every elementary charge in execution order), the round count
-    and the event counters.  The parent replays the tape onto its own
-    clock — float addition is not associative, so shipping a per-cluster
-    *total* would not be bit-identical; shipping the elementary charges
-    and re-folding them in cluster order is.
 ``bench-workload``
     One full bench-matrix workload sweep, wall-clock measured inside the
     worker (serially), for the distributed bench runner.
@@ -35,168 +26,9 @@ Task registry
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Callable
 
-from repro.dbsp.program import Message, ProcView, Program, Superstep
-
-__all__ = ["TASKS", "_OffsetBody", "_OffsetArrayBody"]
-
-
-class _OffsetArrayBody:
-    """Array-body counterpart of :class:`_OffsetBody`.
-
-    Wraps a superstep's ``array_body`` in the pid-translating
-    :class:`~repro.sim.kernel.GlobalizedArrayView`, so the vectorized
-    kernel inside a worker presents global pids to bodies while running
-    on the cluster-local sub-machine.
-    """
-
-    __slots__ = ("body", "offset", "v_global", "label_shift")
-
-    def __init__(self, body, offset: int, v_global: int, label_shift: int = 0):
-        self.body = body
-        self.offset = offset
-        self.v_global = v_global
-        self.label_shift = label_shift
-
-    def __call__(self, view) -> None:
-        from repro.sim.kernel import GlobalizedArrayView
-
-        self.body(
-            GlobalizedArrayView(
-                view, self.offset, self.v_global, self.label_shift
-            )
-        )
-
-
-class _GlobalizedView:
-    """A cluster-local :class:`ProcView` presented under global ids.
-
-    Translates pids on the way in (``pid``, inbox senders) and out
-    (``send`` destinations); ``label`` is the global superstep label.
-    """
-
-    __slots__ = ("_view", "_offset", "pid", "v", "mu", "label", "ctx", "inbox")
-
-    def __init__(self, view: ProcView, offset: int, v_global: int,
-                 label_shift: int):
-        self._view = view
-        self._offset = offset
-        self.pid = view.pid + offset
-        self.v = v_global
-        self.mu = view.mu
-        self.label = view.label + label_shift
-        self.ctx = view.ctx
-        # messages are immutable, so offset 0 can share the list
-        if offset:
-            self.inbox = [Message(m.src + offset, m.payload) for m in view.inbox]
-        else:
-            self.inbox = view.inbox
-
-    def send(self, dest: int, payload: Any = None) -> None:
-        self._view.send(dest - self._offset, payload)
-
-    def charge(self, t: float) -> None:
-        self._view.charge(t)
-
-    def received(self):
-        return (msg.payload for msg in self.inbox)
-
-
-class _OffsetBody:
-    """Present a cluster-local view to a body that speaks global pids.
-
-    The worker simulates processors ``offset .. offset + v_sub`` of a
-    ``v_global``-processor guest as local pids ``0 .. v_sub``; program
-    bodies, however, index processors globally.  Wraps each view in a
-    :class:`_GlobalizedView`; ``label_shift`` restores the global
-    superstep label (the HMM segment scheme shifts labels down by l1).
-    """
-
-    __slots__ = ("body", "offset", "v_global", "label_shift")
-
-    def __init__(self, body, offset: int, v_global: int, label_shift: int = 0):
-        self.body = body
-        self.offset = offset
-        self.v_global = v_global
-        self.label_shift = label_shift
-
-    def __call__(self, view) -> None:
-        self.body(
-            _GlobalizedView(view, self.offset, self.v_global, self.label_shift)
-        )
-
-
-def _localize_pending(
-    pending: list[list[Message]], offset: int
-) -> list[list[Message]]:
-    if not offset:
-        return pending
-    return [
-        [Message(m.src - offset, m.payload) for m in box] for box in pending
-    ]
-
-
-def _wrap_steps(
-    steps: list[Superstep], offset: int, v_global: int, label_shift: int
-) -> list[Superstep]:
-    return [
-        Superstep(
-            s.label,
-            None
-            if s.body is None
-            else _OffsetBody(s.body, offset, v_global, label_shift),
-            name=s.name,
-            array_body=None
-            if s.array_body is None
-            else _OffsetArrayBody(s.array_body, offset, v_global, label_shift),
-        )
-        for s in steps
-    ]
-
-
-# ------------------------------------------------------------ hmm-segment
-def _hmm_segment(args: tuple) -> tuple:
-    """Simulate one l1-cluster's segment; return state + charge tape."""
-    from repro.sim.hmm_sim import FlatTape, SpanTape, _HMMSimRun, HMMSimulator
-    from repro.sim.smoothing import smooth_program
-
-    common, offset, contexts, pending, want_spans = args
-    (f, c2, check, v_sub, mu, label_shift, steps, label_set, counters_on,
-     v_global, array_schema, kernel) = pickle.loads(common)
-    program = Program(
-        v_sub,
-        mu,
-        _wrap_steps(steps, offset, v_global, label_shift),
-        name="hmm-segment",
-        array_schema=array_schema,
-    )
-    # parallel=1: never nest pools inside a worker (REPRO_JOBS would
-    # otherwise re-resolve here)
-    sim = HMMSimulator(
-        f,
-        c2=c2,
-        check_invariants=check,
-        trace="counters" if counters_on else "off",
-        parallel=1,
-        kernel=kernel,
-    )
-    # the shifted segment is already L-smooth for the shifted label set,
-    # so smoothing is an identity transform here (no dummies, no label
-    # upgrades) — asserted by construction in the parent
-    smoothed = smooth_program(program, label_set)
-    run = _HMMSimRun(
-        sim,
-        smoothed,
-        initial_contexts=contexts,
-        initial_pending=_localize_pending(pending, offset),
-    )
-    tape = SpanTape() if want_spans else FlatTape()
-    run.tape_rec = tape
-    run.execute()
-    counters = run.counters.snapshot() if counters_on else {}
-    return (run.contexts, run.pending, tape.data(), run.round_index, counters)
+__all__ = ["TASKS"]
 
 
 # ---------------------------------------------------------- sweep workers
@@ -251,8 +83,7 @@ def _run_cell(args: tuple) -> dict[str, Any]:
     engine, program_name, v, mu, f_spec, trace = args
     program = build_program(program_name, v, mu)
     f = resolve_access_function(f_spec)
-    # parallel=1: the cell is already a worker task; never nest pools
-    res = ENGINES[engine].run(program, f, trace=trace, parallel=1)
+    res = ENGINES[engine].run(program, f, trace=trace)
     doc = res.to_json(include_trace=False)
     doc["spans"] = res.trace
     return doc
@@ -272,15 +103,13 @@ def _run_dag(args: tuple) -> dict[str, Any]:
     spec = DagSpec.from_json(json.loads(spec_json))
     program = dag_program(spec, v=v, mu=mu, heuristic=heuristic)
     f = resolve_access_function(f_spec)
-    # parallel=1: the cell is already a worker task; never nest pools
-    res = ENGINES[engine].run(program, f, trace=trace, parallel=1)
+    res = ENGINES[engine].run(program, f, trace=trace)
     doc = res.to_json(include_trace=False)
     doc["spans"] = res.trace
     return doc
 
 
 TASKS: dict[str, Callable[[tuple], Any]] = {
-    "hmm-segment": _hmm_segment,
     "bench-workload": _bench_workload,
     "touch-cost": _touch_cost,
     "run-cell": _run_cell,

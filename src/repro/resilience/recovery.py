@@ -3,8 +3,9 @@
 Charged model costs must stay bit-identical whether or not any worker
 died, any task timed out, or any sweep was resumed from a ledger — so
 recovery activity can never be recorded on an engine's charged clock or
-in an engine's own counters (``tests/test_parallel.py`` pins those with
-``==``).  Instead this module keeps a *process-global* side channel:
+in an engine's own counters (the chaos tests in
+``tests/test_resilience.py`` compare those with ``==``).  Instead this
+module keeps a *process-global* side channel:
 
 * a :class:`~repro.obs.counters.Counters` registry of recovery events
   (``pool_retries``, ``pool_timeouts``, ``worker_deaths``,

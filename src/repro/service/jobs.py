@@ -322,7 +322,7 @@ class JobManager:
 
     One manager serves one :class:`~repro.service.server.SimService`.
     Jobs run strictly one at a time (batch work is background work; the
-    worker pool's parallelism lives *inside* a cell), ordered by
+    worker pool's parallelism lives across a job's cells), ordered by
     ``(priority, submission order)``.
     """
 

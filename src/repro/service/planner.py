@@ -9,10 +9,12 @@ calibration profile):
 
 * **Plan** — :meth:`Planner.plan` turns a validated request into a
   :class:`PlanDecision`: the chosen ``engine`` (auto-selected by
-  predicted wall time when the request left it unset), a recommended
-  ``jobs`` / ``min_work_per_task`` parallel config, the cache policy
-  (``"bypass"`` for huge ``trace="full"`` results that would churn the
-  LRU), and the full :class:`~repro.analysis.predict.Prediction`.
+  predicted wall time when the request left it unset), an advisory
+  ``jobs`` / ``min_work_per_task`` parallel config (nothing in the
+  service reads it; a single run is never split across processes), the
+  cache policy (``"bypass"`` for huge ``trace="full"`` results that
+  would churn the LRU), and the full
+  :class:`~repro.analysis.predict.Prediction`.
   ``POST /v1/plan`` returns this without running anything.
 * **Admit** — :meth:`Planner.admit` charges the predicted cost against
   two gates *before* the request occupies a scheduler slot:
@@ -51,7 +53,6 @@ from typing import Any, Callable
 
 from repro.analysis.predict import CostModel, Prediction
 from repro.obs.counters import Counters
-from repro.parallel.config import DEFAULT_MIN_WORK_PER_TASK
 from repro.service.scheduler import QueueFull, SimRequest
 
 __all__ = [
@@ -81,6 +82,11 @@ DEFAULT_COST_CEILING = 50e6
 
 #: predicted wall seconds below which fan-out costs more than it saves
 PARALLEL_WORTH_S = 0.05
+
+#: the advisory ``min_work_per_task`` of a :class:`PlanDecision`: the
+#: (processor, superstep) body executions a fanned-out task should
+#: simulate to amortize dispatch
+DEFAULT_MIN_WORK_PER_TASK = 4096
 
 #: predicted charged words above which a ``trace="full"`` result is too
 #: large to be worth an LRU slot (cache policy becomes ``"bypass"``)

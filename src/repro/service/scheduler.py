@@ -23,8 +23,8 @@ One request flows through four stages::
   per-task deadline overrun is retried instead of failing the request;
   an unusable pool degrades to the inline path with one
   :class:`~repro.parallel.config.ParallelFallbackWarning`.  Either way
-  the engine runs with ``parallel=1`` inside the task, so the charged
-  document is identical at any ``jobs`` value.
+  the same task runs in one process, so the charged document is
+  identical at any ``jobs`` value.
 
 Before admission, :func:`parse_run_body` turns a raw ``/v1/run`` body
 into its validated request and content key through a bounded memo on

@@ -85,7 +85,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -97,9 +97,6 @@ from repro.obs.trace import SpanRecord, Tracer
 from repro.sim.hmm_vec import _build_plan as _build_hmm_plan
 from repro.sim.kernel import BodyPass, PlanCache, ranges_concat, run_bodies
 from repro.sim.smoothing import build_label_set_hmm, smooth_program
-
-if TYPE_CHECKING:
-    from repro.parallel.config import ParallelConfig
 
 __all__ = [
     "BrentSimulator",
@@ -164,9 +161,9 @@ class BrentSimResult:
 class BrentSimulator:
     """Theorem 10's self-simulation engine.
 
-    ``parallel`` and ``kernel`` are accepted for call compatibility with
-    the HMM engine and ignored: the whole simulation is one body pass
-    plus a few array folds, with no per-host work left to fan out.
+    ``kernel`` is accepted for call compatibility with the HMM engine
+    and ignored: the whole simulation is one body pass plus a few array
+    folds.
     """
 
     def __init__(
@@ -175,7 +172,6 @@ class BrentSimulator:
         v_host: int,
         c2: float = 0.5,
         trace: Literal["off", "counters", "phases", "full"] = "phases",
-        parallel: "ParallelConfig | int | None" = None,
         kernel: Literal["scalar", "vec"] | None = None,
     ):
         self.g = g

@@ -28,18 +28,16 @@ an optimal ``Theta(T v)`` (Corollary 6).
 from __future__ import annotations
 
 import os
-from array import array
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
 
 from repro.dbsp.cluster import cluster_of, cluster_size
-from repro.dbsp.program import Message, ProcView, Program, Superstep
+from repro.dbsp.program import Message, ProcView, Program
 from repro.functions import AccessFunction
 from repro.hmm.machine import HMMMachine
 from repro.obs.counters import NULL_COUNTERS, Counters
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
-from repro.parallel.config import ParallelConfig, resolve_parallel, warn_fallback_once
 from repro.sim.smoothing import SmoothedProgram, build_label_set_hmm, smooth_program
 
 if TYPE_CHECKING:
@@ -50,8 +48,6 @@ __all__ = [
     "HMMSimResult",
     "RoundSnapshot",
     "HMM_PHASES",
-    "FlatTape",
-    "SpanTape",
 ]
 
 #: phase categories of the Fig. 1 scheme (the breakdown key set)
@@ -69,67 +65,6 @@ class RoundSnapshot:
     slot_to_pid: tuple[int, ...]
     #: next superstep to simulate, per processor
     next_step: tuple[int, ...]
-
-
-class FlatTape:
-    """Charge tape without span structure.
-
-    Recorded by worker processes when the parent runs at trace level
-    ``off`` or ``counters``: just the elementary charges (every single
-    ``time += c`` the simulation performs), in execution order.  The
-    parent re-folds them onto its own clock — float addition is not
-    associative, so shipping per-cluster *totals* would not reproduce the
-    serial clock bit-for-bit, but re-folding the identical charge
-    sequence from the identical starting value does.
-    """
-
-    __slots__ = ("charges",)
-
-    def __init__(self):
-        self.charges = array("d")
-
-    def leaf(self, name: str, category: str, charges) -> None:
-        self.charges.extend(charges)
-
-    def open(self, name: str, category: str | None) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def data(self):
-        return self.charges
-
-
-class SpanTape:
-    """Charge tape with span markers (parent trace level ``phases``).
-
-    Besides the elementary charges (grouped per leaf), records the
-    open/close structure of the worker's spans so the parent can replay
-    them into its own tracer: entries are ``("o", name, category)`` /
-    ``("c",)`` markers and ``("l", name, category, charges)`` leaves.
-    Replaying reproduces the parent tracer's totals, counts and
-    child-cost attribution exactly as the serial run would have produced
-    them — including the ±ulp self-cost that round spans attribute to
-    the ``other`` category.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: list[tuple] = []
-
-    def leaf(self, name: str, category: str, charges) -> None:
-        self.entries.append(("l", name, category, tuple(charges)))
-
-    def open(self, name: str, category: str | None) -> None:
-        self.entries.append(("o", name, category))
-
-    def close(self) -> None:
-        self.entries.append(("c",))
-
-    def data(self):
-        return self.entries
 
 
 @dataclass
@@ -195,16 +130,6 @@ class HMMSimulator:
         layer (what ``python -m repro bench`` measures under);
         ``"off"`` disables the layer entirely (no-op hooks;
         ``breakdown`` and ``counters`` come back empty).
-    parallel:
-        Host-parallelism policy (:mod:`repro.parallel`): a
-        :class:`~repro.parallel.config.ParallelConfig`, a worker-process
-        count, or ``None`` to read ``REPRO_JOBS`` from the environment.
-        With ``jobs > 1``, independent per-cluster simulations within a
-        round are dispatched to worker processes — charged time,
-        counters and breakdowns stay **bit-identical** to the serial
-        path (only wall clock changes).  Incompatible observability
-        modes (``trace="full"``, ``record_trace``,
-        ``check_invariants="full"``) silently run serially.
     kernel:
         ``"scalar"`` runs the round loop one charge at a time (the
         reference path); ``"vec"`` compiles the schedule into a
@@ -214,8 +139,8 @@ class HMMSimulator:
         changes).  ``None`` reads ``REPRO_ENGINE`` from the environment
         (``vec`` selects the vectorized kernel; anything else, or
         unset, selects scalar).  Modes the vectorized kernel does not
-        cover (``record_trace``, ``check_invariants="full"``, the
-        parallel driver's inline serial bursts) silently run scalar.
+        cover (``record_trace``, ``check_invariants="full"``) silently
+        run scalar.
     """
 
     def __init__(
@@ -226,7 +151,6 @@ class HMMSimulator:
         record_trace: bool = False,
         max_trace_rounds: int = 4096,
         trace: Literal["off", "counters", "phases", "full"] = "phases",
-        parallel: "ParallelConfig | int | None" = None,
         kernel: Literal["scalar", "vec"] | None = None,
     ):
         self.f = f
@@ -237,7 +161,6 @@ class HMMSimulator:
         if trace not in ("off", "counters", "phases", "full"):
             raise ValueError(f"unknown trace level {trace!r}")
         self.trace = trace
-        self.parallel = resolve_parallel(parallel)
         if kernel is None:
             kernel = "vec" if os.environ.get("REPRO_ENGINE") == "vec" else "scalar"
         if kernel not in ("scalar", "vec"):
@@ -259,7 +182,7 @@ class HMMSimulator:
 
         ``initial_contexts`` / ``initial_pending`` override the program's
         own initial state — to chain runs of supersteps while preserving
-        in-flight messages (the parallel segment workers do).
+        in-flight messages.
         """
         if label_set is None:
             label_set = build_label_set_hmm(
@@ -267,16 +190,7 @@ class HMMSimulator:
             )
         smoothed = smooth_program(program, label_set)
         run = _HMMSimRun(self, smoothed, initial_contexts, initial_pending)
-        cfg = self.parallel
-        if (
-            cfg.enabled
-            and self.trace != "full"
-            and not self.record_trace
-            and self.check_invariants != "full"
-        ):
-            run.execute_parallel(cfg)
-        else:
-            run.execute()
+        run.execute()
         run.tracer.assert_closed()
         if self.trace == "off":
             breakdown: dict[str, float] = {}
@@ -374,9 +288,6 @@ class _HMMSimRun:
         self.next_step = [0] * self.v
         self.round_index = 0
         self.trace: list[RoundSnapshot] = []
-        #: charge tape (:class:`FlatTape` / :class:`SpanTape`), set by
-        #: worker processes only; ``None`` on the serial/parent path
-        self.tape_rec: "FlatTape | SpanTape | None" = None
         #: the ``vec`` kernel's body pass (see ``HMMSimResult.body_pass``)
         self.body_pass: BodyPass | None = None
 
@@ -384,18 +295,11 @@ class _HMMSimRun:
     def _word(self, slot: int, offset: int = 0) -> int:
         return slot * self.mu + offset
 
-    def _block_range(self, slot: int) -> tuple[int, int]:
-        return slot * self.mu, (slot + 1) * self.mu
-
     def _swap_slot_ranges(self, a: int, b: int, length: int) -> None:
         """Swap the contents of block slots [a, a+length) and [b, b+length)."""
         t0 = self.machine.time
-        charge = self.machine.swap_ranges(
-            self._word(a), self._word(b), length * self.mu
-        )
+        self.machine.swap_ranges(self._word(a), self._word(b), length * self.mu)
         self.tracer.add_leaf("swap", "swaps", t0, self.machine.time)
-        if self.tape_rec is not None:
-            self.tape_rec.leaf("swap", "swaps", (charge,))
         self.counters.add("context_swaps", 2 * length)
         # slot bookkeeping via slice exchange (host-side only, no charging)
         pids_a = self.slot_to_pid[a : a + length]
@@ -409,47 +313,33 @@ class _HMMSimRun:
             pid_to_slot[pid] = a + k
 
     # --------------------------------------------------------------- main
-    def execute(self, stop: int | None = None) -> None:
+    def execute(self) -> None:
         """Run rounds until the program ends.
 
-        With ``stop``, run only until the cluster on top of memory
-        reaches superstep ``stop`` (exclusive).  The parallel driver uses
-        this to advance the simulation in serial bursts that end exactly
-        at cluster boundaries: all in-round logic (including the
-        inter-cluster context swaps of a round whose *next* superstep is
-        at or past ``stop``) still runs, so the state at the cut is
-        bit-identical to a full serial run paused at the same point.
-
-        Full runs on a ``kernel="vec"`` simulator are dispatched to the
-        vectorized kernel (:mod:`repro.sim.hmm_vec`); partial runs
-        (``stop``) and the modes the kernel does not cover fall through
-        to the scalar loop.  Both produce the identical charge sequence,
-        so the choice is invisible to everything downstream.
+        On a ``kernel="vec"`` simulator the run is dispatched to the
+        vectorized kernel (:mod:`repro.sim.hmm_vec`); the modes the
+        kernel does not cover fall through to the scalar loop.  Both
+        produce the identical charge sequence, so the choice is
+        invisible to everything downstream.
         """
-        if stop is None and self.sim.kernel == "vec" and self._vec_ok():
+        sim = self.sim
+        if (
+            sim.kernel == "vec"
+            and not sim.record_trace
+            and sim.check_invariants != "full"
+        ):
             from repro.sim.hmm_vec import execute_vec
 
             execute_vec(self)
             return
-        self._execute_scalar(stop)
+        self._execute_scalar()
 
-    def _vec_ok(self) -> bool:
-        sim = self.sim
-        return (
-            not sim.record_trace
-            and sim.check_invariants != "full"
-            and not isinstance(self.tape_rec, SpanTape)
-            and self.round_index == 0
-        )
-
-    def _execute_scalar(self, stop: int | None = None) -> None:
+    def _execute_scalar(self) -> None:
         """The reference round loop, one elementary charge at a time."""
         steps = self.steps
         n_steps = len(steps)
-        limit = n_steps if stop is None else min(stop, n_steps)
         tracer = self.tracer
         tracing = tracer.enabled
-        rec = self.tape_rec
         slot_to_pid = self.slot_to_pid
         next_step = self.next_step
         v = self.v
@@ -458,7 +348,7 @@ class _HMMSimRun:
         while True:
             top_pid = slot_to_pid[0]
             s = next_step[top_pid]
-            if s >= limit:
+            if s >= n_steps:
                 break
             label = steps[s].label
             # cluster_size / cluster_of, inlined: clusters are aligned
@@ -487,8 +377,6 @@ class _HMMSimRun:
                     if tracer.record
                     else None,
                 )
-            if rec is not None:
-                rec.open("round", None)
 
             self._simulate_superstep(s, first_pid, csize)
 
@@ -499,8 +387,6 @@ class _HMMSimRun:
                     self._cycle_swaps(label, next_label, first_pid, csize)
             if tracing:
                 tracer.close()
-            if rec is not None:
-                rec.close()
             if done:
                 break
 
@@ -512,14 +398,11 @@ class _HMMSimRun:
         tracer = self.tracer
         mu = self.mu
 
-        rec = self.tape_rec
         if step.is_dummy:
             # no computation, no communication: only the unit sync charge
             t0 = machine.time
             machine.charge(float(csize))
             tracer.add_leaf("dummy", "dummies", t0, machine.time)
-            if rec is not None:
-                rec.leaf("dummy", "dummies", (float(csize),))
             self.counters.add("dummy_supersteps")
             for k in range(csize):
                 self.next_step[self.slot_to_pid[k]] += 1
@@ -563,10 +446,6 @@ class _HMMSimRun:
                 t += top_cost
                 if tracing:
                     tracer.add_leaf("cycle-context", "cycling", t0, t)
-                if rec is not None:
-                    rec.leaf(
-                        "cycle-context", "cycling", (bc, bc, top_cost, top_cost)
-                    )
             view.pid = pid
             view.ctx = contexts[pid]
             view.inbox = pending[pid]  # kept ordered at delivery time
@@ -577,8 +456,6 @@ class _HMMSimRun:
             t = t0 + view.local_time
             if tracing:
                 tracer.add_leaf("local", "local", t0, t)
-            if rec is not None:
-                rec.leaf("local", "local", (view.local_time,))
             extend(outbox)
             clear()
             next_step[pid] += 1
@@ -596,23 +473,10 @@ class _HMMSimRun:
         t0 = t
         pid_to_slot = self.pid_to_slot
         word_cost = self._slot_word_cost
-        if rec is None:
-            for dest, msg in outgoing:
-                insort(pending[dest], msg)
-                t += word_cost[pid_to_slot[msg.src]]
-                t += word_cost[pid_to_slot[dest]]
-        else:
-            charges: list[float] = []
-            append = charges.append
-            for dest, msg in outgoing:
-                insort(pending[dest], msg)
-                c_src = word_cost[pid_to_slot[msg.src]]
-                c_dst = word_cost[pid_to_slot[dest]]
-                t += c_src
-                t += c_dst
-                append(c_src)
-                append(c_dst)
-            rec.leaf("delivery", "delivery", charges)
+        for dest, msg in outgoing:
+            insort(pending[dest], msg)
+            t += word_cost[pid_to_slot[msg.src]]
+            t += word_cost[pid_to_slot[dest]]
         machine.time = t
         if tracing:
             tracer.add_leaf("delivery", "delivery", t0, t)
@@ -630,9 +494,6 @@ class _HMMSimRun:
         j = (first_pid - parent_first) // csize
 
         self.tracer.open("cycle-swaps", "swaps")
-        rec = self.tape_rec
-        if rec is not None:
-            rec.open("cycle-swaps", "swaps")
         if j > 0:
             # C (on top) <-> C0 (parked at C's home, slot range j)
             self._swap_slot_ranges(0, j * csize, csize)
@@ -640,200 +501,6 @@ class _HMMSimRun:
             # C0 (now on top) <-> C_{j+1} (at its home, slot range j+1)
             self._swap_slot_ranges(0, (j + 1) * csize, csize)
         self.tracer.close()
-        if rec is not None:
-            rec.close()
-
-    # ------------------------------------------------ parallel round driver
-    def execute_parallel(self, cfg: ParallelConfig) -> None:
-        """Run the schedule, fanning independent clusters out to workers.
-
-        The smoothed schedule decomposes into maximal *segments* of
-        supersteps with nonzero labels; within a segment the ``1 << l1``
-        top-level clusters (``l1 = label_set[1]``) evolve independently,
-        so each is simulated in a worker process and the charged costs
-        are re-folded here **in cluster order** — bit-identical to the
-        serial path (each worker returns a charge tape of the elementary
-        ``time +=`` operands, replayed in sequence on the parent clock).
-
-        Label-0 supersteps, undersized segments (per the
-        ``min_work_per_task`` gate) and any segment whose dispatch fails
-        run inline via :meth:`execute`, whose ``stop`` parameter pauses
-        exactly at segment boundaries.
-        """
-        from repro.parallel.pool import PoolUnavailable, shared_pool
-
-        steps = self.steps
-        n_steps = len(steps)
-        label_set = self.smoothed.label_set
-        if len(label_set) < 2 or label_set[1] < 1:
-            # degenerate schedule (v == 1): nothing to fan out
-            self.execute()
-            return
-        l1 = label_set[1]
-        v_sub = self.v >> l1
-        pool = None
-        pos = 0
-        while pos < n_steps:
-            if steps[pos].label == 0:
-                self.execute(stop=pos + 1)
-                pos += 1
-                continue
-            end = pos
-            while end < n_steps and steps[end].label != 0:
-                end += 1
-            # smoothed programs end with a global sync, so end < n_steps
-            if (end - pos) * v_sub < cfg.min_work_per_task:
-                self.execute(stop=end)
-                pos = end
-                continue
-            try:
-                if pool is None:
-                    pool = shared_pool(cfg.jobs)
-                self._run_segment_parallel(
-                    pool, pos, end, l1, v_sub, cfg.retry
-                )
-            except PoolUnavailable as exc:
-                if not cfg.fallback:
-                    raise
-                warn_fallback_once(
-                    f"parallel round scheduling degraded to serial: {exc}"
-                )
-                self.execute(stop=end)
-            pos = end
-
-    def _run_segment_parallel(
-        self, pool, pos: int, end: int, l1: int, v_sub: int, policy=None
-    ) -> None:
-        """Dispatch one segment's clusters to the pool and merge in order.
-
-        The shifted sub-program (labels ``- l1``, bodies wrapped to see
-        global pids) is pickled once; each cluster's task adds only its
-        context/pending slices.  Raises ``PoolUnavailable`` before any
-        state is mutated, so the caller can rerun the segment serially.
-        """
-        from repro.parallel.pool import dumps_payload
-
-        sim = self.sim
-        counters_on = self.counters is not NULL_COUNTERS
-        want_spans = self.tracer is not NULL_TRACER
-        steps = self.steps
-        sub_steps = [
-            Superstep(
-                s.label - l1, s.body, name=s.name, array_body=s.array_body
-            )
-            for s in steps[pos:end]
-        ]
-        sub_label_set = [
-            lab - l1 for lab in self.smoothed.label_set if lab >= l1
-        ]
-        common = dumps_payload(
-            (
-                sim.f,
-                sim.c2,
-                sim.check_invariants,
-                v_sub,
-                self.mu,
-                l1,
-                sub_steps,
-                sub_label_set,
-                counters_on,
-                self.v,
-                self.program.array_schema,
-                sim.kernel,
-            )
-        )
-        payloads = []
-        for j in range(1 << l1):
-            offset = j * v_sub
-            args = (
-                common,
-                offset,
-                self.contexts[offset : offset + v_sub],
-                self.pending[offset : offset + v_sub],
-                want_spans,
-            )
-            payloads.append(dumps_payload(("hmm-segment", args)))
-        futures = pool.submit_many("hmm-segment", payloads)
-        results = pool.gather_ordered(
-            futures, kind="hmm-segment", payloads=payloads, policy=policy
-        )
-        for j, result in enumerate(results):
-            self._merge_segment_result(
-                j, v_sub, l1, end, result, want_spans, counters_on
-            )
-
-    def _merge_segment_result(
-        self,
-        j: int,
-        v_sub: int,
-        l1: int,
-        end: int,
-        result,
-        want_spans: bool,
-        counters_on: bool,
-    ) -> None:
-        """Fold cluster ``j``'s worker result back into the parent run.
-
-        The worker's final round closed without the inter-cluster swaps
-        (its sub-program simply ends); serially those swaps happen
-        *inside* that round's span.  So the tape replay stops before the
-        final close, the parent performs the swaps against its real slot
-        layout (the only parent-side slot mutation — worker-internal
-        swaps net to identity by segment end), then closes the span.
-        """
-        w_contexts, w_pending, tape, rounds, w_counters = result
-        offset = j * v_sub
-        self.contexts[offset : offset + v_sub] = w_contexts
-        if offset:
-            pending = self.pending
-            for k, box in enumerate(w_pending):
-                pending[offset + k] = [
-                    Message(m.src + offset, m.payload) for m in box
-                ]
-        else:
-            self.pending[:v_sub] = w_pending
-        next_step = self.next_step
-        for pid in range(offset, offset + v_sub):
-            next_step[pid] = end
-        self.round_index += rounds
-        if counters_on and w_counters:
-            self.counters.merge(w_counters)
-        if want_spans:
-            self._replay_span_tape(tape)
-        else:
-            machine = self.machine
-            t = machine.time
-            for c in tape:
-                t += c
-            machine.time = t
-        self._cycle_swaps(l1, 0, offset, v_sub)
-        if want_spans:
-            self.tracer.close()
-
-    def _replay_span_tape(self, entries) -> None:
-        """Re-fold a worker's span tape onto the parent clock and tracer.
-
-        Leaves carry their elementary charge operands; markers re-open
-        and re-close the worker's spans so the phase breakdown (including
-        per-span self-cost rounding into ``other``) matches the serial
-        trace exactly.  The final close is skipped — the caller supplies
-        the deferred inter-cluster swaps and then closes the round span.
-        """
-        machine = self.machine
-        tracer = self.tracer
-        assert entries and entries[-1] == ("c",)
-        for entry in entries[:-1]:
-            kind = entry[0]
-            if kind == "l":
-                t = t0 = machine.time
-                for c in entry[3]:
-                    t += c
-                machine.time = t
-                tracer.add_leaf(entry[1], entry[2], t0, t)
-            elif kind == "o":
-                tracer.open(entry[1], entry[2])
-            else:
-                tracer.close()
 
     # ---------------------------------------------------------- invariants
     def _check_invariants(

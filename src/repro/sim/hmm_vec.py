@@ -1,7 +1,6 @@
 """Vectorized execution of the HMM round scheduler (the ``vec`` kernel).
 
-The key observation (the charge-tape contract of the parallel scheduler,
-taken to its conclusion): for a fixed access function and machine shape,
+The key observation: for a fixed access function and machine shape,
 the Figure 1 schedule — which cluster runs in which round, every context
 cycling charge, every swap charge, the *order* of every elementary
 ``time +=`` — depends only on the smoothed label sequence, never on what
@@ -468,12 +467,8 @@ def _phase_events(plan, pattern: _Pattern, b_len) -> PhaseEvents:
 
 # ------------------------------------------------------------------ entry
 def execute_vec(run) -> None:
-    """Vectorized replacement for ``_HMMSimRun._execute_scalar()``.
-
-    Only full runs are dispatched here (the parallel driver's serial
-    bursts use the scalar path; worker processes, which each run their
-    whole sub-program, land here with a :class:`FlatTape` attached).
-    """
+    """Vectorized replacement for ``_HMMSimRun._execute_scalar()``:
+    runs the whole program, from the run's initial state."""
     assert run.round_index == 0, "vec kernel only executes full runs"
     plan = _plan_for(run)
     bodies = run_bodies(run.program, run.contexts, run.pending)
@@ -481,8 +476,6 @@ def execute_vec(run) -> None:
     buf, pattern, b_len = _assemble_stream(
         plan, bodies.local, bodies.src, bodies.dest
     )
-    if run.tape_rec is not None:
-        run.tape_rec.charges.frombytes(buf[1:].tobytes())
     _add_counters(run, plan, b_len)
 
     machine = run.machine

@@ -46,7 +46,6 @@ from repro.obs.trace import OTHER
 
 __all__ = [
     "ArrayView",
-    "GlobalizedArrayView",
     "ranges_concat",
     "interleave2",
     "deliver_sorted",
@@ -147,41 +146,6 @@ class ArrayView:
         if np.any(np.asarray(t) < 0):
             raise ValueError(f"cannot charge negative time {t!r}")
         self.local_time += t
-
-
-class GlobalizedArrayView:
-    """Present global pids to an array body running on a sub-machine.
-
-    The array analog of :class:`repro.parallel.workers._GlobalizedView`: worker
-    processes simulate a pid slice ``offset .. offset + v_sub`` as local
-    pids ``0 .. v_sub``, while program bodies index processors globally.
-    Sends are translated back to local coordinates; the underlying
-    view's cluster check still applies (cluster widths agree because the
-    label is shifted by the same amount as the machine is narrowed).
-    """
-
-    __slots__ = ("_view", "_offset", "pids", "v", "mu", "label", "ctx",
-                 "inbox_src", "inbox_payload")
-
-    def __init__(self, view: ArrayView, offset: int, v_global: int,
-                 label_shift: int = 0):
-        self._view = view
-        self._offset = offset
-        self.pids = view.pids + offset
-        self.v = v_global
-        self.mu = view.mu
-        self.label = view.label + label_shift
-        self.ctx = view.ctx
-        self.inbox_src = (
-            view.inbox_src + offset if view.inbox_src is not None else None
-        )
-        self.inbox_payload = view.inbox_payload
-
-    def send(self, dest, payload) -> None:
-        self._view.send(np.asarray(dest) - self._offset, payload)
-
-    def charge(self, t) -> None:
-        self._view.charge(t)
 
 
 def ranges_concat(starts, lengths) -> np.ndarray:

@@ -31,7 +31,6 @@ from repro.dbsp.program import Message, ProcView, Program, Superstep
 from repro.functions import CostTable, LogarithmicAccess, PolynomialAccess
 from repro.obs.counters import Counters
 from repro.obs.trace import Tracer
-from repro.parallel.workers import _OffsetBody
 from repro.sim.brent import BRENT_PHASES, BrentSimulator
 from repro.sim.hmm_sim import HMMSimulator
 
@@ -59,6 +58,46 @@ class _Scatter:
         base = view.pid - view.pid % csize
         for k in range((w + self.salt) % (self.fanout + 1)):
             view.send(base + (view.pid - base + 1 + k) % csize, (w + k) % _MOD)
+
+
+class _GlobalizedView:
+    """A host-local :class:`ProcView` presented under guest-global ids:
+    pids are translated on the way in (``pid``, inbox senders) and out
+    (``send`` destinations)."""
+
+    __slots__ = ("_view", "_offset", "pid", "v", "mu", "label", "ctx", "inbox")
+
+    def __init__(self, view: ProcView, offset: int, v_global: int):
+        self._view = view
+        self._offset = offset
+        self.pid = view.pid + offset
+        self.v = v_global
+        self.mu = view.mu
+        self.label = view.label
+        self.ctx = view.ctx
+        self.inbox = [Message(m.src + offset, m.payload) for m in view.inbox]
+
+    def send(self, dest: int, payload=None) -> None:
+        self._view.send(dest - self._offset, payload)
+
+    def charge(self, t: float) -> None:
+        self._view.charge(t)
+
+    def received(self):
+        return (msg.payload for msg in self.inbox)
+
+
+class _OffsetBody:
+    """Run a body that speaks guest-global pids on one host's local
+    simulation of processors ``offset .. offset + v/v'``."""
+
+    def __init__(self, body, offset: int, v_global: int):
+        self.body = body
+        self.offset = offset
+        self.v_global = v_global
+
+    def __call__(self, view) -> None:
+        self.body(_GlobalizedView(view, self.offset, self.v_global))
 
 
 @st.composite
@@ -127,8 +166,7 @@ def _host_by_host(g, v_host: int, program: Program, trace: str):
                     Superstep(s.label - log_vh, s.body and _OffsetBody(s.body, off, v))
                     for s in steps[pos:end]
                 ])
-                res = HMMSimulator(g, trace="counters", kernel="scalar",
-                                   parallel=1).simulate(
+                res = HMMSimulator(g, trace="counters", kernel="scalar").simulate(
                     local,
                     initial_contexts=contexts[off:off + per_host],
                     initial_pending=[

@@ -282,6 +282,12 @@ class TestBenchOnlyFilter:
         with pytest.raises(SystemExit, match="matches no workload"):
             main(["bench", "--only", "zzz-nothing"])
 
+    def test_jobs_without_distribute_is_a_usage_error(self):
+        # a single simulation always runs in one process: --jobs only
+        # spreads whole workloads, which takes --distribute
+        with pytest.raises(SystemExit, match="--distribute"):
+            main(["bench", "--smoke", "--jobs", "2"])
+
 
 class TestDagCommand:
     def test_dag_run_checks_values(self, capsys):

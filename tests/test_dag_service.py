@@ -143,7 +143,7 @@ class TestService:
         assert kernel["misses"] >= 1
 
     def test_plan_cache_hits_accumulate(self):
-        # drive the kernel directly, serially (parallel=1), so the plan
+        # drive the kernel directly, in this process, so the plan
         # cache under observation is this process's own — under
         # REPRO_JOBS>1 the service computes in workers, whose caches
         # are invisible here
@@ -158,9 +158,9 @@ class TestService:
             heuristic="locality",
         )
         f = resolve_access_function("x^0.5")
-        ENGINES["vec"].run(program, f, parallel=1)
+        ENGINES["vec"].run(program, f)
         before = plan_cache_info()["hits"]
-        ENGINES["vec"].run(program, f, parallel=1)
+        ENGINES["vec"].run(program, f)
         assert plan_cache_info()["hits"] > before
 
 

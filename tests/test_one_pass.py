@@ -22,7 +22,6 @@ from repro.dbsp.machine import DBSPMachine
 from repro.dbsp.program import Program, Superstep
 from repro.engines import ENGINES, build_program, resolve_access_function
 from repro.obs.trace import Tracer
-from repro.parallel.config import ParallelConfig
 from repro.sim import brent, bt_sim, hmm_vec, kernel
 
 PASS_MODULES = {"vec": hmm_vec, "bt": bt_sim, "brent": brent}
@@ -156,12 +155,6 @@ def counting_program(v: int = 16) -> tuple[Program, list[int]]:
 FALLBACKS = {
     "hmm": ("hmm", {}),
     "vec-kernel-scalar": ("vec", {"kernel": "scalar"}),
-    "vec-fan-out": (
-        "vec",
-        # two jobs, but every segment below the work floor runs inline:
-        # the fan-out path without a pool
-        {"parallel": ParallelConfig(jobs=2, min_work_per_task=1 << 30)},
-    ),
     "bt-mergesort": ("bt", {"sort": "mergesort"}),
     "bt-unchunked": ("bt", {"chunked_compute": False}),
     "brent-vh-v": ("brent", {"v_host": 16}),

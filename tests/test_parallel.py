@@ -1,248 +1,195 @@
-"""The process-parallel scheduler's contract: bit-identical charged costs.
+"""The worker pool's contract: same charges, graceful degradation.
 
-The tier-1 claim (ISSUE 3): for any job count, the HMM and Brent engines
-charge **exactly** the same model time, counters and per-phase breakdown
-as the serial path — the worker pool changes wall clock only.  These
-tests pin that bit-for-bit (``==`` on floats, no tolerances), plus the
-degradation contract: infrastructure failures fall back to serial with a
-one-shot warning, genuine program errors propagate unchanged, and the
-``min_work_per_task`` gate keeps small runs off the pool entirely.
+A cell run across the pool returns exactly what the serial path
+returns — ``==`` on the hmm and brent result documents, floats
+included.  Infrastructure failures fall back to serial with a one-shot
+warning, or raise with ``fallback=False``; a genuine task error
+propagates unchanged.  ``import repro`` loads none of the pool
+machinery: a single simulation always runs in one process.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import repro
 from repro.bench import (
     BENCH_SCHEMA,
     Workload,
     _run_engine_workload,
     bench_header,
     check_against,
+    sweep_workload,
 )
-from repro.dbsp.program import Program, Superstep
-from repro.engines import build_program, resolve_access_function
 from repro.obs.trace import SpanRecord, merge_span_lists, tag_spans
 from repro.parallel import (
     ParallelConfig,
     ParallelFallbackWarning,
     PoolUnavailable,
-    WorkerPool,
     parallel_map,
     reset_fallback_warnings,
+    run_cells,
     touch_sweep,
 )
 from repro.parallel.config import SERIAL, resolve_parallel
-from repro.sim.brent import BrentSimulator
-from repro.sim.hmm_sim import HMMSimulator
 
-#: fan out even the tiny test programs (the default gate would keep them
-#: inline and the determinism claim would be vacuously true)
-EAGER = ParallelConfig(jobs=4, min_work_per_task=1)
+#: two workers: enough to dispatch, small enough for a shared host
+EAGER = ParallelConfig(jobs=2)
 
 FUNCTIONS = ["x^0.5", "log", "staircase"]
 PROGRAMS = ["sort", "fft-rec"]
 
+#: ``touch-cost`` task arguments: small, fast, deterministic cells
+ARGS = [(256, "x^0.5"), (512, "x^0.5")]
 
-def _no_fallback():
-    """Context: any silent degradation to serial fails the test."""
-    ctx = warnings.catch_warnings()
-    ctx.__enter__()
-    warnings.simplefilter("error", ParallelFallbackWarning)
-    return ctx
+
+def test_import_repro_loads_no_pool_machinery():
+    # a fresh interpreter that finds the same package this suite imports
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('\\n'.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    pool_modules = [
+        name for name in loaded
+        if name.startswith("repro.parallel")
+        or name.startswith("multiprocessing")
+        or name == "concurrent.futures.process"
+    ]
+    assert pool_modules == []
 
 
 # --------------------------------------------------------- determinism
+def _cell(engine: str, pname: str, fspec: str, trace: str = "phases"):
+    """One ``run-cell`` payload: a v=16, mu=4 run of a bundled program."""
+    return (engine, pname, 16, 4, fspec, trace)
+
+
+def _pooled(cells):
+    """Run cells across the pool; any silent serial fallback fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ParallelFallbackWarning)
+        docs, _ = run_cells(cells, parallel=EAGER)
+    return docs
+
+
 @pytest.mark.parametrize("fspec", FUNCTIONS)
 @pytest.mark.parametrize("pname", PROGRAMS)
 def test_hmm_parallel_bit_identical(pname, fspec):
-    f = resolve_access_function(fspec)
-    program = build_program(pname, 16, 4)
-    serial = HMMSimulator(f, trace="phases").simulate(program)
-    ctx = _no_fallback()
-    try:
-        par = HMMSimulator(f, trace="phases", parallel=EAGER).simulate(
-            program
-        )
-    finally:
-        ctx.__exit__(None, None, None)
-    assert par.time == serial.time
-    assert par.rounds == serial.rounds
-    assert par.counters == serial.counters
-    assert par.breakdown == serial.breakdown
-    assert par.contexts == serial.contexts
-    assert par.pending == serial.pending
+    cells = [_cell("hmm", pname, fspec)]
+    serial, _ = run_cells(cells, parallel=1)
+    assert _pooled(cells) == serial
 
 
 @pytest.mark.parametrize("fspec", FUNCTIONS)
 @pytest.mark.parametrize("pname", PROGRAMS)
 def test_brent_parallel_bit_identical(pname, fspec):
-    g = resolve_access_function(fspec)
-    program = build_program(pname, 16, 4)
-    serial = BrentSimulator(g, v_host=4, trace="phases").simulate(program)
-    ctx = _no_fallback()
-    try:
-        par = BrentSimulator(
-            g, v_host=4, trace="phases", parallel=EAGER
-        ).simulate(program)
-    finally:
-        ctx.__exit__(None, None, None)
-    assert par.time == serial.time
-    assert par.counters == serial.counters
-    assert par.breakdown == serial.breakdown
-    assert par.contexts == serial.contexts
+    cells = [_cell("brent", pname, fspec)]
+    serial, _ = run_cells(cells, parallel=1)
+    assert _pooled(cells) == serial
 
 
 @pytest.mark.parametrize("trace", ["off", "counters"])
 def test_hmm_parallel_identical_at_reduced_trace_levels(trace):
-    f = resolve_access_function("x^0.5")
-    program = build_program("sort", 16, 4)
-    serial = HMMSimulator(f, trace=trace).simulate(program)
-    par = HMMSimulator(f, trace=trace, parallel=EAGER).simulate(program)
-    assert par.time == serial.time
-    assert par.counters == serial.counters
-    assert par.contexts == serial.contexts
+    cells = [_cell("hmm", "sort", "x^0.5", trace)]
+    serial, _ = run_cells(cells, parallel=1)
+    assert _pooled(cells) == serial
 
 
-def test_jobs_one_is_plain_serial():
-    # jobs=1 must never touch pool machinery: identical object-level path
-    f = resolve_access_function("x^0.5")
-    program = build_program("sort", 16, 4)
-    cfg = ParallelConfig(jobs=1, min_work_per_task=1)
+def test_jobs_one_is_plain_serial(monkeypatch):
+    # jobs=1 must never touch pool machinery
+    def no_pool(jobs):
+        raise AssertionError("jobs=1 reached the pool")
+
+    monkeypatch.setattr("repro.parallel.sweep.shared_pool", no_pool)
+    cfg = ParallelConfig(jobs=1)
     assert not cfg.enabled
-    serial = HMMSimulator(f).simulate(program)
-    via_cfg = HMMSimulator(f, parallel=cfg).simulate(program)
-    assert via_cfg.time == serial.time
+    docs, _ = run_cells([_cell("hmm", "sort", "x^0.5")], parallel=cfg)
+    assert docs[0]["time"] > 0
 
 
 # ------------------------------------------------------ degraded paths
 class _FailingPool:
     """A pool whose dispatch always fails as infrastructure."""
 
-    def __init__(self):
-        self.tasks_submitted = 0
-
-    def submit_many(self, kind, payloads):
-        raise PoolUnavailable("injected failure")
-
     def run_ordered(self, kind, args_list, **kwargs):
         raise PoolUnavailable("injected failure")
 
 
-def test_hmm_failing_pool_falls_back_serial_with_one_warning(monkeypatch):
+def _fail_pool(monkeypatch):
     monkeypatch.setattr(
-        "repro.parallel.pool.shared_pool", lambda jobs: _FailingPool()
+        "repro.parallel.sweep.shared_pool", lambda jobs: _FailingPool()
     )
     reset_fallback_warnings()
-    f = resolve_access_function("x^0.5")
-    program = build_program("sort", 16, 4)
-    serial = HMMSimulator(f).simulate(program)
+
+
+def test_hmm_failing_pool_falls_back_serial_with_one_warning(monkeypatch):
+    _fail_pool(monkeypatch)
+    cells = [_cell("hmm", "sort", "x^0.5")]
+    serial, _ = run_cells(cells, parallel=1)
     with pytest.warns(ParallelFallbackWarning):
-        par = HMMSimulator(f, parallel=EAGER).simulate(program)
-    assert par.time == serial.time
-    assert par.counters == serial.counters
-    assert par.contexts == serial.contexts
+        par, _ = run_cells(cells, parallel=EAGER)
+    assert par == serial
     # the warning is one-shot per reason: a second run stays quiet
     with warnings.catch_warnings():
         warnings.simplefilter("error", ParallelFallbackWarning)
-        again = HMMSimulator(f, parallel=EAGER).simulate(program)
-    assert again.time == serial.time
+        again, _ = run_cells(cells, parallel=EAGER)
+    assert again == serial
 
 
 def test_brent_failing_pool_falls_back_serial(monkeypatch):
-    """brent has no per-host fan-out: ``parallel`` is accepted and
-    ignored, so even a failing pool is never touched and nothing warns."""
-    pool = _FailingPool()
-
-    def shared_pool(jobs):
-        pool.tasks_submitted += 1
-        return pool
-
-    monkeypatch.setattr("repro.parallel.pool.shared_pool", shared_pool)
-    reset_fallback_warnings()
-    g = resolve_access_function("x^0.5")
-    program = build_program("sort", 16, 4)
-    serial = BrentSimulator(g, v_host=4).simulate(program)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        par = BrentSimulator(g, v_host=4, parallel=EAGER).simulate(program)
-    assert pool.tasks_submitted == 0
-    assert par.time == serial.time
-    assert par.counters == serial.counters
+    _fail_pool(monkeypatch)
+    cells = [_cell("brent", "sort", "x^0.5")]
+    serial, _ = run_cells(cells, parallel=1)
+    with pytest.warns(ParallelFallbackWarning):
+        par, _ = run_cells(cells, parallel=EAGER)
+    assert par == serial
 
 
 def test_fallback_false_raises(monkeypatch):
-    monkeypatch.setattr(
-        "repro.parallel.pool.shared_pool", lambda jobs: _FailingPool()
-    )
-    cfg = ParallelConfig(jobs=4, min_work_per_task=1, fallback=False)
-    f = resolve_access_function("x^0.5")
-    program = build_program("sort", 16, 4)
+    _fail_pool(monkeypatch)
+    cfg = ParallelConfig(jobs=2, fallback=False)
     with pytest.raises(PoolUnavailable):
-        HMMSimulator(f, parallel=cfg).simulate(program)
+        parallel_map("touch-cost", ARGS, parallel=cfg)
 
 
-def test_unpicklable_body_falls_back_serial():
-    # lambda bodies cannot cross the process boundary: dumps_payload
-    # raises PoolUnavailable before dispatch and the run stays serial
+def test_unpicklable_payload_falls_back_serial():
+    # a local class cannot cross the process boundary: dumps_payload
+    # raises PoolUnavailable before dispatch and the map runs serially
+    class LocalSpec(str):
+        pass
+
     reset_fallback_warnings()
-    f = resolve_access_function("x^0.5")
-    steps = [
-        Superstep(4, lambda view: None, name="noop"),
-        Superstep(0, None, name="sync"),
-    ]
-    program = Program(16, 4, steps, name="lambda-prog")
-    serial = HMMSimulator(f).simulate(program)
+    serial = parallel_map("touch-cost", ARGS, parallel=1)
     with pytest.warns(ParallelFallbackWarning):
-        par = HMMSimulator(f, parallel=EAGER).simulate(program)
-    assert par.time == serial.time
-
-
-def test_min_work_gate_keeps_small_runs_inline(monkeypatch):
-    sentinel = WorkerPool(2)
-    monkeypatch.setattr(
-        "repro.parallel.pool.shared_pool", lambda jobs: sentinel
-    )
-    f = resolve_access_function("x^0.5")
-    program = build_program("sort", 16, 4)
-    # default min_work_per_task (4096) dwarfs this program's segments
-    cfg = ParallelConfig(jobs=4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ParallelFallbackWarning)
-        par = HMMSimulator(f, parallel=cfg).simulate(program)
-    assert sentinel.tasks_submitted == 0
-    serial = HMMSimulator(f).simulate(program)
-    assert par.time == serial.time
-
-
-class _BoomBody:
-    """Picklable body that blows up on processor 0."""
-
-    def __call__(self, view):
-        if view.pid == 0:
-            raise ValueError("boom from the program body")
+        par = parallel_map(
+            "touch-cost", [(n, LocalSpec(f)) for n, f in ARGS], parallel=EAGER
+        )
+    assert par == serial
 
 
 def test_genuine_task_error_propagates_unchanged():
-    # a ValueError raised by the simulated program must cross the pool
-    # boundary as-is — never be eaten as an infrastructure failure
-    f = resolve_access_function("x^0.5")
-    steps = [
-        Superstep(4, _BoomBody(), name="boom"),
-        Superstep(0, None, name="sync"),
-    ]
-    program = Program(16, 4, steps, name="boom-prog")
-    with pytest.raises(ValueError, match="boom from the program body"):
-        HMMSimulator(f, parallel=EAGER).simulate(program)
+    # a ValueError raised inside a worker task (matmul cannot build at
+    # v=8) must cross the pool boundary as-is — never be eaten as an
+    # infrastructure failure
+    with pytest.raises(ValueError, match="power of 4"):
+        _pooled([("hmm", "matmul", 8, 4, "x^0.5", "phases")])
 
 
 # ------------------------------------------------------- config layer
 def test_resolve_parallel_forms():
     assert resolve_parallel(None) is not None
     assert resolve_parallel(3).jobs == 3
-    cfg = ParallelConfig(jobs=2, min_work_per_task=7)
+    cfg = ParallelConfig(jobs=2)
     assert resolve_parallel(cfg) is cfg
     assert not resolve_parallel(1).enabled
     with pytest.raises(TypeError):
@@ -346,11 +293,16 @@ def test_engine_workload_propagates_genuine_value_error():
 
 
 def test_engine_workload_parallel_cell_matches_serial_counters():
-    w = Workload("sort/hmm", "hmm", "sort", delivery_heavy=True)
-    cell_serial = _run_engine_workload(w, v=16, repeats=1)
-    cell_par = _run_engine_workload(
-        w, v=16, repeats=1, parallel=ParallelConfig(jobs=2, min_work_per_task=1)
-    )
-    assert cell_par["model_time"] == cell_serial["model_time"]
-    assert cell_par["charged_words"] == cell_serial["charged_words"]
-    assert cell_par["rounds"] == cell_serial["rounds"]
+    w = Workload("sort/hmm", "hmm", "sort", start=16, cap=16,
+                 delivery_heavy=True)
+    serial = sweep_workload(w, budget_s=1.0)["sweep"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ParallelFallbackWarning)
+        [(_, pooled)] = parallel_map(
+            "bench-workload", [(dataclasses.asdict(w), 1.0, False)],
+            parallel=EAGER,
+        )
+    for field in ("model_time", "charged_words", "rounds"):
+        assert [c[field] for c in pooled["sweep"]] == [
+            c[field] for c in serial
+        ]

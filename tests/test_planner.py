@@ -28,13 +28,11 @@ from repro.analysis.predict import (
     write_profile,
 )
 from repro.engines import ENGINES, build_program, resolve_access_function
-from repro.parallel.config import (
-    DEFAULT_MIN_WORK_PER_TASK,
-    reset_fallback_warnings,
-)
+from repro.parallel.config import reset_fallback_warnings
 from repro.parallel.pool import shared_pool
 from repro.resilience import recovery
 from repro.service.planner import (
+    DEFAULT_MIN_WORK_PER_TASK,
     DEFAULT_TENANT,
     MAX_RETRY_AFTER_S,
     BudgetExceeded,

@@ -64,7 +64,6 @@ CHARGED_FIELDS = ("v", "model_time", "rounds", "charged_words")
 
 def eager(**kw) -> ParallelConfig:
     kw.setdefault("jobs", 2)
-    kw.setdefault("min_work_per_task", 1)
     kw.setdefault("retry", RetryPolicy(max_retries=4, backoff_s=0.0))
     return ParallelConfig(**kw)
 

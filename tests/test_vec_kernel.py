@@ -3,7 +3,7 @@
 The ``vec`` engine's whole claim is *exact* equivalence — ``==`` on
 charged time, counters, breakdowns, contexts, and span tapes, not
 ``approx``.  These tests pin that claim against every scalar engine,
-across trace levels, under ``--jobs`` folding, inside Brent fine runs,
+across trace levels, inside Brent fine runs,
 and with fault injection armed; they also exercise the array-kernel
 contract errors and the primitives (`deliver_sorted`, the plan cache,
 the access-function ufunc cache) the kernel is built from.
@@ -115,23 +115,7 @@ class TestPropertyEquivalence:
 
 
 class TestComposition:
-    """The kernel composes with --jobs folding and Brent fine runs."""
-
-    @pytest.mark.parametrize("name", ["sort", "fft-rec"])
-    def test_jobs_two_tape_identical(self, name):
-        prog = build_program(name, 16)
-        serial = HMMSimulator(F, kernel="scalar", trace="full").simulate(prog)
-        par = HMMSimulator(
-            F, kernel="vec", parallel=2, trace="full"
-        ).simulate(prog)
-        assert_identical(serial, par)
-
-    @pytest.mark.parametrize("seed", [11, 12])
-    def test_jobs_two_random_program(self, seed):
-        prog = random_program(16, n_steps=4, seed=seed)
-        serial = HMMSimulator(F, kernel="scalar").simulate(prog)
-        par = HMMSimulator(F, kernel="vec", parallel=2).simulate(prog)
-        assert_identical(serial, par)
+    """The kernel composes with Brent fine runs."""
 
     def test_brent_fine_runs_use_vec_identically(self):
         prog = build_program("sort", 16)
