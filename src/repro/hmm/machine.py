@@ -143,24 +143,23 @@ class HMMMachine:
         self.counters.add("words_moved", length)
         self.mem[dst : dst + length] = self.mem[src : src + length]
 
-    def swap_ranges(self, a: int, b: int, length: int) -> float:
+    def swap_ranges(self, a: int, b: int, length: int) -> None:
         """Exchange two disjoint ranges of ``length`` words.
 
         Charged two accesses per word on each side (read + write), i.e.
-        ``2 * (sum f(a..) + sum f(b..))``.  Returns the charged amount.
+        ``2 * (sum f(a..) + sum f(b..))``, added to the clock as one
+        amount.
         """
         self._check_disjoint(a, b, length)
-        charge = 2.0 * (
+        self.time += 2.0 * (
             self.table.range_cost(a, a + length)
             + self.table.range_cost(b, b + length)
         )
-        self.time += charge
         self.counters.add("words_touched", 2 * length)
         self.counters.add("words_moved", 2 * length)
         tmp = self.mem[a : a + length]
         self.mem[a : a + length] = self.mem[b : b + length]
         self.mem[b : b + length] = tmp
-        return charge
 
     # ------------------------------------------------------------- helpers
     def _check_disjoint(self, a: int, b: int, length: int) -> None:

@@ -34,8 +34,8 @@ into a plan kept in an LRU of its own (:func:`plan_cache_info`): the
 maximal runs, each coarse superstep's message cost ``g(mu v / 2^i)``, the
 per-guest cycling and filing costs, and for every fine run the Section 3
 :class:`~repro.sim.hmm_vec.ChargePlan` of its smoothed, shifted local
-program — compiled by the same builder the ``vec`` kernel uses.  A run
-then
+program — taken from the ``vec`` kernel's schedule cache and priced
+with ``g``.  A run then
 
 1. executes every body once, superstep-major, over the whole guest
    machine (:func:`repro.sim.kernel.run_bodies`) — the contexts and
@@ -94,7 +94,7 @@ from repro.dbsp.program import Program, Superstep
 from repro.functions import AccessFunction, CostTable
 from repro.obs.counters import Counters
 from repro.obs.trace import SpanRecord, Tracer
-from repro.sim.hmm_vec import _build_plan as _build_hmm_plan
+from repro.sim.hmm_vec import _price, _schedule_for
 from repro.sim.kernel import BodyPass, PlanCache, ranges_concat, run_bodies
 from repro.sim.smoothing import build_label_set_hmm, smooth_program
 
@@ -274,14 +274,16 @@ class _FineRun:
     """One fine run: its Section 3 plan, mapped onto the guest's pass.
 
     ``plan`` schedules the host-local program (``v/v'`` guests, labels
-    shifted by ``log v'``, smoothed as the HMM simulation smooths it).
-    Every host runs the same schedule; only the bodies' local times and
-    messages differ, so host ``j``'s charge stream is the plan's
-    templates with host ``j``'s values scattered in.
+    shifted by ``log v'``, smoothed as the HMM simulation smooths it);
+    it comes from the ``vec`` kernel's schedule cache, and ``prices``
+    are its charges under ``g``.  Every host runs the same schedule;
+    only the bodies' local times and messages differ, so host ``j``'s
+    charge stream is the plan's templates with host ``j``'s values
+    scattered in.
     """
 
     __slots__ = (
-        "op", "plan", "hole_src", "sends",
+        "op", "plan", "prices", "hole_src", "sends",
         "a_round", "a_rel", "c_round", "c_rel",
     )
 
@@ -297,11 +299,10 @@ class _FineRun:
         smoothed = smooth_program(
             local, build_label_set_hmm(g, per_host, mu, c2)
         )
-        block_cost, word_cost, table = costs
-        plan = self.plan = _build_hmm_plan(
-            per_host, mu, smoothed.program.supersteps,
-            block_cost, word_cost, table,
+        plan = self.plan = _schedule_for(
+            per_host, mu, smoothed.program.supersteps
         )
+        self.prices = _price(plan, *costs)
         # local step -> guest step; the closing global sync smoothing may
         # append is a dummy, so it never reaches a hole or a send
         guest_step = np.array(
@@ -340,9 +341,9 @@ class _FineRun:
         position of every hole (in :attr:`hole_src` order) and the
         number of messages the run's bodies sent.
         """
-        plan = self.plan
+        plan, prices = self.plan, self.prices
         n_rounds = plan.R
-        per_host = len(plan.wc)
+        per_host = plan.v
         hosts = np.arange(v_host)
         keys, ranks, src_cost, dest_cost = [], [], [], []
         for step, csize, round_of in self.sends:
@@ -358,8 +359,8 @@ class _FineRun:
                 np.arange(len(src)) - np.searchsorted(cluster, cluster)
             )
             # the cluster sits on top sorted by pid: slot = pid mod |C|
-            src_cost.append(plan.wc[src & (csize - 1)])
-            dest_cost.append(plan.wc[dest & (csize - 1)])
+            src_cost.append(prices.wc[src & (csize - 1)])
+            dest_cost.append(prices.wc[dest & (csize - 1)])
         key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
         n_msgs = np.bincount(key, minlength=v_host * n_rounds)
         off = np.zeros((v_host, n_rounds + 1), dtype=np.int64)
@@ -372,9 +373,9 @@ class _FineRun:
         buf = np.zeros((v_host, width), dtype=np.float64)
         flat = buf.reshape(-1)
         a_pos = row + off[:, self.a_round] + self.a_rel
-        flat[a_pos] = plan.A_all
-        if plan.C_all.size:
-            flat[row + off[:, self.c_round + 1] + self.c_rel] = plan.C_all
+        flat[a_pos] = prices.values[plan.a_code]
+        if prices.C_all.size:
+            flat[row + off[:, self.c_round + 1] + self.c_rel] = prices.C_all
         if keys:
             host, rnd = np.divmod(key, n_rounds)
             pos = (

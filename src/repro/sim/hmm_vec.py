@@ -1,16 +1,20 @@
 """Vectorized execution of the HMM round scheduler (the ``vec`` kernel).
 
-The key observation: for a fixed access function and machine shape,
-the Figure 1 schedule — which cluster runs in which round, every context
-cycling charge, every swap charge, the *order* of every elementary
-``time +=`` — depends only on the smoothed label sequence, never on what
-the superstep bodies compute.  So the schedule is compiled once into a
-:class:`ChargePlan` (cached per ``(f, v, mu, labels)``), bodies are run
+The key observation: for a fixed machine shape, the Figure 1 schedule
+— which cluster runs in which round, which context every cycling and
+swap charge touches, the *order* of every elementary ``time +=`` —
+depends only on the smoothed label sequence, never on what the
+superstep bodies compute; the access function only sets the price of
+each charge.  So the schedule is compiled once into a
+:class:`ChargePlan` (cached per ``(v, mu, labels, dummy flags)``, with
+its charges as codes into a small value table and its swaps as slot
+ranges), priced per access function by a few array gathers
+(:class:`Prices`, the latest two kept on the plan), bodies are run
 superstep-major (valid because processor bodies within a superstep are
 independent — the direct engine already executes step-major and passes
-the equivalence suites), and the charged clock is produced by scattering
-the plan's charge templates, the bodies' local times and the batched
-delivery charges into one operand stream and folding it with a single
+the equivalence suites), and the charged clock is produced by gathering
+the plan's priced charge templates, the bodies' local times and the
+batched delivery charges into one operand stream and folding it with a single
 ``np.cumsum`` — the same fold :meth:`repro.functions.CostTable.fold_access`
 uses, which reproduces the serial ``t += c`` sequence bit-for-bit,
 including every intermediate clock value.
@@ -50,6 +54,7 @@ baseline from it instead of running the bodies a second time.
 from __future__ import annotations
 
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,44 +71,74 @@ from repro.sim.kernel import (
 
 __all__ = ["ChargePlan", "execute_vec", "plan_cache_info"]
 
-_PLANS = PlanCache(8)
+#: schedules are f-free, so the capacity follows the distinct
+#: ``(v, mu, labels)`` signatures of a worker's traffic: about 80 for
+#: the benchmark's serve-cold sweep, where every request brings a fresh f
+_PLANS = PlanCache(128)
+#: prices a schedule keeps, for its most recent access functions: a
+#: repeated call finds its prices, and a fresh f on a known shape (a
+#: serve-cold request) adds one small entry in place of the oldest
+_PRICES_KEPT = 2
+
+
+class Prices(NamedTuple):
+    """A schedule's charges under one access function: a few values
+    per slot, so a schedule can keep several."""
+
+    values: np.ndarray  #: the value table ``a_code`` indexes
+    C_all: np.ndarray  #: one charge per swap, in round order
+    wc: np.ndarray  #: per slot: the cost of its block's first word
 
 
 class ChargePlan:
-    """The compiled, body-independent part of one HMM simulation run.
+    """The compiled Fig. 1 schedule of one HMM simulation run, with the
+    access function left out.
 
     Per round: the superstep simulated, the cluster (``first``/``csize``),
-    the fixed charge template (dummy sync or cycling charges with holes
-    for the bodies' local times) and the Step 4 swap charges.  Plus the
-    gather/scatter indices and counter constants needed to assemble a
-    full run's charge stream without touching the scalar loop.
+    the fixed charge template as codes into a value table (``a_code``:
+    code ``k < v`` is slot ``k``'s block cost, code ``v`` a hole for a
+    local time, code ``v + 1 + label`` a dummy's unit sync charge
+    ``v >> label``) and the Step 4 swaps as slot triples
+    (``swaps[:, i] = (a, b, length)``).  Plus the hole indices and
+    counter constants needed to assemble a run's charge stream, the
+    stream layout of the last delivery pattern, and the prices of the
+    access functions it last ran under.  Cached per
+    ``(v, mu, labels, dummy flags)``: :func:`_price` turns it into one
+    function's charges.
     """
 
     __slots__ = (
         "v", "mu", "n_steps", "R",
         "step", "first", "csize", "label", "dummy",
-        "a_len", "A_all", "local_pos", "local_src",
-        "c_len", "C_all",
-        "b_starts_cache",
+        "a_len", "a_code", "fixed_values", "local_pos", "local_src",
+        "c_len", "swaps",
+        "b_starts_cache", "prices",
         "rounds_of_step", "csize_of_step",
-        "wc",
         "cycle_words", "n_normal_rounds", "n_dummy_rounds",
         "total_context_swaps", "total_swap_words",
     )
 
 
-def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
-    """Replay the Figure 1 scheduler bookkeeping (no bodies, no clock).
+def _index_array(values, bound: int) -> np.ndarray:
+    """``values`` in the smallest unsigned type that holds ``bound``."""
+    return np.asarray(values, dtype=np.min_scalar_type(bound))
+
+
+def _build_schedule(v, mu, steps) -> ChargePlan:
+    """Replay the Figure 1 scheduler bookkeeping (no bodies, no clock,
+    no access function).
 
     This is a faithful replication of ``_HMMSimRun.execute``'s control
     flow; the Theorem 4 invariants are asserted while building, so every
-    run on the plan inherits the ``check_invariants="top"`` guarantee.
+    run on the schedule inherits the ``check_invariants="top"`` guarantee.
     """
     n_steps = len(steps)
     labels = [s.label for s in steps]
     dummy_step = [s.body is None for s in steps]
     slot_to_pid = list(range(v))
     next_step = [0] * v
+    hole = v
+    code_type = np.min_scalar_type(v + v.bit_length())
 
     r_step: list[int] = []
     r_first: list[int] = []
@@ -113,7 +148,7 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
     c_len: list[int] = []
     a_parts: list[np.ndarray] = []
     a_len: list[int] = []
-    swap_charges: list[float] = []
+    swaps: list[tuple[int, int, int]] = []
     rounds_of_step: dict[int, list[int]] = {}
 
     cycle_words = 0
@@ -121,7 +156,6 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
     total_context_swaps = 0
     total_swap_words = 0
 
-    top_cost = block_cost[0]
     # per-csize charge template for a normal round: a hole for the k=0
     # local time, then (bc_k, bc_k, top, top, hole) per cycled context
     templates: dict[int, np.ndarray] = {}
@@ -129,24 +163,19 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
     def template_for(csize: int) -> np.ndarray:
         tpl = templates.get(csize)
         if tpl is None:
-            tpl = np.zeros(5 * csize - 4, dtype=np.float64)
+            tpl = np.full(5 * csize - 4, hole, dtype=code_type)
             for k in range(1, csize):
-                bc = block_cost[k]
                 base = 5 * k - 4
-                tpl[base] = bc
-                tpl[base + 1] = bc
-                tpl[base + 2] = top_cost
-                tpl[base + 3] = top_cost
+                tpl[base] = k
+                tpl[base + 1] = k
+                tpl[base + 2] = 0
+                tpl[base + 3] = 0
             templates[csize] = tpl
         return tpl
 
     def do_swap(a: int, b: int, length: int) -> None:
         nonlocal total_context_swaps, total_swap_words
-        charge = 2.0 * (
-            table.range_cost(a * mu, (a + length) * mu)
-            + table.range_cost(b * mu, (b + length) * mu)
-        )
-        swap_charges.append(charge)
+        swaps.append((a, b, length))
         total_context_swaps += 2 * length
         total_swap_words += 2 * length * mu
         pids_a = slot_to_pid[a : a + length]
@@ -161,7 +190,7 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
         label = labels[s]
         csize = v >> label
         first = top_pid & -csize
-        # Theorem 4 invariants, asserted once per (f, v, mu, labels)
+        # Theorem 4 invariants, asserted once per (v, mu, labels)
         if slot_to_pid[:csize] != list(range(first, first + csize)):
             raise AssertionError(
                 f"Invariant 2 violated at round {len(r_step)}: top slots "
@@ -179,7 +208,7 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
         r_label.append(label)
         if dummy_step[s]:
             r_dummy.append(True)
-            a_parts.append(np.array([float(csize)]))
+            a_parts.append(np.array([hole + 1 + label], dtype=code_type))
             a_len.append(1)
             n_dummy_rounds += 1
         else:
@@ -192,7 +221,7 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
         for pid in range(first, first + csize):
             next_step[pid] += 1
 
-        n_swaps_before = len(swap_charges)
+        n_swaps_before = len(swaps)
         done = next_step[slot_to_pid[0]] >= n_steps
         if not done and s + 1 < n_steps:
             next_label = labels[s + 1]
@@ -205,7 +234,7 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
                     do_swap(0, j * csize, csize)
                 if j < b - 1:
                     do_swap(0, (j + 1) * csize, csize)
-        c_len.append(len(swap_charges) - n_swaps_before)
+        c_len.append(len(swaps) - n_swaps_before)
         if done:
             break
 
@@ -220,12 +249,16 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
     plan.label = np.array(r_label, dtype=np.int64)
     plan.dummy = np.array(r_dummy, dtype=bool)
     plan.a_len = np.array(a_len, dtype=np.int64)
-    plan.A_all = (
-        np.concatenate(a_parts) if a_parts else np.empty(0, dtype=np.float64)
+    plan.a_code = (
+        np.concatenate(a_parts) if a_parts else np.empty(0, dtype=code_type)
+    )
+    # the value table's f-free tail: the hole, then per label the dummy
+    # round's unit sync charge
+    plan.fixed_values = np.array(
+        [0.0] + [float(v >> label) for label in range(v.bit_length())]
     )
     plan.c_len = np.array(c_len, dtype=np.int64)
-    plan.C_all = np.array(swap_charges, dtype=np.float64)
-    plan.wc = np.array(word_cost, dtype=np.float64)
+    plan.swaps = _index_array(swaps, v).reshape(-1, 3).T
     plan.rounds_of_step = {
         s: np.array(rs, dtype=np.int64) for s, rs in rounds_of_step.items()
     }
@@ -236,42 +269,70 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
     plan.total_context_swaps = total_context_swaps
     plan.total_swap_words = total_swap_words
     plan.b_starts_cache = {}
+    plan.prices = {}
 
-    # positions of the local-time holes inside A_all, and the
+    # positions of the local-time holes inside the templates, and the
     # (step * v + pid) source index each hole reads from local_flat
     normal = ~plan.dummy
     a_off = np.zeros(plan.R, dtype=np.int64)
     np.cumsum(plan.a_len[:-1], out=a_off[1:])
     n_csize = plan.csize[normal]
-    if n_csize.size:
-        intra = ranges_concat(np.zeros(len(n_csize), dtype=np.int64), n_csize)
-        plan.local_pos = np.repeat(a_off[normal], n_csize) + 5 * intra
-        plan.local_src = ranges_concat(
-            plan.step[normal] * v + plan.first[normal], n_csize
-        )
-    else:
-        plan.local_pos = np.empty(0, dtype=np.int64)
-        plan.local_src = np.empty(0, dtype=np.int64)
+    intra = ranges_concat(np.zeros(len(n_csize), dtype=np.int64), n_csize)
+    plan.local_pos = _index_array(
+        np.repeat(a_off[normal], n_csize) + 5 * intra, len(plan.a_code)
+    )
+    plan.local_src = _index_array(
+        ranges_concat(plan.step[normal] * v + plan.first[normal], n_csize),
+        n_steps * v,
+    )
     return plan
 
 
-def _plan_for(run) -> ChargePlan:
-    sim = run.sim
-    steps = run.steps
-    sig = (
-        sim.f,
-        run.v,
-        run.mu,
-        tuple((s.label, s.body is None) for s in steps),
+def _price(plan: ChargePlan, block_cost, word_cost, table) -> Prices:
+    """``plan``'s charges under the access function of ``table``.
+
+    ``block_cost[k]`` is what touching slot ``k``'s context block costs
+    and ``word_cost[k]`` its first word.  A swap of slots ``[a, a+n)``
+    and ``[b, b+n)`` costs ``2.0 * (range_cost(a) + range_cost(b))``
+    over the table's prefix sums: the floats and the order of addition
+    of :meth:`~repro.hmm.machine.HMMMachine.swap_ranges`, so the charges
+    are those of the scalar engine bit for bit.
+    """
+    prefix = table._prefix
+    a, b, n = plan.swaps.astype(np.intp) * plan.mu
+    return Prices(
+        np.concatenate((block_cost, plan.fixed_values)),
+        2.0 * ((prefix[a + n] - prefix[a]) + (prefix[b + n] - prefix[b])),
+        np.array(word_cost, dtype=np.float64),
     )
-    return _PLANS.get(sig, lambda: _build_plan(
-        run.v,
-        run.mu,
-        steps,
-        run._block_cost,
-        run._slot_word_cost,
-        run.machine.table,
-    ))
+
+
+def _schedule_for(v: int, mu: int, steps) -> ChargePlan:
+    """The cached schedule of ``steps`` on ``v`` processors of ``mu``
+    words, built on a miss."""
+    sig = (v, mu, tuple((s.label, s.body is None) for s in steps))
+    return _PLANS.get(sig, lambda: _build_schedule(v, mu, steps))
+
+
+def _plan_for(run) -> tuple[ChargePlan, Prices]:
+    """The run's schedule and its prices under the run's access
+    function, from the schedule's memo of recent ones when the function
+    can be hashed."""
+    plan = _schedule_for(run.v, run.mu, run.steps)
+    f = run.sim.f
+    try:
+        prices = plan.prices.get(f)
+    except TypeError:  # a custom access function without value equality
+        return plan, _price(
+            plan, run._block_cost, run._slot_word_cost, run.machine.table
+        )
+    if prices is None:
+        prices = _price(
+            plan, run._block_cost, run._slot_word_cost, run.machine.table
+        )
+        kept = list(plan.prices.items())[: _PRICES_KEPT - 1]
+        plan.prices = dict([(f, prices), *kept])
+    return plan, prices
 
 
 def plan_cache_info() -> dict:
@@ -281,7 +342,7 @@ def plan_cache_info() -> dict:
 
 
 # ------------------------------------------------------------- assembly
-def _delivery_stream(plan, step_src, step_dest):
+def _delivery_stream(plan, wc, step_src, step_dest):
     """Per-round delivery charges, in round order.
 
     Step-major send arrays are charged in one vectorized pass per step
@@ -296,7 +357,6 @@ def _delivery_stream(plan, step_src, step_dest):
     b_start = np.zeros(R, dtype=np.int64)
     parts: list[np.ndarray] = []
     base = 0
-    wc = plan.wc
     for s, rounds_idx in plan.rounds_of_step.items():
         src = step_src[s]
         if src is None:
@@ -319,52 +379,61 @@ def _delivery_stream(plan, step_src, step_dest):
 
 
 class _Pattern:
-    """The scatter indices of one delivery pattern, and the plan's span
-    walk at this pattern's stream positions (compiled on first use)."""
+    """One delivery pattern's stream layout: the round offsets, and for
+    every stream position the operand it takes from a run's pool
+    ``[value table, hole local times, delivery charges, swap charges]``
+    (in the smallest type that holds a pool index: patterns stay cached
+    with their plan); plus the plan's span walk at this pattern's
+    stream positions (compiled on first use)."""
 
-    __slots__ = ("off", "a_idx", "b_idx", "c_idx", "local_idx", "events")
+    __slots__ = ("off", "gather", "events")
 
     def __init__(self, plan, b_len):
-        r_len = plan.a_len + b_len + plan.c_len
         off = self.off = np.zeros(plan.R + 1, dtype=np.int64)
-        np.cumsum(r_len, out=off[1:])
-        self.a_idx = ranges_concat(off[:-1], plan.a_len)
-        self.b_idx = ranges_concat(off[:-1] + plan.a_len, b_len)
-        self.c_idx = ranges_concat(off[:-1] + plan.a_len + b_len, plan.c_len)
-        self.local_idx = self.a_idx[plan.local_pos]
+        np.cumsum(plan.a_len + b_len + plan.c_len, out=off[1:])
+        b_at = off[:-1] + plan.a_len
+        # the pool: value table, holes' local times, then the delivery
+        # and swap charges in stream order
+        n_a = plan.v + len(plan.fixed_values)
+        a_src = plan.a_code.astype(np.int64)
+        a_src[plan.local_pos] = np.arange(n_a, n_a + len(plan.local_pos))
+        n_a += len(plan.local_pos)
+        bc_pos = np.concatenate((
+            ranges_concat(b_at, b_len), ranges_concat(b_at + b_len, plan.c_len)
+        ))
+        gather = np.empty(int(off[-1]), dtype=np.int64)
+        gather[ranges_concat(off[:-1], plan.a_len)] = a_src
+        gather[bc_pos] = np.arange(n_a, n_a + len(bc_pos))
+        self.gather = _index_array(gather, n_a + len(bc_pos))
         self.events: PhaseEvents | None = None
 
 
-def _assemble_stream(plan, local_flat, step_src, step_dest):
-    """Scatter charge templates, local times and delivery charges into
+def _assemble_stream(plan, prices, local_flat, step_src, step_dest):
+    """Gather charge templates, local times and delivery charges into
     the one operand stream the scalar engine folds serially.
 
-    The scatter indices depend on the plan and on ``b_len`` only — and
-    repeated runs of the same program deliver the same per-round message
-    counts — so they are cached on the plan (one :class:`_Pattern`,
-    keyed by the ``b_len`` bytes; a different delivery pattern just
-    rebuilds).  The cache turns assembly from three index constructions
-    plus a template copy into three fancy-index writes.
+    The layout depends on the plan and on ``b_len`` only — and repeated
+    runs of the same program deliver the same per-round message counts —
+    so it is cached on the plan (one :class:`_Pattern`, keyed by the
+    ``b_len`` bytes; a different delivery pattern just rebuilds).  A run
+    then lays its few operand sources end to end and takes the stream
+    from them with one gather.
     """
-    B, b_len = _delivery_stream(plan, step_src, step_dest)
+    B, b_len = _delivery_stream(plan, prices.wc, step_src, step_dest)
     key = b_len.tobytes()
     pattern = plan.b_starts_cache.get(key)
     if pattern is None:
         pattern = _Pattern(plan, b_len)
         plan.b_starts_cache.clear()  # keep exactly one pattern resident
         plan.b_starts_cache[key] = pattern
+    pool = np.concatenate(
+        (prices.values, local_flat[plan.local_src], B, prices.C_all)
+    )
     # one extra slot up front: the caller seeds it with the machine
     # clock and cumsums in place, so the stream never has to be copied
     # into a separate fold buffer
-    buf = np.empty(pattern.off[-1] + 1, dtype=np.float64)
-    stream = buf[1:]
-    stream[pattern.a_idx] = plan.A_all
-    if pattern.local_idx.size:
-        stream[pattern.local_idx] = local_flat[plan.local_src]
-    if B.size:
-        stream[pattern.b_idx] = B
-    if plan.C_all.size:
-        stream[pattern.c_idx] = plan.C_all
+    buf = np.empty(len(pattern.gather) + 1, dtype=np.float64)
+    pool.take(pattern.gather, out=buf[1:], mode="clip")
     return buf, pattern, b_len
 
 
@@ -470,11 +539,11 @@ def execute_vec(run) -> None:
     """Vectorized replacement for ``_HMMSimRun._execute_scalar()``:
     runs the whole program, from the run's initial state."""
     assert run.round_index == 0, "vec kernel only executes full runs"
-    plan = _plan_for(run)
+    plan, prices = _plan_for(run)
     bodies = run_bodies(run.program, run.contexts, run.pending)
     run.body_pass = bodies.select(run.smoothed.original_steps)
     buf, pattern, b_len = _assemble_stream(
-        plan, bodies.local, bodies.src, bodies.dest
+        plan, prices, bodies.local, bodies.src, bodies.dest
     )
     _add_counters(run, plan, b_len)
 

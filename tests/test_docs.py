@@ -70,3 +70,60 @@ def test_paper_map_names_real_modules(page):
         assert mod.is_file() or (pkg / "__init__.py").is_file(), (
             f"{page} cites {path}, which does not exist"
         )
+
+
+def documented_commands() -> list[tuple[str, str]]:
+    """Every ``python -m repro ...`` line inside a fenced code block of
+    README.md and docs/*.md, as ``(page:line, command)``."""
+    found = []
+    for page in [ROOT / "README.md", *sorted(ROOT.glob("docs/*.md"))]:
+        in_code = False
+        for n, line in enumerate(page.read_text().splitlines(), 1):
+            text = line.strip()
+            if text.startswith("```"):
+                in_code = not in_code
+            elif in_code and text.startswith("python -m repro"):
+                found.append((f"{page.relative_to(ROOT)}:{n}", text))
+    return found
+
+
+def parse_error(command: str) -> str | None:
+    """What the CLI's argument parser says about ``command`` (parse
+    only, nothing runs); ``None`` when it parses."""
+    import contextlib
+    import io
+    import shlex
+
+    from repro.cli import build_parser
+
+    argv = shlex.split(command, comments=True)[3:]  # after python -m repro
+    if argv and argv[-1] == "&":
+        argv.pop()
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # --version exits 0 after printing
+            return err.getvalue()
+    return None
+
+
+def test_documented_commands_parse():
+    """A stale flag in a documented command fails the build."""
+    failures = [
+        f"{where}: {command!r}\n{error}"
+        for where, command in documented_commands()
+        if (error := parse_error(command)) is not None
+    ]
+    assert not failures, "documented commands that do not parse:\n" + (
+        "\n".join(failures)
+    )
+
+
+def test_command_check_sees_the_docs_and_rejects_a_stale_flag():
+    pages = {where.split(":")[0] for where, _ in documented_commands()}
+    assert {"README.md", "docs/dag.md", "docs/TUTORIAL.md"} <= pages
+    assert parse_error("python -m repro run sort --v 16") is None
+    assert "--trace" in parse_error("python -m repro run sort --trace off")

@@ -121,7 +121,8 @@ class TestRun:
         # a zero-time guest must not fabricate a 0.0 slowdown (the old
         # CLI printed "slowdown = 0.0"); no real program reaches this --
         # even an empty one is padded to a costed global sync -- so fake
-        # the baseline machine
+        # the baseline machine.  The scalar kernel pins the separate
+        # direct run (the vec kernel folds the baseline from its own pass)
         import repro.engines as engines_module
 
         class ZeroGuest:
@@ -135,7 +136,7 @@ class TestRun:
                 return ZeroGuest()
 
         monkeypatch.setattr(engines_module, "DBSPMachine", ZeroMachine)
-        res = run("broadcast", engine="hmm", v=8)
+        res = run("broadcast", engine="hmm", v=8, kernel="scalar")
         assert res.baseline_time == 0.0
         assert res.slowdown is None
 

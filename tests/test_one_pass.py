@@ -153,7 +153,7 @@ def counting_program(v: int = 16) -> tuple[Program, list[int]]:
 
 
 FALLBACKS = {
-    "hmm": ("hmm", {}),
+    "hmm": ("hmm", {"kernel": "scalar"}),
     "vec-kernel-scalar": ("vec", {"kernel": "scalar"}),
     "bt-mergesort": ("bt", {"sort": "mergesort"}),
     "bt-unchunked": ("bt", {"chunked_compute": False}),
