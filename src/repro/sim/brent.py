@@ -94,7 +94,7 @@ from repro.dbsp.program import Program, Superstep
 from repro.functions import AccessFunction, CostTable
 from repro.obs.counters import Counters
 from repro.obs.trace import SpanRecord, Tracer
-from repro.sim.hmm_vec import _price, _schedule_for
+from repro.sim.hmm_vec import _messages, _price, _schedule_for
 from repro.sim.kernel import BodyPass, PlanCache, ranges_concat, run_bodies
 from repro.sim.smoothing import build_label_set_hmm, smooth_program
 
@@ -283,7 +283,7 @@ class _FineRun:
     """
 
     __slots__ = (
-        "op", "plan", "prices", "hole_src", "sends",
+        "op", "plan", "prices", "hole_src", "guest_step",
         "a_round", "a_rel", "c_round", "c_rel",
     )
 
@@ -316,14 +316,8 @@ class _FineRun:
              + plan.local_src % per_host)
             + (np.arange(v_host) * per_host)[:, None]
         ).ravel()
-        #: per non-dummy local step: (guest step, cluster size, the round
-        #: simulating each of a host's clusters)
-        self.sends = []
-        for s, rounds in plan.rounds_of_step.items():
-            csize = plan.csize_of_step[s]
-            round_of = np.empty(per_host // csize, dtype=np.int64)
-            round_of[plan.first[rounds] // csize] = rounds
-            self.sends.append((int(guest_step[s]), csize, round_of))
+        #: per local step: the guest step it runs (-1 for none)
+        self.guest_step = guest_step.tolist()
         self.a_round, self.a_rel = _ranges(plan.a_len)
         self.c_round, c_rel = _ranges(plan.c_len)
         # swap charges close their round: offsets from the round's end
@@ -345,23 +339,17 @@ class _FineRun:
         n_rounds = plan.R
         per_host = plan.v
         hosts = np.arange(v_host)
-        keys, ranks, src_cost, dest_cost = [], [], [], []
-        for step, csize, round_of in self.sends:
-            src = bodies.src[step]
-            if src is None:
-                continue
-            dest = bodies.dest[step]
-            cluster = src // csize  # nondecreasing: sends are pid-major
-            keys.append(
-                (src // per_host) * n_rounds + round_of[cluster % len(round_of)]
-            )
-            ranks.append(
-                np.arange(len(src)) - np.searchsorted(cluster, cluster)
-            )
-            # the cluster sits on top sorted by pid: slot = pid mod |C|
-            src_cost.append(prices.wc[src & (csize - 1)])
-            dest_cost.append(prices.wc[dest & (csize - 1)])
-        key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+        msgs = _messages(
+            plan,
+            [None if g < 0 else bodies.src[g] for g in self.guest_step],
+            [None if g < 0 else bodies.dest[g] for g in self.guest_step],
+        )
+        if msgs is None:
+            key = np.empty(0, dtype=np.int64)
+        else:
+            src, rnd, src_slot, dest_slot = msgs
+            host = src // per_host
+            key = host * n_rounds + rnd
         n_msgs = np.bincount(key, minlength=v_host * n_rounds)
         off = np.zeros((v_host, n_rounds + 1), dtype=np.int64)
         np.cumsum(
@@ -376,14 +364,21 @@ class _FineRun:
         flat[a_pos] = prices.values[plan.a_code]
         if prices.C_all.size:
             flat[row + off[:, self.c_round + 1] + self.c_rel] = prices.C_all
-        if keys:
-            host, rnd = np.divmod(key, n_rounds)
+        if msgs is not None:
+            # one (host, round)'s messages are one cluster's sends in one
+            # step: a contiguous run of the step-ordered, pid-major
+            # messages, and the next run has another key
+            at = np.arange(len(key))
+            run_start = np.zeros(len(key), dtype=np.int64)
+            new_run = np.flatnonzero(key[1:] != key[:-1]) + 1
+            run_start[new_run] = new_run
+            np.maximum.accumulate(run_start, out=run_start)
             pos = (
                 host * width + off[host, rnd] + plan.a_len[rnd]
-                + 2 * np.concatenate(ranks)
+                + 2 * (at - run_start)
             )
-            flat[pos] = np.concatenate(src_cost)
-            flat[pos + 1] = np.concatenate(dest_cost)
+            flat[pos] = prices.wc[src_slot]
+            flat[pos + 1] = prices.wc[dest_slot]
         return buf, a_pos[:, plan.local_pos].ravel(), len(key)
 
 

@@ -100,11 +100,16 @@ class ChargePlan:
     local time, code ``v + 1 + label`` a dummy's unit sync charge
     ``v >> label``) and the Step 4 swaps as slot triples
     (``swaps[:, i] = (a, b, length)``).  Plus the hole indices and
-    counter constants needed to assemble a run's charge stream, the
-    stream layout of the last delivery pattern, and the prices of the
-    access functions it last ran under.  Cached per
-    ``(v, mu, labels, dummy flags)``: :func:`_price` turns it into one
-    function's charges.
+    counter constants needed to assemble a run's charge stream; the
+    round table (``round_of[s * v + pid]``: the round that simulates
+    ``pid``'s cluster in step ``s``, the inverse of ``local_src``) and
+    each step's slot mask (``slot_mask[s] = |C| - 1``), which place a
+    message in its round and its endpoints in the top slots; the stream
+    layout of the last delivery pattern (``pattern_cache``: one
+    :class:`_Pattern`, keyed by the bytes of its per-round message
+    charge counts ``b_len``); and the prices of the access functions it
+    last ran under.  Cached per ``(v, mu, labels, dummy flags)``:
+    :func:`_price` turns it into one function's charges.
     """
 
     __slots__ = (
@@ -112,8 +117,7 @@ class ChargePlan:
         "step", "first", "csize", "label", "dummy",
         "a_len", "a_code", "fixed_values", "local_pos", "local_src",
         "c_len", "swaps",
-        "b_starts_cache", "prices",
-        "rounds_of_step", "csize_of_step",
+        "round_of", "slot_mask", "pattern_cache", "prices",
         "cycle_words", "n_normal_rounds", "n_dummy_rounds",
         "total_context_swaps", "total_swap_words",
     )
@@ -149,7 +153,6 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
     a_parts: list[np.ndarray] = []
     a_len: list[int] = []
     swaps: list[tuple[int, int, int]] = []
-    rounds_of_step: dict[int, list[int]] = {}
 
     cycle_words = 0
     n_dummy_rounds = 0
@@ -201,7 +204,6 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
                 f"Invariant 1 violated at round {len(r_step)}: cluster "
                 f"[{first}, {first + csize}) not {s}-ready"
             )
-        r = len(r_step)
         r_step.append(s)
         r_first.append(first)
         r_csize.append(csize)
@@ -217,7 +219,6 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
             a_parts.append(tpl)
             a_len.append(len(tpl))
             cycle_words += 4 * mu * (csize - 1)
-            rounds_of_step.setdefault(s, []).append(r)
         for pid in range(first, first + csize):
             next_step[pid] += 1
 
@@ -259,16 +260,19 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
     )
     plan.c_len = np.array(c_len, dtype=np.int64)
     plan.swaps = _index_array(swaps, v).reshape(-1, 3).T
-    plan.rounds_of_step = {
-        s: np.array(rs, dtype=np.int64) for s, rs in rounds_of_step.items()
-    }
-    plan.csize_of_step = {s: v >> labels[s] for s in rounds_of_step}
+    # every step runs every pid once, so the rounds' pid ranges tile
+    # the (step, pid) grid; smallest types, as the schedule stays cached
+    plan.round_of = np.empty(n_steps * v, dtype=np.min_scalar_type(plan.R))
+    plan.round_of[ranges_concat(plan.step * v + plan.first, plan.csize)] = (
+        np.repeat(np.arange(plan.R), plan.csize)
+    )
+    plan.slot_mask = _index_array([(v >> lb) - 1 for lb in labels], v - 1)
     plan.cycle_words = cycle_words
     plan.n_normal_rounds = int(plan.R - n_dummy_rounds)
     plan.n_dummy_rounds = n_dummy_rounds
     plan.total_context_swaps = total_context_swaps
     plan.total_swap_words = total_swap_words
-    plan.b_starts_cache = {}
+    plan.pattern_cache = {}
     plan.prices = {}
 
     # positions of the local-time holes inside the templates, and the
@@ -342,40 +346,45 @@ def plan_cache_info() -> dict:
 
 
 # ------------------------------------------------------------- assembly
-def _delivery_stream(plan, wc, step_src, step_dest):
-    """Per-round delivery charges, in round order.
+def _messages(plan, step_src, step_dest):
+    """Every message sent in the steps of ``plan``, in step order and
+    pid-major within a step: its sender, the round that delivers it and
+    the top slots of its two endpoints; ``None`` when nothing was sent.
 
-    Step-major send arrays are charged in one vectorized pass per step
-    (``wc[src & (csize-1)]`` — the top slots hold the cluster sorted by
-    pid at delivery time, so a message endpoint's slot is just its pid
-    offset within the cluster), then gathered into round order: each
-    round's messages are a contiguous pid-range slice of its step's
-    pid-major arrays.
+    ``step_src[s]`` / ``step_dest[s]`` are step ``s``'s send arrays (or
+    ``None``).  Endpoints are taken modulo ``plan.v``, so a Brent fine
+    run can pass its guests' sends: each host runs the same schedule
+    over its own ``v`` pids.  A delivering round has its cluster on top
+    sorted by pid, so an endpoint's slot is its offset in the cluster.
     """
-    R = plan.R
-    b_len = np.zeros(R, dtype=np.int64)
-    b_start = np.zeros(R, dtype=np.int64)
-    parts: list[np.ndarray] = []
-    base = 0
-    for s, rounds_idx in plan.rounds_of_step.items():
-        src = step_src[s]
-        if src is None:
-            continue
-        dest = step_dest[s]
-        csize = plan.csize_of_step[s]
-        mask = csize - 1
-        inter = interleave2(wc[src & mask], wc[dest & mask])
-        firsts = plan.first[rounds_idx]
-        lo = np.searchsorted(src, firsts)
-        hi = np.searchsorted(src, firsts + csize)
-        b_len[rounds_idx] = 2 * (hi - lo)
-        b_start[rounds_idx] = base + 2 * lo
-        parts.append(inter)
-        base += len(inter)
-    if not parts:
-        return np.empty(0, dtype=np.float64), b_len
-    inter_concat = np.concatenate(parts)
-    return inter_concat[ranges_concat(b_start, b_len)], b_len
+    sent = [s for s, src in enumerate(step_src) if src is not None]
+    if not sent:
+        return None
+    src = np.concatenate([step_src[s] for s in sent])
+    dest = np.concatenate([step_dest[s] for s in sent])
+    step = np.repeat(sent, [len(step_src[s]) for s in sent])
+    rnd = plan.round_of[step * plan.v + (src & (plan.v - 1))]
+    mask = plan.slot_mask[step]
+    return src, rnd, src & mask, dest & mask
+
+
+def _delivery_stream(plan, wc, step_src, step_dest):
+    """Per-round delivery charges, in round order, and ``b_len``, the
+    number of charges in each round (two per message).
+
+    One pass over all the messages: each is looked up in the round
+    table, a stable sort by round brings them into round order (a
+    round's messages are one step's, so they stay pid-major, the
+    scalar order), and each contributes ``wc`` of its source slot, then
+    of its destination slot.
+    """
+    msgs = _messages(plan, step_src, step_dest)
+    if msgs is None:
+        return np.empty(0, dtype=np.float64), np.zeros(plan.R, dtype=np.int64)
+    _, rnd, src_slot, dest_slot = msgs
+    order = rnd.argsort(kind="stable")
+    stream = interleave2(wc[src_slot[order]], wc[dest_slot[order]])
+    return stream, 2 * np.bincount(rnd, minlength=plan.R)
 
 
 class _Pattern:
@@ -421,11 +430,11 @@ def _assemble_stream(plan, prices, local_flat, step_src, step_dest):
     """
     B, b_len = _delivery_stream(plan, prices.wc, step_src, step_dest)
     key = b_len.tobytes()
-    pattern = plan.b_starts_cache.get(key)
+    pattern = plan.pattern_cache.get(key)
     if pattern is None:
         pattern = _Pattern(plan, b_len)
-        plan.b_starts_cache.clear()  # keep exactly one pattern resident
-        plan.b_starts_cache[key] = pattern
+        plan.pattern_cache.clear()  # keep exactly one pattern resident
+        plan.pattern_cache[key] = pattern
     pool = np.concatenate(
         (prices.values, local_flat[plan.local_src], B, prices.C_all)
     )

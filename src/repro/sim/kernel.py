@@ -123,10 +123,12 @@ class ArrayView:
                 f"send is full-width: expected {self.pids.shape} "
                 f"destinations, got {dest.shape}"
             )
+        # ndarray methods, not the np.any/np.min module wrappers: this
+        # runs once per superstep, where their dispatch cost shows
         if dest.size and (dest.min() < 0 or dest.max() >= self.v):
             raise ValueError(f"destination outside [0, {self.v})")
         # same aligned-cluster check as ProcView.send, over the whole batch
-        if np.any((self.pids ^ dest) >= (self.v >> self.label)):
+        if ((self.pids ^ dest) >= (self.v >> self.label)).any():
             raise ValueError(
                 f"send crosses a {self.label}-cluster boundary"
             )
@@ -141,9 +143,26 @@ class ArrayView:
         """Account ``t`` additional units of local computation.
 
         ``t`` may be a scalar (uniform across the cluster) or a
-        per-processor array.
+        per-processor array.  A plain ``int`` or ``float`` (what the
+        algorithm library passes) is compared with 0 directly; anything
+        else is checked as an array.
+
+        >>> view = ArrayView(np.arange(2), 2, 1, 0, {}, None, None)
+        >>> view.charge(1)
+        >>> view.charge(np.float64(0.5))
+        >>> view.charge(np.array([0.0, 2.0]))
+        >>> view.local_time.tolist()
+        [2.5, 4.5]
+        >>> view.charge(-1)
+        Traceback (most recent call last):
+        ...
+        ValueError: cannot charge negative time -1
         """
-        if np.any(np.asarray(t) < 0):
+        kind = type(t)
+        if kind is int or kind is float:
+            if t < 0:
+                raise ValueError(f"cannot charge negative time {t!r}")
+        elif (np.asarray(t) < 0).any():
             raise ValueError(f"cannot charge negative time {t!r}")
         self.local_time += t
 
@@ -153,8 +172,8 @@ def ranges_concat(starts, lengths) -> np.ndarray:
 
     The standard repeat/cumsum construction — no Python loop, zero-length
     groups allowed.  This is how the kernel scatters per-round charge
-    segments into one stream and gathers per-round delivery slices out
-    of step-major arrays.
+    segments into one stream and lays each round's pid range into a
+    schedule's round table.
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)

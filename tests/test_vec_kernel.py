@@ -276,6 +276,42 @@ class TestArrayViewContract:
         with pytest.raises(ValueError, match="negative"):
             view.charge(np.array([1.0, 1.0, -0.5, 1.0]))
 
+    @pytest.mark.parametrize(
+        "t", [-1, np.float64(-0.5), np.int64(-1), np.array(-1.0)],
+        ids=["int", "float64", "int64", "0-d array"],
+    )
+    def test_negative_charge_rejected_in_every_form(self, t):
+        view = self._view()
+        with pytest.raises(ValueError, match="negative"):
+            view.charge(t)
+        assert view.local_time.tolist() == [1.0] * 4
+
+    def test_send_rejects_negative_dest(self):
+        view = self._view()
+        with pytest.raises(ValueError, match="destination outside"):
+            view.send(np.array([1, 0, 3, -1]), np.zeros(4))
+
+    def test_charge_forms_add_the_same_floats(self):
+        """A plain scalar, a numpy scalar and an array of one amount
+        leave the same local times, bit for bit."""
+        amounts = [3, 0.1, 0.2, 2, 1e-17]
+        forms = {
+            "python": lambda a: a,
+            "numpy scalar": lambda a: np.asarray(a)[()],
+            "0-d array": np.asarray,
+            "per-processor": lambda a: np.full(4, a),
+        }
+        want = 1.0
+        for a in amounts:
+            want += a
+        for name, form in forms.items():
+            view = self._view()
+            for a in amounts:
+                view.charge(form(a))
+            assert [x.hex() for x in view.local_time.tolist()] == (
+                [want.hex()] * 4
+            ), name
+
     def test_ranges_concat_matches_python(self):
         starts = [3, 0, 7, 7]
         lengths = [2, 0, 3, 1]

@@ -11,11 +11,14 @@ So one cached schedule serves every function:
 * a second function on a cached shape is one cache hit and builds no
   schedule;
 * a function that cannot be hashed still reuses the cached schedule
-  (its prices are computed on every call, never kept).
+  (its prices are computed on every call, never kept);
+* the delivery stream, built in one pass over all of a run's messages,
+  is the per-step construction's, charge for charge.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from repro.functions import LogarithmicAccess, PolynomialAccess
 from repro.sim import hmm_vec
 from repro.sim.hmm_sim import HMMSimulator
 from repro.sim.hmm_vec import plan_cache_info
+from repro.sim.kernel import interleave2, ranges_concat
 from repro.sim.smoothing import smooth_program
 from repro.testing import random_program
 
@@ -159,3 +163,81 @@ def test_schedule_arrays_are_compact(v):
     assert schedule.a_code.dtype.itemsize == (1 if v + v.bit_length() < 256
                                               else 2)
     assert schedule.swaps.dtype.itemsize == (1 if v < 256 else 2)
+
+
+# ----------------------------------------------------- delivery stream
+def _delivery_stream_per_step(plan, wc, step_src, step_dest):
+    """The per-step construction the one-pass stream replaced, kept as
+    its oracle: charge each step's messages in step order, find every
+    round's pid-range slice with two ``searchsorted``s, then gather the
+    slices into round order."""
+    b_len = np.zeros(plan.R, dtype=np.int64)
+    b_start = np.zeros(plan.R, dtype=np.int64)
+    parts = []
+    base = 0
+    for s in range(plan.n_steps):
+        rounds_idx = np.flatnonzero((plan.step == s) & ~plan.dummy)
+        src = step_src[s]
+        if src is None or not len(rounds_idx):
+            continue
+        dest = step_dest[s]
+        csize = int(plan.slot_mask[s]) + 1
+        inter = interleave2(wc[src & (csize - 1)], wc[dest & (csize - 1)])
+        firsts = plan.first[rounds_idx]
+        lo = np.searchsorted(src, firsts)
+        hi = np.searchsorted(src, firsts + csize)
+        b_len[rounds_idx] = 2 * (hi - lo)
+        b_start[rounds_idx] = base + 2 * lo
+        parts.append(inter)
+        base += len(inter)
+    if not parts:
+        return np.empty(0, dtype=np.float64), b_len
+    return np.concatenate(parts)[ranges_concat(b_start, b_len)], b_len
+
+
+@st.composite
+def sent_schedules(draw):
+    """A smoothed schedule (v up to 256, dummy steps) and one run's
+    sends: per step, each processor sends 0 to ``mu`` messages inside
+    its cluster, pid-major; some steps send nothing."""
+    log_v = draw(st.integers(1, 8))
+    v = 1 << log_v
+    mu = draw(st.sampled_from([1, 2, 3]))
+    shape = draw(
+        st.lists(st.tuples(st.integers(0, log_v), st.booleans()),
+                 min_size=1, max_size=8)
+    )
+    prog = Program(v, mu, [
+        Superstep(label, None if dummy else _Scatter(label, 0))
+        for label, dummy in shape
+    ])
+    steps = smooth_program(prog, list(range(v.bit_length()))).program.supersteps
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    silent = draw(st.lists(st.booleans(), min_size=len(steps),
+                           max_size=len(steps)))
+    step_src, step_dest = [], []
+    for step, quiet in zip(steps, silent):
+        counts = rng.integers(0, mu + 1, size=v)
+        if step.body is None or quiet or not counts.any():
+            step_src.append(None)
+            step_dest.append(None)
+            continue
+        csize = v >> step.label
+        src = np.repeat(np.arange(v, dtype=np.int64), counts)
+        step_src.append(src)
+        step_dest.append((src & -csize) + rng.integers(0, csize, len(src)))
+    return hmm_vec._build_schedule(v, mu, steps), step_src, step_dest
+
+
+@given(sent=sent_schedules())
+@settings(max_examples=200, deadline=None)
+def test_one_pass_delivery_stream_matches_per_step(sent):
+    plan, step_src, step_dest = sent
+    # distinct, inexact slot charges: any reordering shows
+    wc = 1.0 + np.arange(plan.v) / 3.0
+    got, got_len = hmm_vec._delivery_stream(plan, wc, step_src, step_dest)
+    want, want_len = _delivery_stream_per_step(
+        plan, wc, step_src, step_dest
+    )
+    assert np.array_equal(got_len, want_len)
+    assert np.array_equal(got, want)
