@@ -26,10 +26,9 @@ CLI into a serving subsystem:
   ``{"error": {"code", "message", "retry_after_s"}}`` envelope every
   non-2xx response carries;
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer``
-  front end, all endpoints under ``/v1`` (unprefixed aliases answer
-  with a ``Deprecation`` header): ``POST /v1/run``, ``POST /v1/batch``,
-  the ``/v1/jobs`` lifecycle, ``GET /v1/healthz``, ``GET /v1/metrics``,
-  with 429 + ``Retry-After`` backpressure;
+  front end, all endpoints under ``/v1``: ``POST /v1/run``,
+  ``POST /v1/batch``, the ``/v1/jobs`` lifecycle, ``GET /v1/healthz``,
+  ``GET /v1/metrics``, with 429 + ``Retry-After`` backpressure;
 * :mod:`repro.service.router` / :mod:`repro.service.shard` — the
   sharded multi-process tier (``serve --shards N``): shard processes
   each running the same :class:`~repro.service.server.SimService` over

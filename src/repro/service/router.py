@@ -527,9 +527,6 @@ class RouterHandler(JsonApiHandler):
     def router(self) -> Router:
         return self.server.router  # type: ignore[attr-defined]
 
-    def _on_deprecated_request(self) -> None:
-        self.router.counters.add("deprecated_requests")
-
     def _forward_headers(self) -> dict[str, str]:
         """Request headers the router relays shard-ward (tenant identity)."""
         tenant = (self.headers.get("X-Tenant") or "").strip()
@@ -579,9 +576,8 @@ class RouterHandler(JsonApiHandler):
         """Write a forwarded (status, headers, payload) response."""
         status, shard_headers, payload = result
         passthrough = dict(headers)
-        for name in ("Retry-After", "Deprecation"):
-            if name in shard_headers:
-                passthrough[name] = shard_headers[name]
+        if "Retry-After" in shard_headers:
+            passthrough["Retry-After"] = shard_headers["Retry-After"]
         self._send_payload(status, payload, headers=passthrough)
         return _STREAMED
 
@@ -642,14 +638,11 @@ class RouterHandler(JsonApiHandler):
         body: bytes | None = None
         if self.command == "POST":
             body = self._read_raw_body()
-        # forward the request path verbatim, normalized under /v1 (the
-        # deprecated alias already earned its Deprecation header here)
+        # forward the request path verbatim (it is under /v1)
         segments = [
             s for s in self.path.split("?", 1)[0].split("/") if s
         ]
-        if segments and segments[0] == API_VERSION:
-            segments = segments[1:]
-        path = "/" + "/".join([API_VERSION] + segments)
+        path = "/" + "/".join(segments)
         result = self.router.forward_pinned(self.command, path, body)
         return self._relay(result, headers)
 

@@ -32,12 +32,10 @@ The surface is versioned under ``/v1`` (all JSON):
 * ``GET /v1/metrics`` — cache counters + gauges, queue gauges, request
   counters, job/gate gauges and the host-side recovery counters.
 
-The pre-versioning unprefixed paths (``/run``, ``/batch``, ...) remain
-as deprecated aliases: same handlers, same responses, plus a
-``Deprecation: true`` response header (and a ``deprecated_requests``
-counter under ``/v1/metrics``).  Routing is one declarative table
-(:data:`ROUTES`) shared by every method — there is no per-endpoint
-if/elif chain to keep in sync.
+Every endpoint lives under ``/v1``: an unprefixed path (``/run``,
+``/healthz``, ...) is ``404 not_found`` like any unknown one.  Routing
+is one declarative table (:data:`ROUTES`) shared by every method —
+there is no per-endpoint if/elif chain to keep in sync.
 
 Failure mapping — every error status carries the same envelope,
 ``{"error": {"code", "message", "retry_after_s"}}`` (see
@@ -66,7 +64,6 @@ from typing import Any
 from dataclasses import replace
 
 from repro.engines import ENGINES, FUNCTION_HELP, PROGRAMS
-from repro.obs.counters import Counters
 from repro.resilience import recovery
 from repro.service.cache import DEFAULT_CAPACITY, ResultCache
 from repro.service.errors import ApiError, error_envelope
@@ -150,7 +147,6 @@ class SimService:
             gate=self.gate,
             planner=planner,
         )
-        self.http_counters = Counters()
         self.job_manager: JobManager | None = None
         if jobs_dir is not None:
             self.job_manager = JobManager(
@@ -296,9 +292,6 @@ class SimService:
             "errors": 0,
         }
         requests.update(self.scheduler.counters.snapshot())
-        http: dict[str, Any] = {"deprecated_requests": 0}
-        http.update(self.http_counters.snapshot())
-        http["parse_cache"] = parse_cache_info()
         if self.job_manager is not None:
             jobs_section = self.job_manager.gauges()
         else:
@@ -318,7 +311,7 @@ class SimService:
             "planner": planner_section,
             "requests": requests,
             "jobs": jobs_section,
-            "http": http,
+            "http": {"parse_cache": parse_cache_info()},
             "recovery": recovery.counters(),
             "kernel": {"plan_cache": plan_cache_info()},
         }
@@ -334,8 +327,7 @@ class SimService:
 
 #: the whole routing surface: ``(method, path segments, handler name)``.
 #: ``None`` segments are wildcards whose values are passed to the
-#: handler in order.  Paths are matched twice — under ``/v1`` and bare
-#: (the deprecated pre-versioning aliases).
+#: handler in order.  Paths are matched under ``/v1``.
 ROUTES: tuple[tuple[str, tuple[str | None, ...], str], ...] = (
     ("GET", ("healthz",), "ep_healthz"),
     ("GET", ("metrics",), "ep_metrics"),
@@ -377,8 +369,7 @@ class JsonApiHandler(BaseHTTPRequestHandler):
     Both front ends — the single-process service handler below and the
     shard router's handler (:mod:`repro.service.router`) — subclass
     this: one declarative route table (class attribute ``ROUTES``), one
-    ``/v1``-or-deprecated-alias path parser, one error mapping onto the
-    unified envelope.  Subclasses provide ``ROUTES``, the ``ep_*``
+    ``/v1`` path parser, one error mapping onto the unified envelope.  Subclasses provide ``ROUTES``, the ``ep_*``
     methods it names, and may override :meth:`_unrouted` (the router
     turns unmatched paths into forwards instead of 404s).
     """
@@ -448,9 +439,6 @@ class JsonApiHandler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:
         self._dispatch("DELETE")
 
-    def _on_deprecated_request(self) -> None:
-        """Hook: a request arrived on an unprefixed legacy alias."""
-
     def _unrouted(
         self, method: str, segments: tuple[str, ...], path: str, headers
     ):
@@ -463,16 +451,12 @@ class JsonApiHandler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         path = self.path.split("?", 1)[0]
         segments = tuple(s for s in path.split("/") if s)
-        deprecated = not (segments and segments[0] == API_VERSION)
-        if not deprecated:
-            segments = segments[1:]
         headers: dict[str, str] = {}
-        if deprecated:
-            headers["Deprecation"] = "true"
-        match = _match(self.ROUTES, method, segments)
+        match = None
+        if segments[:1] == (API_VERSION,):
+            segments = segments[1:]
+            match = _match(self.ROUTES, method, segments)
         try:
-            if deprecated and match is not None:
-                self._on_deprecated_request()
             if match is None:
                 result = self._unrouted(method, segments, path, headers)
             else:
@@ -538,9 +522,6 @@ class _Handler(JsonApiHandler):
     @property
     def service(self) -> SimService:
         return self.server.service  # type: ignore[attr-defined]
-
-    def _on_deprecated_request(self) -> None:
-        self.service.http_counters.add("deprecated_requests")
 
     def _tenant(self) -> str:
         """The request's tenant (``X-Tenant`` header, default tenant)."""
@@ -700,7 +681,7 @@ def serve(
             + ")"
         )
         echo(
-            "endpoints (under /v1; unprefixed aliases are deprecated): "
+            "endpoints (under /v1): "
             "POST /v1/run  POST /v1/batch  POST /v1/plan  POST /v1/jobs  "
             "GET /v1/jobs[/<id>[/events|/result]]  DELETE /v1/jobs/<id>  "
             "GET /v1/healthz  GET /v1/metrics"

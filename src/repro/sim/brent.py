@@ -30,26 +30,30 @@ hierarchies seamlessly.
 label and dummy sequence, except what the bodies contribute: their local
 times and the endpoints of the messages they send.  The schedule is
 therefore compiled once per ``(g, v, mu, v', c2, labels, dummy flags)``
-into a plan kept in an LRU of its own (:func:`plan_cache_info`): the
-maximal runs, each coarse superstep's message cost ``g(mu v / 2^i)``, the
-per-guest cycling and filing costs, and for every fine run the Section 3
+into a plan kept in the kernel's one plan cache
+(:func:`repro.sim.kernel.cached_plan`, under ``"brent"``): the maximal
+runs, each coarse superstep's message cost ``g(mu v / 2^i)``, the
+per-guest cycling and filing costs, the host clock's
+:class:`~repro.sim.kernel.Tape` (its gather, the scheme's span table and
+counter amounts), and for every fine run the Section 3
 :class:`~repro.sim.hmm_vec.ChargePlan` of its smoothed, shifted local
-program — taken from the ``vec`` kernel's schedule cache and priced
-with ``g``.  A run then
+program — taken from the same cache under ``"vec"`` and priced with
+``g``.  A run then
 
 1. executes every body once, superstep-major, over the whole guest
    machine (:func:`repro.sim.kernel.run_bodies`) — the contexts and
    inboxes of any schedule that keeps each guest's supersteps in order,
    the host-by-host one included;
-2. folds each coarse superstep: a host's local time is a row-wise
-   ``cumsum`` over its guests' interleaved (cycling, local) charges,
-   ``h`` is the largest per-host send or receive count, and filing is a
-   ``bincount`` of the destination blocks' access costs in sender order;
+2. folds each coarse superstep: a host's local time is a row of one
+   :func:`~repro.sim.kernel.fold` over its guests' interleaved
+   (cycling, local) charges, ``h`` is the largest per-host send or
+   receive count, and filing is a ``bincount`` of the destination
+   blocks' access costs in sender order;
 3. folds each fine run's per-host Section 3 charge streams as the rows
-   of one 2-D ``cumsum`` (zero padding at a row's end leaves its sum
-   unchanged) and charges the largest row;
-4. folds the host clock with one ``cumsum`` and, at ``phases``/``full``,
-   replays the tracer's spans against it.
+   of one tape from the ``vec`` kernel's assembler (padding at a row's
+   end adds 0.0, leaving its sum unchanged) and charges the largest row;
+4. folds the host clock's tape and, at ``phases``/``full``, folds the
+   breakdown from its span table or replays it into the tracer.
 
 The pass indexes the original program's supersteps, so it is kept on
 the result (``BrentSimResult.body_pass``) and :func:`repro.run` folds
@@ -93,9 +97,17 @@ from repro.dbsp.cluster import cluster_size, log2_exact
 from repro.dbsp.program import Program, Superstep
 from repro.functions import AccessFunction, CostTable
 from repro.obs.counters import Counters
-from repro.obs.trace import SpanRecord, Tracer
-from repro.sim.hmm_vec import _messages, _price, _schedule_for
-from repro.sim.kernel import BodyPass, PlanCache, ranges_concat, run_bodies
+from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
+from repro.sim.hmm_vec import _assemble, _price, _schedule_for
+from repro.sim.kernel import (
+    BodyPass,
+    EventRecorder,
+    Tape,
+    cached_plan,
+    fold,
+    observed,
+    run_bodies,
+)
 from repro.sim.smoothing import build_label_set_hmm, smooth_program
 
 __all__ = [
@@ -103,7 +115,6 @@ __all__ = [
     "BrentSimResult",
     "RunRecord",
     "BRENT_PHASES",
-    "plan_cache_info",
 ]
 
 #: phase categories of the Theorem 10 scheme: ``compute`` (cycling guest
@@ -112,15 +123,6 @@ __all__ = [
 #: filing received messages), ``fine`` (whole fine runs, simulated by the
 #: embedded Section 3 scheme)
 BRENT_PHASES = ("compute", "communication", "filing", "fine")
-
-_PLANS = PlanCache(8)
-
-
-def plan_cache_info() -> dict:
-    """Cached Brent plan count plus lifetime hit/miss/eviction counters
-    (process-wide; the Brent counterpart of
-    :func:`repro.sim.hmm_vec.plan_cache_info`)."""
-    return _PLANS.info()
 
 
 @dataclass(frozen=True)
@@ -159,12 +161,8 @@ class BrentSimResult:
 
 
 class BrentSimulator:
-    """Theorem 10's self-simulation engine.
-
-    ``kernel`` is accepted for call compatibility with the HMM engine
-    and ignored: the whole simulation is one body pass plus a few array
-    folds.
-    """
+    """Theorem 10's self-simulation engine: one body pass plus a few
+    array folds."""
 
     def __init__(
         self,
@@ -172,7 +170,6 @@ class BrentSimulator:
         v_host: int,
         c2: float = 0.5,
         trace: Literal["off", "counters", "phases", "full"] = "phases",
-        kernel: Literal["scalar", "vec"] | None = None,
     ):
         self.g = g
         self.v_host = v_host
@@ -209,7 +206,7 @@ class BrentSimulator:
             self.g, v, normalized.mu, v_host, self.c2,
             tuple((s.label, s.body is None) for s in normalized.supersteps),
         )
-        plan = _PLANS.get(key, lambda: _BrentPlan(*key))
+        plan = cached_plan("brent", key, lambda: _BrentPlan(*key))
         contexts = normalized.initial_contexts()
         bodies = run_bodies(normalized, contexts, [[] for _ in range(v)])
         clk, messages = plan.fold(bodies)
@@ -218,18 +215,17 @@ class BrentSimulator:
             for kind, first, n, start, end in plan.runs
         ]
 
-        breakdown: dict[str, float] = {}
-        counters: dict[str, int | float] = {}
-        spans: list[SpanRecord] = []
-        if self.trace != "off":
-            counters = plan.counters(messages).snapshot()
+        tracer = NULL_TRACER
         if self.trace in ("phases", "full"):
-            tracer = plan.replay_spans(
-                clk.tolist(), record=(self.trace == "full")
-            )
-            breakdown = dict.fromkeys(BRENT_PHASES, 0.0)
-            breakdown.update(tracer.phase_totals())
-            spans = tracer.spans
+            tracer = Tracer(clock=lambda: 0.0, record=(self.trace == "full"))
+            plan.tape.trace(clk, tracer)
+        coarse_messages, fine_messages = messages
+        registry = Counters()
+        plan.tape.add_counts(
+            registry, messages=coarse_messages + fine_messages,
+            words_touched=2 * fine_messages,
+        )
+        breakdown, counters = observed(self.trace, tracer, registry, BRENT_PHASES)
         return BrentSimResult(
             contexts=contexts,
             time=float(clk[-1]),
@@ -237,18 +233,9 @@ class BrentSimulator:
             runs=runs,
             breakdown=breakdown,
             counters=counters,
-            spans=spans,
+            spans=tracer.spans,
             body_pass=bodies,
         )
-
-
-def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For groups of ``lengths`` elements laid end to end: each
-    element's group and its offset within the group."""
-    return (
-        np.repeat(np.arange(len(lengths)), lengths),
-        ranges_concat(np.zeros(len(lengths), dtype=np.int64), lengths),
-    )
 
 
 def _message_pattern(bodies: BodyPass, pid_type: np.dtype) -> bytes:
@@ -277,15 +264,11 @@ class _FineRun:
     shifted by ``log v'``, smoothed as the HMM simulation smooths it);
     it comes from the ``vec`` kernel's schedule cache, and ``prices``
     are its charges under ``g``.  Every host runs the same schedule;
-    only the bodies' local times and messages differ, so host ``j``'s
-    charge stream is the plan's templates with host ``j``'s values
-    scattered in.
+    only the bodies' local times and messages differ, so the hosts'
+    charge streams are the rows of one tape from ``vec``'s assembler.
     """
 
-    __slots__ = (
-        "op", "plan", "prices", "hole_src", "guest_step",
-        "a_round", "a_rel", "c_round", "c_rel",
-    )
+    __slots__ = ("op", "plan", "prices", "hole_src", "guest_step")
 
     def __init__(self, op: int, first: int, labels, v_host: int, v: int,
                  mu: int, g: AccessFunction, c2: float, costs) -> None:
@@ -318,68 +301,6 @@ class _FineRun:
         ).ravel()
         #: per local step: the guest step it runs (-1 for none)
         self.guest_step = guest_step.tolist()
-        self.a_round, self.a_rel = _ranges(plan.a_len)
-        self.c_round, c_rel = _ranges(plan.c_len)
-        # swap charges close their round: offsets from the round's end
-        self.c_rel = c_rel - plan.c_len[self.c_round]
-
-    def streams(self, bodies: BodyPass, v_host: int
-                ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Every host's Section 3 charge stream, local-time holes zero.
-
-        A host's stream is, round by round, the plan's cycling template
-        with holes for the local times, then two endpoint charges per
-        message the cluster sent, then the round's swap charges — the
-        scalar scheme's ``t += c`` sequence from ``t = 0``.  Returns the
-        ``(v', width)`` streams (rows zero-padded at the end), the flat
-        position of every hole (in :attr:`hole_src` order) and the
-        number of messages the run's bodies sent.
-        """
-        plan, prices = self.plan, self.prices
-        n_rounds = plan.R
-        per_host = plan.v
-        hosts = np.arange(v_host)
-        msgs = _messages(
-            plan,
-            [None if g < 0 else bodies.src[g] for g in self.guest_step],
-            [None if g < 0 else bodies.dest[g] for g in self.guest_step],
-        )
-        if msgs is None:
-            key = np.empty(0, dtype=np.int64)
-        else:
-            src, rnd, src_slot, dest_slot = msgs
-            host = src // per_host
-            key = host * n_rounds + rnd
-        n_msgs = np.bincount(key, minlength=v_host * n_rounds)
-        off = np.zeros((v_host, n_rounds + 1), dtype=np.int64)
-        np.cumsum(
-            plan.a_len + 2 * n_msgs.reshape(v_host, n_rounds) + plan.c_len,
-            axis=1, out=off[:, 1:],
-        )
-        width = int(off[:, -1].max())
-        row = (hosts * width)[:, None]
-        buf = np.zeros((v_host, width), dtype=np.float64)
-        flat = buf.reshape(-1)
-        a_pos = row + off[:, self.a_round] + self.a_rel
-        flat[a_pos] = prices.values[plan.a_code]
-        if prices.C_all.size:
-            flat[row + off[:, self.c_round + 1] + self.c_rel] = prices.C_all
-        if msgs is not None:
-            # one (host, round)'s messages are one cluster's sends in one
-            # step: a contiguous run of the step-ordered, pid-major
-            # messages, and the next run has another key
-            at = np.arange(len(key))
-            run_start = np.zeros(len(key), dtype=np.int64)
-            new_run = np.flatnonzero(key[1:] != key[:-1]) + 1
-            run_start[new_run] = new_run
-            np.maximum.accumulate(run_start, out=run_start)
-            pos = (
-                host * width + off[host, rnd] + plan.a_len[rnd]
-                + 2 * (at - run_start)
-            )
-            flat[pos] = prices.wc[src_slot]
-            flat[pos + 1] = prices.wc[dest_slot]
-        return buf, a_pos[:, plan.local_pos].ravel(), len(key)
 
 
 class _Layout(NamedTuple):
@@ -387,20 +308,25 @@ class _Layout(NamedTuple):
     sent (repeated runs of one program send the same ones)."""
 
     ops: np.ndarray  #: the operand template, coarse message charges in
-    #: per fine run: its distinct host streams, each host's stream and
-    #: the flat positions of the local-time holes in the hosts' streams
-    streams: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    #: per fine run: its hosts' tape (one row per host: round by round,
+    #: the cycling template with holes for the local times, two endpoint
+    #: charges per message the cluster sent, the swap charges) and its
+    #: delivery charges
+    fine: list[tuple[Tape, np.ndarray]]
     messages: tuple[int, int]  #: sent in coarse supersteps, in fine runs
 
 
 class _BrentPlan:
     """The body-independent part of one self-simulation.
 
-    ``ops`` is the template of the host clock's operand sequence (a
-    leading 0.0, then per coarse superstep its compute, communication
-    and filing charges, per fine run its slowest host), prefilled with
-    what those charges are when no body sends or charges anything
-    beyond the unit superstep cost.
+    ``tape`` folds the host clock: its pool is ``ops`` (per coarse
+    superstep its compute, communication and filing charges, per fine
+    run its slowest host — prefilled with what those charges are when
+    no body sends or charges anything beyond the unit superstep cost),
+    then each coarse superstep's compute charge and each fine run's
+    charge, which its gather reads in their place.  Its spans are the
+    scheme's: a ``coarse-superstep`` span with three leaves per coarse
+    superstep, a ``fine-run`` span per fine run.
     """
 
     def __init__(self, g: AccessFunction, v: int, mu: int, v_host: int,
@@ -421,11 +347,12 @@ class _BrentPlan:
         #: file one message into guest k's context block
         self.file_cost = np.array(word_cost)
 
-        ops = [0.0]
-        #: (kind, first step, n steps, first op, last op) per maximal run
+        ops: list[float] = []
+        spans = EventRecorder()
+        #: (kind, first step, n steps, first op, end op) per maximal run
         self.runs: list[tuple[str, int, int, int, int]] = []
-        #: per coarse superstep: (step, label, first op, message cost)
-        self.coarse: list[tuple[int, int, int, float]] = []
+        #: per coarse superstep: (step, its first op, message cost)
+        self.coarse: list[tuple[int, int, float]] = []
         self.fine: list[_FineRun] = []
         body_steps, body_ops = [], []
         pos = 0
@@ -434,33 +361,67 @@ class _BrentPlan:
             end = pos
             while end < len(steps) and (steps[end][0] < log_vh) == coarse:
                 end += 1
-            start = len(ops) - 1
-            if coarse:
-                for s in range(pos, end):
-                    label, dummy = steps[s]
-                    if not dummy:
-                        body_steps.append(s)
-                        body_ops.append(len(ops))
-                    self.coarse.append((
-                        s, label, len(ops),
-                        g(mu_host * cluster_size(v_host, label)),
-                    ))
-                    ops += [1.0, 0.0, 1.0]
-            else:
+            start = len(ops)
+            for s in range(pos, end) if coarse else ():
+                label, dummy = steps[s]
+                op = len(ops)
+                if not dummy:
+                    body_steps.append(s)
+                    body_ops.append(op)
+                self.coarse.append(
+                    (s, op, g(mu_host * cluster_size(v_host, label)))
+                )
+                ops += [1.0, 0.0, 1.0]
+                spans.open("coarse-superstep", None,
+                           {"superstep": s, "label": label}, at=op)
+                for k, phase in enumerate(("compute", "communication", "filing")):
+                    spans.add_leaf(phase, phase, op + k, op + k + 1)
+                spans.close(at=op + 3)
+            if not coarse:
                 self.fine.append(_FineRun(
-                    len(ops), pos,
+                    start, pos,
                     [(label - log_vh, dummy) for label, dummy in steps[pos:end]],
                     v_host, v, mu, g, c2, (block_cost, word_cost, table),
                 ))
                 ops.append(0.0)
+                spans.open("fine-run", "fine",
+                           {"first_step": pos, "n_steps": end - pos}, at=start)
+                spans.close(at=start + 1)
             self.runs.append(
                 ("coarse" if coarse else "fine", pos, end - pos,
-                 start, len(ops) - 1)
+                 start, len(ops))
             )
             pos = end
         self.ops = np.array(ops)
-        self.body_steps = np.array(body_steps, dtype=np.int64)
-        self.body_ops = np.array(body_ops, dtype=np.int64)
+        n_ops, n_body = len(ops), len(body_steps)
+        gather = np.arange(n_ops)
+        gather[body_ops] = np.arange(n_ops, n_ops + n_body)
+        gather[[fine.op for fine in self.fine]] = np.arange(
+            n_ops + n_body, n_ops + n_body + len(self.fine)
+        )
+        # the scheme's counter amounts, in the scalar adds' key order:
+        # coarse deliveries, then every host's embedded Section 3
+        # counters (a run adds its messages, and two words touched per
+        # message of a fine run)
+        counts = dict.fromkeys(("messages",) if self.coarse else (), 0)
+        if any("messages" in fine.plan.counts for fine in self.fine):
+            counts.setdefault("words_touched", 0)
+            counts.setdefault("messages", 0)
+        for fine in self.fine:
+            for name, amount in [*fine.plan.counts.items(), ("rounds", fine.plan.R)]:
+                counts[name] = counts.get(name, 0) + v_host * amount
+        self.tape = Tape(gather, spans.spans(), counts)
+        #: every guest of every coarse body step, step-major
+        self.body_guests = (
+            np.array(body_steps, dtype=np.int64)[:, None] * v + np.arange(v)
+        ).ravel()
+        # one row per (coarse body step, host): guest by guest, cycle
+        # its context to the top (cycle_cost[k]), then run it (its local
+        # time, after the per_host cycle costs in the pool)
+        guest = np.arange(n_body * v).reshape(n_body * v_host, per_host)
+        self.compute = np.stack(
+            (guest % per_host, per_host + guest), axis=2
+        ).reshape(n_body * v_host, 2 * per_host)
         #: one message pattern's layout (see :func:`_message_pattern`)
         self._layouts: dict[bytes, _Layout] = {}
         self.pid_type = np.min_scalar_type(v - 1)
@@ -474,22 +435,19 @@ class _BrentPlan:
         if layout is None:
             layout = self._layout(bodies)
             self._layouts = {pattern: layout}  # keep one pattern resident
-        ops = layout.ops.copy()
-        if self.body_steps.size:
-            # guest by guest: cycle its context to the top, then run it
-            v_host, per_host = self.v_host, self.per_host
-            local = bodies.local[
-                self.body_steps[:, None] * self.v + np.arange(self.v)
-            ]
-            inter = np.empty((len(self.body_steps), v_host, 2 * per_host))
-            inter[..., 0::2] = self.cycle_cost
-            inter[..., 1::2] = local.reshape(-1, v_host, per_host)
-            ops[self.body_ops] = np.cumsum(inter, axis=2)[..., -1].max(axis=1)
-        for fine, (distinct, stream_of, holes) in zip(self.fine, layout.streams):
-            streams = distinct[stream_of]
-            streams.reshape(-1)[holes] = bodies.local[fine.hole_src]
-            ops[fine.op] = np.cumsum(streams, axis=1)[:, -1].max()
-        return np.cumsum(ops), layout.messages
+        compute = fold(
+            self.compute,
+            np.concatenate((self.cycle_cost, bodies.local[self.body_guests])),
+        )[:, -1].reshape(-1, self.v_host).max(axis=1)
+        fine = [
+            fold(tape.gather, np.concatenate((
+                run.prices.values, bodies.local[run.hole_src], B,
+                run.prices.C_all,
+            )))[:, -1].max()
+            for run, (tape, B) in zip(self.fine, layout.fine)
+        ]
+        pool = np.concatenate((layout.ops, compute, fine))
+        return fold(self.tape.gather, pool), layout.messages
 
     def _layout(self, bodies: BodyPass) -> _Layout:
         """Charge what the messages cost: each coarse superstep's
@@ -497,7 +455,7 @@ class _BrentPlan:
         ops = self.ops.copy()
         v_host, per_host = self.v_host, self.per_host
         coarse_messages = 0
-        for step, _label, op, message_cost in self.coarse:
+        for step, op, message_cost in self.coarse:
             src = bodies.src[step]
             if src is None:
                 continue
@@ -513,76 +471,14 @@ class _BrentPlan:
                 minlength=v_host,
             ).max() + 1.0
             coarse_messages += len(src)
-        streams = []
-        fine_messages = 0
-        for fine in self.fine:
-            buf, holes, n_msgs = fine.streams(bodies, v_host)
-            # hosts whose guests send alike share one stream: keep each
-            # distinct one once
-            kind_of: dict[bytes, int] = {}
-            first: list[int] = []
-            stream_of = []
-            for k, row in enumerate(buf):
-                kind = kind_of.setdefault(row.tobytes(), len(first))
-                if kind == len(first):
-                    first.append(k)
-                stream_of.append(kind)
-            streams.append((buf[first], np.array(stream_of), holes))
-            fine_messages += n_msgs
-        return _Layout(ops, streams, (coarse_messages, fine_messages))
-
-    # ---------------------------------------------------- observability
-    def counters(self, messages: tuple[int, int]) -> Counters:
-        """The counters of the scheme: coarse deliveries plus every
-        host's embedded Section 3 counters (constants of each fine
-        run's plan, plus two words touched per message)."""
-        coarse_messages, fine_messages = messages
-        counters = Counters()
-        if self.coarse:
-            counters.add("messages", coarse_messages)
-        v_host = self.v_host
-        if any(fine.plan.n_normal_rounds for fine in self.fine):
-            counters.add("words_touched", 2 * fine_messages)
-            counters.add("messages", fine_messages)
-        for fine in self.fine:
-            plan = fine.plan
-            if plan.n_normal_rounds:
-                counters.add("words_touched", v_host * plan.cycle_words)
-            if plan.total_context_swaps:
-                counters.add("context_swaps", v_host * plan.total_context_swaps)
-                counters.add("words_touched", v_host * plan.total_swap_words)
-                counters.add("words_moved", v_host * plan.total_swap_words)
-            if plan.n_dummy_rounds:
-                counters.add("dummy_supersteps", v_host * plan.n_dummy_rounds)
-            counters.add("rounds", v_host * plan.R)
-        return counters
-
-    def replay_spans(self, clk: list[float], record: bool) -> Tracer:
-        """A tracer driven through the scheme's span sequence, the clock
-        placed where the host-by-host run had it at each call."""
-        now = 0.0
-        tracer = Tracer(clock=lambda: now, record=record)
-        add_leaf = tracer.add_leaf
-        coarse = iter(self.coarse)
-        for kind, first, n, start, _end in self.runs:
-            if kind == "fine":
-                now = clk[start]
-                tracer.open("fine-run", "fine",
-                            {"first_step": first, "n_steps": n}
-                            if record else None)
-                now = clk[start + 1]
-                tracer.close()
-                continue
-            for _ in range(n):
-                s, label, op, _cost = next(coarse)
-                now = clk[op - 1]
-                tracer.open("coarse-superstep", None,
-                            {"superstep": s, "label": label}
-                            if record else None)
-                add_leaf("compute", "compute", clk[op - 1], clk[op])
-                add_leaf("communication", "communication", clk[op], clk[op + 1])
-                add_leaf("filing", "filing", clk[op + 1], clk[op + 2])
-                now = clk[op + 2]
-                tracer.close()
-        tracer.assert_closed()
-        return tracer
+        fine = []
+        for run in self.fine:
+            tape, B, _ = _assemble(
+                run.plan, run.prices,
+                [None if g < 0 else bodies.src[g] for g in run.guest_step],
+                [None if g < 0 else bodies.dest[g] for g in run.guest_step],
+                v_host,
+            )
+            fine.append((tape, B))
+        fine_messages = sum(len(B) for _, B in fine) // 2
+        return _Layout(ops, fine, (coarse_messages, fine_messages))

@@ -34,22 +34,27 @@ bodies' local times, and the schedule depends only on
 ``(f, v, mu, labels, sort)``.  The round loop is therefore run once per
 such key in *recording* mode: no bodies run, and every charge, every
 local-time hole, every span event (by stream position), every counter
-add and every layout snapshot goes into a :class:`_BTPlan`, with the
-Theorem 12 invariants asserted on the way.  Plans live in an LRU of
-their own.  A run then executes the bodies in the shared superstep-major
-pass (:func:`repro.sim.kernel.run_bodies`), scatters their local times
-into the plan's holes and folds the operand stream with one
-``np.cumsum`` — the serial ``t += c`` sums bit for bit, intermediate
-clocks included.  At ``phases`` the recorded span events, compiled once
-per plan into an event table, fold to the breakdown with two
+add and every layout snapshot goes into a
+:class:`~repro.sim.kernel.Tape` and its plan, with the Theorem 12
+invariants asserted on the way.  Plans live in the kernel's one plan
+cache (:func:`repro.sim.kernel.cached_plan`, under ``"bt"``).  A run
+then executes the bodies in the shared superstep-major pass
+(:func:`repro.sim.kernel.run_bodies`), lays their local times into the
+tape's pool and folds it with one ``np.cumsum``
+(:func:`~repro.sim.kernel.fold`) — the serial ``t += c`` sums bit for
+bit, intermediate clocks included.  At ``phases`` the recorded span
+table, compiled once per plan, folds to the breakdown with two
 ``np.bincount`` calls (:func:`~repro.sim.kernel.fold_phases`); at
-``full``, which records every span, the tracer replays them against the
-folded clock.  The pass, mapped back onto the original supersteps, is
-kept on the result (``BTSimResult.body_pass``) for :func:`repro.run` to
-fold the direct baseline from.  The two ablations whose charges depend
-on what the bodies compute (``sort="mergesort"``,
-``chunked_compute=False``) run the same round loop *inline*: bodies at
-their round, charges straight onto the machine clock.
+``full``, which records every span, the tracer replays it against the
+folded clock (:func:`~repro.sim.kernel.replay`).  The pass, mapped
+back onto the original supersteps, is kept on the result
+(``BTSimResult.body_pass``) for :func:`repro.run` to fold the direct
+baseline from.  The two ablations run the same round loop *inline*:
+bodies at their round, charges straight onto the machine clock.
+``sort="mergesort"`` must, because its merge sort charges the machine
+directly, on the tags of the messages the bodies send;
+``chunked_compute=False`` charges fixed addresses, but through
+``machine.touch_range``, past the recording sink.
 """
 
 from __future__ import annotations
@@ -57,8 +62,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -72,10 +76,11 @@ from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
 from repro.sim.kernel import (
     BodyPass,
     EventRecorder,
-    PhaseEvents,
-    PlanCache,
+    Tape,
+    cached_plan,
     deliver_sorted,
-    fold_phases,
+    fold,
+    observed,
     run_bodies,
 )
 from repro.sim.smoothing import SmoothedProgram, build_label_set_bt, smooth_program
@@ -85,21 +90,10 @@ __all__ = [
     "BTSimResult",
     "LayoutSnapshot",
     "BT_PHASES",
-    "plan_cache_info",
 ]
 
 #: phase categories of the Fig. 5 scheme (the breakdown key set)
 BT_PHASES = ("pack_unpack", "compute", "delivery", "swaps", "dummies")
-
-_PLANS = PlanCache(8)
-
-
-def plan_cache_info() -> dict:
-    """Cached BT plan count plus lifetime hit/miss/eviction counters
-    (process-wide; the BT counterpart of
-    :func:`repro.sim.hmm_vec.plan_cache_info`)."""
-    return _PLANS.info()
-
 
 @dataclass(frozen=True)
 class LayoutSnapshot:
@@ -199,16 +193,9 @@ class BTSimulator:
         run = _BTSimRun(self, smoothed)
         run.execute()
         run.tracer.assert_closed()
-        if self.trace == "off":
-            breakdown: dict[str, float] = {}
-            counters: dict[str, int | float] = {}
-        else:
-            breakdown = {}
-            if self.trace != "counters":
-                breakdown = dict.fromkeys(BT_PHASES, 0.0)
-                breakdown.update(run.tracer.phase_totals())
-            run.counters.add("rounds", run.round_index)
-            counters = run.counters.snapshot()
+        breakdown, counters = observed(
+            self.trace, run.tracer, run.counters, BT_PHASES, run.round_index
+        )
         return BTSimResult(
             contexts=run.contexts,
             time=run.machine.time,
@@ -225,59 +212,20 @@ class BTSimulator:
 
 
 # ---------------------------------------------------------------- sinks
-# The round loop reports every charge, span and counter add to a sink.
-# _Inline applies them on the spot; _Recorder writes them into a plan.
-
-class _Inline:
-    """Charges straight onto the machine clock, spans and counters to the
-    run's live tracer and registry (the ablations' mode)."""
-
-    recording = False
-
-    def __init__(self, machine: BTMachine, tracer, counters):
-        self.machine = machine
-        self.tracer = tracer
-        self.count = counters.add
-
-    def charge(self, cost: float) -> None:
-        self.machine.time += cost
-
-    def now(self) -> float:
-        return self.machine.time
-
-    def leaf(self, name: str, category: str, start: float) -> None:
-        self.tracer.add_leaf(name, category, start, self.machine.time)
-
-    def open(self, name: str, category: str | None = None) -> None:
-        self.tracer.open(name, category)
-
-    def open_round(self, s: int, label: int, cluster: int) -> None:
-        tracer = self.tracer
-        tracer.open(
-            "round",
-            None,
-            {"superstep": s, "label": label, "cluster": cluster}
-            if tracer.record
-            else None,
-        )
-
-    def close(self) -> None:
-        self.tracer.close()
-
-
-#: span event kinds of a recorded plan
-_LEAF, _OPEN, _ROUND, _CLOSE = range(4)
-
+# The round loop reports every charge and counter add to a sink, and
+# every span to the sink's tracer.  The run itself is the inline sink
+# (charges straight onto the machine clock, spans and counters to its
+# live tracer and registry); _Recorder writes them into a tape.
 
 class _Recorder:
-    """Writes the round loop's charges into a plan, by stream position.
+    """Writes the round loop's charges into a tape, by stream position.
 
-    ``now()`` is the number of operands emitted so far: a span event
-    stores positions, and the replay reads the folded clock there.  A
-    round replays the same few dozen distinct charges, so the stream is
-    kept as codes into its distinct values.  Everything is appended to
-    flat typed arrays: recording a long run creates no Python object
-    per charge or event.
+    ``now()`` is the number of operands emitted so far: the spans go to
+    an :class:`~repro.sim.kernel.EventRecorder` over positions.  A round
+    replays the same few dozen distinct charges, so the stream is kept
+    as codes into its distinct values, and ``-1`` for a hole (the next
+    local time of ``hole_src``).  Everything is appended to flat typed
+    arrays: recording a long run creates no Python object per charge.
     """
 
     recording = True
@@ -285,14 +233,10 @@ class _Recorder:
     def __init__(self) -> None:
         self.values: dict[float, int] = {}
         self.codes = array("i")
-        self.hole_pos: list[np.ndarray] = []
         self.hole_src: list[np.ndarray] = []
-        #: four ints per event: kind, name code, start and end position
-        self.events = array("i")
-        self.names: dict[tuple[str, str | None], int] = {}
-        #: three ints per round: superstep, label, cluster
-        self.round_attrs = array("i")
-        self.counts: dict[str, int] = {}
+        self.tracer = EventRecorder(clock=self.now)
+        self.counts = Counters()
+        self.count = self.counts.add
 
     def charge(self, cost: float) -> None:
         code = self.values.get(cost)
@@ -303,123 +247,31 @@ class _Recorder:
     def now(self) -> int:
         return len(self.codes)
 
-    def bodies(self, flat: list[float], offsets: np.ndarray, src: np.ndarray) -> None:
-        """A COMPUTE stream ``flat`` whose ``offsets`` hold the local
-        times of ``local[src]`` (placeholders until the fold)."""
-        self.hole_pos.append(offsets + len(self.codes))
+    def bodies(self, flat: list, src: np.ndarray) -> None:
+        """A COMPUTE stream ``flat`` whose ``None`` entries are the
+        local times of ``local[src]``, in order."""
         self.hole_src.append(src)
         for cost in flat:
-            self.charge(cost)
-
-    def _code(self, name: str, category: str | None) -> int:
-        return self.names.setdefault((name, category), len(self.names))
-
-    def leaf(self, name: str, category: str, start: int) -> None:
-        self.events.extend(
-            (_LEAF, self._code(name, category), start, len(self.codes))
-        )
-
-    def open(self, name: str, category: str | None = None) -> None:
-        self.events.extend(
-            (_OPEN, self._code(name, category), len(self.codes), 0)
-        )
-
-    def open_round(self, s: int, label: int, cluster: int) -> None:
-        self.round_attrs.extend((s, label, cluster))
-        self.events.extend(
-            (_ROUND, self._code("round", None), len(self.codes), 0)
-        )
-
-    def close(self) -> None:
-        self.events.extend((_CLOSE, 0, len(self.codes), 0))
-
-    def count(self, name: str, amount: int = 1) -> None:
-        self.counts[name] = self.counts.get(name, 0) + amount
+            if cost is None:
+                self.codes.append(-1)
+            else:
+                self.charge(cost)
 
 
-class _BTPlan:
+class _BTPlan(NamedTuple):
     """The recorded, body-independent part of one BT simulation run.
 
-    The run's operand stream, in charge order, is ``op_values[op_codes]``;
-    the bodies' local times go at ``hole_pos``, read from the body
-    pass's ``local`` array at ``hole_src``.  ``events`` are the span
-    open/leaf/close calls by stream position; ``counts`` the counter
-    totals, ``messages`` excepted (it is the pass's send count).
+    The tape's pool is ``values`` followed by the body pass's local
+    times at ``hole_src``; its counts leave ``messages`` at zero (the
+    pass's send count is added per run).
     """
 
-    __slots__ = (
-        "op_values", "op_codes", "hole_pos", "hole_src", "events", "names",
-        "round_attrs", "counts", "block_transfers", "rounds", "layout",
-        "phases",
-    )
-
-    def __init__(self, rec: _Recorder, run: "_BTSimRun"):
-        self.op_values = np.array(list(rec.values), dtype=np.float64)
-        self.op_codes = np.array(
-            rec.codes, dtype=np.min_scalar_type(max(len(rec.values) - 1, 0))
-        )
-        self.hole_pos = _concat(rec.hole_pos)
-        self.hole_src = _concat(rec.hole_src)
-        self.events = np.array(rec.events, dtype=np.int32).reshape(-1, 4)
-        self.names = tuple(rec.names)
-        self.round_attrs = np.array(rec.round_attrs, dtype=np.int32).reshape(-1, 3)
-        self.counts = rec.counts
-        self.block_transfers = run.machine.block_transfers
-        self.rounds = run.round_index
-        self.layout = tuple(run.layout_trace)
-        #: ``events`` as a :class:`PhaseEvents` table (on first use)
-        self.phases: PhaseEvents | None = None
-
-    def phase_events(self) -> PhaseEvents:
-        """The recorded span calls compiled for :func:`fold_phases
-        <repro.sim.kernel.fold_phases>` (on the first ``phases`` run)."""
-        if self.phases is None:
-            at = SimpleNamespace(time=0)
-            rec = EventRecorder(clock=lambda: at.time)
-            _replay_spans(rec, at, self, np.arange(len(self.op_codes) + 1))
-            self.phases = rec.table()
-        return self.phases
-
-
-def _replay_spans(tracer, machine, plan: _BTPlan, clk: np.ndarray) -> None:
-    """Drive ``tracer`` through the plan's recorded calls, the clock
-    (``machine.time``) placed where the serial loop had it at each
-    one.  Over positions (``clk`` an ``arange``) an
-    :class:`~repro.sim.kernel.EventRecorder` compiles them."""
-    add_leaf = tracer.add_leaf
-    names = plan.names
-    attrs = iter(plan.round_attrs.tolist())
-    events = plan.events
-    for kind, code, t0, t1 in zip(
-        events[:, 0].tolist(),
-        events[:, 1].tolist(),
-        clk[events[:, 2]].tolist(),
-        clk[events[:, 3]].tolist(),
-    ):
-        if kind == _LEAF:
-            name, category = names[code]
-            add_leaf(name, category, t0, t1)
-            continue
-        machine.time = t0
-        if kind == _CLOSE:
-            tracer.close()
-        elif kind == _ROUND:
-            s, label, cluster = next(attrs)
-            tracer.open(
-                "round",
-                None,
-                {"superstep": s, "label": label, "cluster": cluster}
-                if tracer.record
-                else None,
-            )
-        else:
-            tracer.open(*names[code])
-
-
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=np.int32)
-    return np.concatenate(parts).astype(np.int32)
+    tape: Tape
+    values: np.ndarray
+    hole_src: np.ndarray
+    block_transfers: int
+    rounds: int
+    layout: tuple
 
 
 class _BTSimRun:
@@ -472,13 +324,21 @@ class _BTSimRun:
         self._moved_words = 0
         #: COMPUTE(n) charging plans, keyed by n (see _build_compute_plan)
         self._compute_plans: dict[int, tuple] = {}
-        self.sink: _Inline | _Recorder = _Inline(
-            self.machine, self.tracer, self.counters
-        )
+        self.sink: _BTSimRun | _Recorder = self
+        self.count = self.counters.add
         self._checking = sim.check_invariants
         #: the planned path's body pass (see ``BTSimResult.body_pass``)
         self.body_pass: BodyPass | None = None
         self._snapshot("initial")
+
+    # ----------------------------------------------------- the inline sink
+    recording = False
+
+    def charge(self, cost: float) -> None:
+        self.machine.time += cost
+
+    def now(self) -> float:
+        return self.machine.time
 
     # ------------------------------------------------------------- helpers
     def _word(self, slot: int) -> int:
@@ -564,6 +424,10 @@ class _BTSimRun:
         )
 
     # ------------------------------------------------------ PACK / UNPACK
+    def _leaf(self, name: str, category: str, start) -> None:
+        """A leaf span from ``start`` to the sink's clock now."""
+        self.sink.tracer.add_leaf(name, category, start, self.sink.now())
+
     def unpack(self, i: int) -> None:
         """Fig. 4: intersperse buffers through the topmost i-cluster."""
         t0 = self.sink.now()
@@ -573,7 +437,7 @@ class _BTSimRun:
             n = cluster_size(self.v, level)
             self._charged_block_move(n // 2, n, n // 2)
             level += 1
-        self.sink.leaf("UNPACK", "pack_unpack", t0)
+        self._leaf("UNPACK", "pack_unpack", t0)
 
     def pack(self, i: int) -> None:
         """Reverse of :meth:`unpack`: compact the topmost i-cluster."""
@@ -582,7 +446,7 @@ class _BTSimRun:
         for level in range(log_v - 1, i - 1, -1):
             n = cluster_size(self.v, level)
             self._charged_block_move(n, n // 2, n // 2)
-        self.sink.leaf("PACK", "pack_unpack", t0)
+        self._leaf("PACK", "pack_unpack", t0)
 
     # --------------------------------------------------------------- main
     def _plannable(self) -> bool:
@@ -609,52 +473,53 @@ class _BTSimRun:
             sim.sort,
             sim.max_layout_snapshots if sim.record_layout else None,
         )
-        return _PLANS.get(key, self._record)
+        return cached_plan("bt", key, self._record)
 
     def _record(self) -> _BTPlan:
         """Run the round loop without bodies, into a new plan."""
-        recorder = _Recorder()
-        self.sink = recorder
+        rec = self.sink = _Recorder()
         self._checking = True  # the Thm 12 invariants, once per plan
         self._rounds()
-        return _BTPlan(recorder, self)
+        # the hole operands follow the distinct values in the pool
+        gather = np.array(rec.codes, dtype=np.int64)
+        holes = gather < 0
+        n_pool = len(rec.values) + int(holes.sum())
+        gather[holes] = np.arange(len(rec.values), n_pool)
+        return _BTPlan(
+            Tape(
+                gather.astype(np.min_scalar_type(n_pool)),
+                rec.tracer.spans(),
+                rec.counts.snapshot(),
+            ),
+            np.array(list(rec.values), dtype=np.float64),
+            np.concatenate(rec.hole_src or [np.empty(0, dtype=np.int64)]),
+            self.machine.block_transfers,
+            self.round_index,
+            tuple(self.layout_trace),
+        )
 
     def _run_plan(self, plan: _BTPlan) -> None:
-        """Run the bodies in the shared pass and fold the plan's stream."""
+        """Run the bodies in the shared pass and fold the plan's tape."""
         bodies = run_bodies(self.program, self.contexts, self.pending)
         self.body_pass = bodies.select(self.smoothed.original_steps)
-        # one extra slot up front holds the starting clock; cumsum in
-        # place makes clk[p] the clock after the first p operands
         machine = self.machine
-        clk = np.empty(len(plan.op_codes) + 1, dtype=np.float64)
-        clk[0] = machine.time
-        np.take(plan.op_values, plan.op_codes, out=clk[1:])
-        clk[plan.hole_pos + 1] = bodies.local[plan.hole_src]
-        np.cumsum(clk, out=clk)
-        machine.time = float(clk[-1])
+        pool = np.concatenate((plan.values, bodies.local[plan.hole_src]))
+        clk = fold(plan.tape.gather, pool, machine.time)
         machine.block_transfers = plan.block_transfers
         self.round_index = plan.rounds
         self.layout_trace = list(plan.layout)
-        counters = self.counters
-        if counters.enabled:
-            for name, amount in plan.counts.items():
-                counters.add(name, amount)
-            if "messages" in plan.counts:
-                counters.add(
-                    "messages", sum(len(s) for s in bodies.src if s is not None)
-                )
-        tracer = self.tracer
-        if tracer.record:
-            _replay_spans(tracer, machine, plan, clk)
-            machine.time = float(clk[-1])
-        elif tracer.enabled:
-            # the totals the replay would leave in this fresh tracer
-            tracer.totals = fold_phases(plan.phase_events(), clk)
+        plan.tape.add_counts(
+            self.counters,
+            messages=sum(len(s) for s in bodies.src if s is not None),
+        )
+        plan.tape.trace(clk, self.tracer)
+        machine.time = float(clk[-1])
 
     def _rounds(self) -> None:
         """The Fig. 5 round loop, reporting every charge to the sink."""
         n_steps = len(self.steps)
         sink = self.sink
+        tracer = sink.tracer
         self.unpack(0)  # step 0 of Fig. 5
         self._snapshot("unpack(0)")
         while True:
@@ -668,7 +533,13 @@ class _BTSimRun:
             first_pid = cluster_of(top_pid, self.v, label) * csize
 
             self.round_index += 1
-            sink.open_round(s, label, first_pid // csize)
+            tracer.open(
+                "round",
+                None,
+                {"superstep": s, "label": label, "cluster": first_pid // csize}
+                if tracer.record
+                else None,
+            )
             self.pack(label)  # step 1.a
             if self._checking:
                 self._check_invariants(s, first_pid, csize)
@@ -676,14 +547,14 @@ class _BTSimRun:
             self._simulate_superstep(s, first_pid, csize)  # step 2
 
             if self.next_step[self.slots[0]] >= n_steps:  # step 3
-                sink.close()
+                tracer.close()
                 break
             if s + 1 < n_steps:
                 next_label = self.steps[s + 1].label
                 if next_label < label:  # step 4
                     self._cycle_swaps(label, next_label, first_pid, csize)
             self.unpack(label)  # step 5: UNPACK(is)
-            sink.close()
+            tracer.close()
             self._snapshot(f"round {self.round_index} end")
         if self._n_moves:
             sink.count("block_transfers", self._n_moves)
@@ -693,27 +564,25 @@ class _BTSimRun:
 
     # ---------------------------------------------------- step 2 (Fig. 7)
     def _simulate_superstep(self, s: int, first_pid: int, csize: int) -> None:
-        step = self.steps[s]
         sink = self.sink
-
-        if step.is_dummy:
+        # the cluster stays on top through the superstep (COMPUTE
+        # restores the layout)
+        for k in range(csize):
+            self.next_step[self.slots[k]] += 1
+        if self.steps[s].is_dummy:
             t0 = sink.now()
             sink.charge(float(csize))
-            sink.leaf("dummy", "dummies", t0)
+            self._leaf("dummy", "dummies", t0)
             sink.count("dummy_supersteps")
-            for k in range(csize):
-                self.next_step[self.slots[k]] += 1
             return
 
         outgoing: list[tuple[int, Message]] = []
         t0 = sink.now()
         self._compute(csize, s, outgoing)
-        sink.leaf("COMPUTE", "compute", t0)
-        for k in range(csize):
-            self.next_step[self.slots[k]] += 1
-        sink.open("DELIVER", "delivery")
+        self._leaf("COMPUTE", "compute", t0)
+        sink.tracer.open("DELIVER", "delivery")
         self._deliver_messages(csize, outgoing)
-        sink.close()
+        sink.tracer.close()
         # recording runs no bodies (outgoing stays empty): the plan adds
         # the body pass's send count instead
         sink.count("messages", len(outgoing))
@@ -740,53 +609,48 @@ class _BTSimRun:
         if plan is None:
             plan = self._build_compute_plan(n)
             self._compute_plans[n] = plan
-        segments, order, n_moves, moved_words, flat, holes = plan
+        flat, order, n_moves, moved_words = plan
         machine = self.machine
         slots = self.slots
         if self.sink.recording:
             self.sink.bodies(
                 flat,
-                holes,
                 np.array([s * self.v + slots[k] for k in order], dtype=np.int64),
             )
         else:
+            origins = iter(order)
             t = machine.time
-            for idx, origin in enumerate(order):
-                for cost in segments[idx]:
+            for cost in flat:
+                if cost is None:  # the next body runs here
+                    machine.time = t
+                    self._run_body(slots[next(origins)], s, outgoing)
+                    t = machine.time
+                else:
                     t += cost
-                machine.time = t
-                self._run_body(slots[origin], s, outgoing)
-                t = machine.time
-            for cost in segments[-1]:
-                t += cost
             machine.time = t
         machine.block_transfers += n_moves
         self._n_moves += n_moves
         self._moved_words += moved_words
         self.sink.count("words_touched", 2 * self.mu * len(order))
 
-    def _build_compute_plan(
-        self, n: int
-    ) -> tuple[list[list[float]], list[int], int, int, list[float], np.ndarray]:
+    def _build_compute_plan(self, n: int) -> tuple[list, list[int], int, int]:
         """Precompute COMPUTE(n)'s charged move/touch sequence (Fig. 6).
 
         The chunked recursion's block moves depend only on ``n`` — the
         identical geometry replays every round — so it is simulated once
-        on a virtual slot array, producing (a) cost *segments*: the charged
-        floats to add between consecutive body executions, each exactly
-        what ``block_copy_cost``/``touch_range`` would charge, in the same
-        order (replaying keeps the charged time bit-identical to running
-        the recursion); (b) the *order*: for the k-th body executed, the
-        slot its context occupies at round start; (c) the same stream
-        flattened, with a placeholder for each body's local time at the
-        returned hole offsets (what a recording run emits).  The
-        recursion returns every block to its starting slot (asserted
+        on a virtual slot array, producing (a) the charge stream: the
+        charged floats, each exactly what ``block_copy_cost`` /
+        ``touch_range`` would charge, in the same order (replaying keeps
+        the charged time bit-identical to running the recursion), with
+        ``None`` where a body executes; (b) the *order*: for the k-th
+        body executed, the slot its context occupies at round start.
+        The recursion returns every block to its starting slot (asserted
         below), so replays skip the per-move slot bookkeeping entirely.
         """
         mu = self.mu
         machine = self.machine
         vslots: list[int | None] = list(range(n)) + [None] * (self.n_slots - n)
-        segments: list[list[float]] = [[]]
+        flat: list[float | None] = []
         order: list[int] = []
         counts = [0, 0]  # block transfers, words moved
         top_touch = machine.table.range_cost(0, mu)
@@ -799,7 +663,7 @@ class _BTSimRun:
                     f"compute plan {n}: move {src}+{n_blocks}->{dst} hits "
                     f"a non-empty destination block"
                 )
-            segments[-1].append(
+            flat.append(
                 machine.block_copy_cost(src * mu, dst * mu, n_blocks * mu)
             )
             counts[0] += 1
@@ -835,11 +699,8 @@ class _BTSimRun:
         def rec(m: int) -> None:
             if m == 1:
                 # context at block 0: run the body with near-top accesses
-                seg = segments[-1]
-                seg.append(top_touch)
-                seg.append(top_touch)
+                flat.extend((top_touch, top_touch, None))
                 order.append(vslots[0])
-                segments.append([])
                 return
             c = self._chunk_size(m)
             # shift blocks [c, m) right by c, freeing [c, 2c)
@@ -856,17 +717,7 @@ class _BTSimRun:
 
         rec(n)
         assert vslots[:n] == list(range(n)), "COMPUTE must restore the layout"
-        flat: list[float] = []
-        holes: list[int] = []
-        for seg in segments[:-1]:
-            flat.extend(seg)
-            holes.append(len(flat))
-            flat.append(0.0)
-        flat.extend(segments[-1])
-        return (
-            segments, order, counts[0], counts[1],
-            flat, np.array(holes, dtype=np.int64),
-        )
+        return flat, order, counts[0], counts[1]
 
     def _run_body(self, pid: int, s: int, outgoing: list) -> None:
         step = self.steps[s]
@@ -899,26 +750,26 @@ class _BTSimRun:
         if space > csize * mu:
             t0 = sink.now()
             sink.charge(4.0 * space)
-            sink.leaf("space-dance", "delivery", t0)
+            self._leaf("space-dance", "delivery", t0)
 
         if self.sim.sort == "ams":
             # Approx-Median-Sort bound of [2]: O(m log m) for f = O(x^alpha)
             t0 = sink.now()
             sink.charge(m * math.log2(max(m, 2)))
-            sink.leaf("sort", "delivery", t0)
+            self._leaf("sort", "delivery", t0)
         elif self.sim.sort == "transpose":
             # Section 6: the superstep routes a known rational permutation,
             # delivered by [2]'s routine at Theta(m f*(m)); no ALIGN needed
             # since regular routing leaves context sizes unchanged
             t0 = sink.now()
             sink.charge(float(m) * self.sim.f.star(m))
-            sink.leaf("transpose-route", "delivery", t0)
+            self._leaf("transpose-route", "delivery", t0)
             deliver_sorted(self.pending, outgoing)
             return
         else:
             # operational delivery sort: order the cluster's elements by
             # destination tag with the chunked BT merge sort
-            sink.open("sort")
+            sink.tracer.open("sort")
             base = csize * mu
             tags = [
                 (self.pid_to_slot[dest], k)
@@ -927,12 +778,12 @@ class _BTSimRun:
             tags.extend((k // mu, mu + k % mu) for k in range(m - len(tags)))
             machine.mem[base : base + m] = tags
             bt_merge_sort(machine, base, m)
-            sink.close()
+            sink.tracer.close()
 
         # ALIGN(|C|): restore one context per block
         t0 = sink.now()
         sink.charge(self._align_cost(csize))
-        sink.leaf("ALIGN", "delivery", t0)
+        self._leaf("ALIGN", "delivery", t0)
 
         # semantics: file every message into its destination's buffer
         deliver_sorted(self.pending, outgoing)
@@ -981,7 +832,7 @@ class _BTSimRun:
             self._check_parked(nxt_first, nxt_slot, csize)
             self._swap_blocks_via_scratch(0, nxt_slot, csize)
             sink.count("context_swaps", 2 * csize)
-        sink.leaf("cycle-swaps", "swaps", t0)
+        self._leaf("cycle-swaps", "swaps", t0)
 
     def _check_parked(self, first_pid: int, slot: int, csize: int) -> None:
         if not self._checking:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal
+from typing import Literal
 
 from repro.dbsp.cluster import cluster_of, cluster_size
 from repro.dbsp.program import Message, ProcView, Program
@@ -38,10 +38,8 @@ from repro.functions import AccessFunction
 from repro.hmm.machine import HMMMachine
 from repro.obs.counters import NULL_COUNTERS, Counters
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
+from repro.sim.kernel import BodyPass, observed
 from repro.sim.smoothing import SmoothedProgram, build_label_set_hmm, smooth_program
-
-if TYPE_CHECKING:
-    from repro.sim.kernel import BodyPass
 
 __all__ = [
     "HMMSimulator",
@@ -192,16 +190,9 @@ class HMMSimulator:
         run = _HMMSimRun(self, smoothed, initial_contexts, initial_pending)
         run.execute()
         run.tracer.assert_closed()
-        if self.trace == "off":
-            breakdown: dict[str, float] = {}
-            counters: dict[str, int | float] = {}
-        else:
-            breakdown = {}
-            if self.trace != "counters":
-                breakdown = dict.fromkeys(HMM_PHASES, 0.0)
-                breakdown.update(run.tracer.phase_totals())
-            run.counters.add("rounds", run.round_index)
-            counters = run.counters.snapshot()
+        breakdown, counters = observed(
+            self.trace, run.tracer, run.counters, HMM_PHASES, run.round_index
+        )
         return HMMSimResult(
             contexts=run.contexts,
             time=run.machine.time,
@@ -292,13 +283,10 @@ class _HMMSimRun:
         self.body_pass: BodyPass | None = None
 
     # ------------------------------------------------------------- helpers
-    def _word(self, slot: int, offset: int = 0) -> int:
-        return slot * self.mu + offset
-
     def _swap_slot_ranges(self, a: int, b: int, length: int) -> None:
         """Swap the contents of block slots [a, a+length) and [b, b+length)."""
         t0 = self.machine.time
-        self.machine.swap_ranges(self._word(a), self._word(b), length * self.mu)
+        self.machine.swap_ranges(a * self.mu, b * self.mu, length * self.mu)
         self.tracer.add_leaf("swap", "swaps", t0, self.machine.time)
         self.counters.add("context_swaps", 2 * length)
         # slot bookkeeping via slice exchange (host-side only, no charging)

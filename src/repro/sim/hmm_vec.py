@@ -8,30 +8,30 @@ superstep bodies compute; the access function only sets the price of
 each charge.  So the schedule is compiled once into a
 :class:`ChargePlan` (cached per ``(v, mu, labels, dummy flags)``, with
 its charges as codes into a small value table and its swaps as slot
-ranges), priced per access function by a few array gathers
-(:class:`Prices`, the latest two kept on the plan), bodies are run
-superstep-major (valid because processor bodies within a superstep are
-independent — the direct engine already executes step-major and passes
-the equivalence suites), and the charged clock is produced by gathering
-the plan's priced charge templates, the bodies' local times and the
-batched delivery charges into one operand stream and folding it with a single
-``np.cumsum`` — the same fold :meth:`repro.functions.CostTable.fold_access`
-uses, which reproduces the serial ``t += c`` sequence bit-for-bit,
-including every intermediate clock value.
+ranges, in the kernel's one plan cache), priced per access function by
+a few array gathers (:class:`Prices`, the latest two kept on the plan),
+bodies are run superstep-major (valid because processor bodies within a
+superstep are independent — the direct engine already executes
+step-major and passes the equivalence suites), and the charged clock is
+the fold of a :class:`~repro.sim.kernel.Tape` per delivery pattern: one
+gather of the priced charge templates, the bodies' local times and the
+batched delivery charges, then a single ``np.cumsum``
+(:func:`~repro.sim.kernel.fold`), which reproduces the serial
+``t += c`` sequence bit-for-bit, including every intermediate clock
+value.  Brent's fine runs assemble their per-host tapes here too.
 
 Observability is preserved exactly: counters replicate the scalar
 ``add`` calls (amounts *and* key-creation).  The span structure of a
 run — which open/leaf/close calls the scalar engine makes, at which
 stream positions — is fixed by the plan and the per-round message
-counts, so at ``phases`` it is compiled once per delivery pattern into
-an event table (:class:`~repro.sim.kernel.PhaseEvents`) and the
-breakdown is two ``np.bincount`` folds over the clock
-(:func:`~repro.sim.kernel.fold_phases`), with no tracer call per span.
-At ``full``, which records every span, a post-pass walks the plan
-against the folded clock and drives the real
-:class:`~repro.obs.trace.Tracer` through that call sequence.  Either
-way: same breakdowns, same span records, same ±ulp self-cost
-attribution as the scalar engine.
+counts, so it is compiled into the tape's span table on the pattern's
+first traced run.  At ``phases`` the breakdown is two ``np.bincount``
+folds over the clock (:func:`~repro.sim.kernel.fold_phases`), with no
+tracer call per span; at ``full``, which records every span, the table
+drives the real :class:`~repro.obs.trace.Tracer` against the folded
+clock (:func:`~repro.sim.kernel.replay`).  Either way: same breakdowns,
+same span records, same ±ulp self-cost attribution as the scalar
+engine.
 
 Bodies run in the shared superstep-major pass
 (:func:`repro.sim.kernel.run_bodies`), in one of its two modes:
@@ -53,28 +53,26 @@ baseline from it instead of running the bodies a second time.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.obs.counters import NULL_COUNTERS
 from repro.sim.kernel import (
-    EventRecorder,
-    PhaseEvents,
-    PlanCache,
-    fold_phases,
+    CLOSE,
+    LEAF,
+    OPEN,
+    Spans,
+    Tape,
+    cached_plan,
+    fold,
     interleave2,
+    plan_cache_info,
     ranges_concat,
     run_bodies,
 )
 
 __all__ = ["ChargePlan", "execute_vec", "plan_cache_info"]
 
-#: schedules are f-free, so the capacity follows the distinct
-#: ``(v, mu, labels)`` signatures of a worker's traffic: about 80 for
-#: the benchmark's serve-cold sweep, where every request brings a fresh f
-_PLANS = PlanCache(128)
 #: prices a schedule keeps, for its most recent access functions: a
 #: repeated call finds its prices, and a fresh f on a known shape (a
 #: serve-cold request) adds one small entry in place of the oldest
@@ -99,17 +97,19 @@ class ChargePlan:
     code ``k < v`` is slot ``k``'s block cost, code ``v`` a hole for a
     local time, code ``v + 1 + label`` a dummy's unit sync charge
     ``v >> label``) and the Step 4 swaps as slot triples
-    (``swaps[:, i] = (a, b, length)``).  Plus the hole indices and
-    counter constants needed to assemble a run's charge stream; the
-    round table (``round_of[s * v + pid]``: the round that simulates
-    ``pid``'s cluster in step ``s``, the inverse of ``local_src``) and
-    each step's slot mask (``slot_mask[s] = |C| - 1``), which place a
+    (``swaps[:, i] = (a, b, length)``).  Plus the hole indices needed
+    to assemble a run's charge stream; the round table
+    (``round_of[s * v + pid]``: the round that simulates ``pid``'s
+    cluster in step ``s``, the inverse of ``local_src``) and each
+    step's slot mask (``slot_mask[s] = |C| - 1``), which place a
     message in its round and its endpoints in the top slots; the stream
     layout of the last delivery pattern (``pattern_cache``: one
-    :class:`_Pattern`, keyed by the bytes of its per-round message
-    charge counts ``b_len``); and the prices of the access functions it
-    last ran under.  Cached per ``(v, mu, labels, dummy flags)``:
-    :func:`_price` turns it into one function's charges.
+    :class:`~repro.sim.kernel.Tape`, keyed by the bytes of its
+    per-round message charge counts ``b_len``); the prices of the
+    access functions it last ran under; and the counter amounts of a
+    run (``counts``), messages left out.  Cached per ``(v, mu, labels,
+    dummy flags)``: :func:`_price` turns it into one function's
+    charges.
     """
 
     __slots__ = (
@@ -117,9 +117,7 @@ class ChargePlan:
         "step", "first", "csize", "label", "dummy",
         "a_len", "a_code", "fixed_values", "local_pos", "local_src",
         "c_len", "swaps",
-        "round_of", "slot_mask", "pattern_cache", "prices",
-        "cycle_words", "n_normal_rounds", "n_dummy_rounds",
-        "total_context_swaps", "total_swap_words",
+        "round_of", "slot_mask", "pattern_cache", "prices", "counts",
     )
 
 
@@ -154,11 +152,6 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
     a_len: list[int] = []
     swaps: list[tuple[int, int, int]] = []
 
-    cycle_words = 0
-    n_dummy_rounds = 0
-    total_context_swaps = 0
-    total_swap_words = 0
-
     # per-csize charge template for a normal round: a hole for the k=0
     # local time, then (bc_k, bc_k, top, top, hole) per cycled context
     templates: dict[int, np.ndarray] = {}
@@ -166,21 +159,14 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
     def template_for(csize: int) -> np.ndarray:
         tpl = templates.get(csize)
         if tpl is None:
-            tpl = np.full(5 * csize - 4, hole, dtype=code_type)
-            for k in range(1, csize):
-                base = 5 * k - 4
-                tpl[base] = k
-                tpl[base + 1] = k
-                tpl[base + 2] = 0
-                tpl[base + 3] = 0
-            templates[csize] = tpl
+            tpl = templates[csize] = np.full(5 * csize - 4, hole, dtype=code_type)
+            k = np.arange(1, csize)
+            tpl[5 * k - 4] = tpl[5 * k - 3] = k
+            tpl[5 * k - 2] = tpl[5 * k - 1] = 0
         return tpl
 
     def do_swap(a: int, b: int, length: int) -> None:
-        nonlocal total_context_swaps, total_swap_words
         swaps.append((a, b, length))
-        total_context_swaps += 2 * length
-        total_swap_words += 2 * length * mu
         pids_a = slot_to_pid[a : a + length]
         slot_to_pid[a : a + length] = slot_to_pid[b : b + length]
         slot_to_pid[b : b + length] = pids_a
@@ -208,17 +194,12 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
         r_first.append(first)
         r_csize.append(csize)
         r_label.append(label)
+        r_dummy.append(dummy_step[s])
         if dummy_step[s]:
-            r_dummy.append(True)
             a_parts.append(np.array([hole + 1 + label], dtype=code_type))
-            a_len.append(1)
-            n_dummy_rounds += 1
         else:
-            r_dummy.append(False)
-            tpl = template_for(csize)
-            a_parts.append(tpl)
-            a_len.append(len(tpl))
-            cycle_words += 4 * mu * (csize - 1)
+            a_parts.append(template_for(csize))
+        a_len.append(len(a_parts[-1]))
         for pid in range(first, first + csize):
             next_step[pid] += 1
 
@@ -267,17 +248,31 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
         np.repeat(np.arange(plan.R), plan.csize)
     )
     plan.slot_mask = _index_array([(v >> lb) - 1 for lb in labels], v - 1)
-    plan.cycle_words = cycle_words
-    plan.n_normal_rounds = int(plan.R - n_dummy_rounds)
-    plan.n_dummy_rounds = n_dummy_rounds
-    plan.total_context_swaps = total_context_swaps
-    plan.total_swap_words = total_swap_words
+    # the scalar adds' totals, in their key-creation order: delivery
+    # creates words_touched/messages on every normal round (the run adds
+    # its message counts), swaps create their keys whenever one happens
+    normal = ~plan.dummy
+    n_dummy_rounds = plan.R - int(normal.sum())
+    total_context_swaps = 2 * sum(length for _, _, length in swaps)
+    counts = plan.counts = {}
+    if plan.R > n_dummy_rounds:
+        counts.update(
+            words_touched=4 * mu * int((plan.csize[normal] - 1).sum()),
+            messages=0,
+        )
+    if total_context_swaps:
+        counts["context_swaps"] = total_context_swaps
+        counts["words_touched"] = (
+            counts.get("words_touched", 0) + total_context_swaps * mu
+        )
+        counts["words_moved"] = total_context_swaps * mu
+    if n_dummy_rounds:
+        counts["dummy_supersteps"] = n_dummy_rounds
     plan.pattern_cache = {}
     plan.prices = {}
 
     # positions of the local-time holes inside the templates, and the
     # (step * v + pid) source index each hole reads from local_flat
-    normal = ~plan.dummy
     a_off = np.zeros(plan.R, dtype=np.int64)
     np.cumsum(plan.a_len[:-1], out=a_off[1:])
     n_csize = plan.csize[normal]
@@ -315,7 +310,7 @@ def _schedule_for(v: int, mu: int, steps) -> ChargePlan:
     """The cached schedule of ``steps`` on ``v`` processors of ``mu``
     words, built on a miss."""
     sig = (v, mu, tuple((s.label, s.body is None) for s in steps))
-    return _PLANS.get(sig, lambda: _build_schedule(v, mu, steps))
+    return cached_plan("vec", sig, lambda: _build_schedule(v, mu, steps))
 
 
 def _plan_for(run) -> tuple[ChargePlan, Prices]:
@@ -326,221 +321,163 @@ def _plan_for(run) -> tuple[ChargePlan, Prices]:
     f = run.sim.f
     try:
         prices = plan.prices.get(f)
+        hashable = True
     except TypeError:  # a custom access function without value equality
-        return plan, _price(
-            plan, run._block_cost, run._slot_word_cost, run.machine.table
-        )
+        prices, hashable = None, False
     if prices is None:
         prices = _price(
             plan, run._block_cost, run._slot_word_cost, run.machine.table
         )
-        kept = list(plan.prices.items())[: _PRICES_KEPT - 1]
-        plan.prices = dict([(f, prices), *kept])
+        if hashable:
+            kept = list(plan.prices.items())[: _PRICES_KEPT - 1]
+            plan.prices = dict([(f, prices), *kept])
     return plan, prices
 
 
-def plan_cache_info() -> dict:
-    """Introspection hook for tests and ``/v1/metrics``: cached plan
-    count plus lifetime hit/miss/eviction counters (process-wide)."""
-    return _PLANS.info()
-
-
 # ------------------------------------------------------------- assembly
-def _messages(plan, step_src, step_dest):
-    """Every message sent in the steps of ``plan``, in step order and
-    pid-major within a step: its sender, the round that delivers it and
-    the top slots of its two endpoints; ``None`` when nothing was sent.
+def _delivery_stream(plan, wc, step_src, step_dest, rows: int = 1):
+    """Per-round delivery charges, in stream order, and ``b_len``, the
+    number of charges in each round (two per message).
 
     ``step_src[s]`` / ``step_dest[s]`` are step ``s``'s send arrays (or
-    ``None``).  Endpoints are taken modulo ``plan.v``, so a Brent fine
-    run can pass its guests' sends: each host runs the same schedule
-    over its own ``v`` pids.  A delivering round has its cluster on top
-    sorted by pid, so an endpoint's slot is its offset in the cluster.
+    ``None``).  One pass over all the messages, in step order and
+    pid-major within a step: each is looked up in the round table, a
+    stable sort by round brings them into round order (a round's
+    messages are one step's, so they stay pid-major, the scalar order),
+    and each contributes ``wc`` of its source slot, then of its
+    destination slot.  A delivering round has its cluster on top sorted
+    by pid, so an endpoint's slot is its offset in the cluster.
+
+    Endpoints are taken modulo ``plan.v``, so a Brent fine run can pass
+    its guests' sends: with ``rows`` hosts (host ``j`` simulating pids
+    ``[j v, (j + 1) v)`` on the same schedule) the stream is host-major
+    and ``b_len`` holds ``rows`` round tables end to end.
     """
     sent = [s for s, src in enumerate(step_src) if src is not None]
     if not sent:
-        return None
+        return np.empty(0), np.zeros(rows * plan.R, dtype=np.int64)
     src = np.concatenate([step_src[s] for s in sent])
     dest = np.concatenate([step_dest[s] for s in sent])
     step = np.repeat(sent, [len(step_src[s]) for s in sent])
-    rnd = plan.round_of[step * plan.v + (src & (plan.v - 1))]
     mask = plan.slot_mask[step]
-    return src, rnd, src & mask, dest & mask
+    key = src // plan.v * plan.R + plan.round_of[step * plan.v + (src & (plan.v - 1))]
+    order = key.argsort(kind="stable")
+    stream = interleave2(wc[(src & mask)[order]], wc[(dest & mask)[order]])
+    return stream, 2 * np.bincount(key, minlength=rows * plan.R)
 
 
-def _delivery_stream(plan, wc, step_src, step_dest):
-    """Per-round delivery charges, in round order, and ``b_len``, the
-    number of charges in each round (two per message).
-
-    One pass over all the messages: each is looked up in the round
-    table, a stable sort by round brings them into round order (a
-    round's messages are one step's, so they stay pid-major, the
-    scalar order), and each contributes ``wc`` of its source slot, then
-    of its destination slot.
-    """
-    msgs = _messages(plan, step_src, step_dest)
-    if msgs is None:
-        return np.empty(0, dtype=np.float64), np.zeros(plan.R, dtype=np.int64)
-    _, rnd, src_slot, dest_slot = msgs
-    order = rnd.argsort(kind="stable")
-    stream = interleave2(wc[src_slot[order]], wc[dest_slot[order]])
-    return stream, 2 * np.bincount(rnd, minlength=plan.R)
-
-
-class _Pattern:
-    """One delivery pattern's stream layout: the round offsets, and for
-    every stream position the operand it takes from a run's pool
-    ``[value table, hole local times, delivery charges, swap charges]``
-    (in the smallest type that holds a pool index: patterns stay cached
-    with their plan); plus the plan's span walk at this pattern's
-    stream positions (compiled on first use)."""
-
-    __slots__ = ("off", "gather", "events")
-
-    def __init__(self, plan, b_len):
-        off = self.off = np.zeros(plan.R + 1, dtype=np.int64)
-        np.cumsum(plan.a_len + b_len + plan.c_len, out=off[1:])
-        b_at = off[:-1] + plan.a_len
-        # the pool: value table, holes' local times, then the delivery
-        # and swap charges in stream order
-        n_a = plan.v + len(plan.fixed_values)
-        a_src = plan.a_code.astype(np.int64)
-        a_src[plan.local_pos] = np.arange(n_a, n_a + len(plan.local_pos))
-        n_a += len(plan.local_pos)
-        bc_pos = np.concatenate((
-            ranges_concat(b_at, b_len), ranges_concat(b_at + b_len, plan.c_len)
-        ))
-        gather = np.empty(int(off[-1]), dtype=np.int64)
-        gather[ranges_concat(off[:-1], plan.a_len)] = a_src
-        gather[bc_pos] = np.arange(n_a, n_a + len(bc_pos))
-        self.gather = _index_array(gather, n_a + len(bc_pos))
-        self.events: PhaseEvents | None = None
+def _tape(plan: ChargePlan, b_len, rows: int) -> Tape:
+    """One delivery pattern's tape: for every stream position of each
+    row (host), the operand it takes from a run's pool ``[value table,
+    holes' local times, delivery charges, swap charges]`` (the holes and
+    delivery charges row-major; a row shorter than the longest is padded
+    with the hole code, whose value is 0.0).  Indices are in the
+    smallest type that holds them: tapes stay cached with their plan."""
+    b_len = b_len.reshape(rows, plan.R)
+    off = np.zeros((rows, plan.R + 1), dtype=np.int64)
+    np.cumsum(plan.a_len + b_len + plan.c_len, axis=1, out=off[:, 1:])
+    width = int(off[:, -1].max())
+    # where each part of the pool starts
+    holes = plan.v + len(plan.fixed_values)
+    delivery = holes + rows * len(plan.local_pos)
+    swaps = delivery + int(b_len.sum())
+    a_src = np.tile(plan.a_code.astype(np.int64), (rows, 1))
+    a_src[:, plan.local_pos] = np.arange(holes, delivery).reshape(rows, -1)
+    # each (row, round) lays out its template, deliveries and swaps
+    at = off[:, :-1] + (np.arange(rows) * width)[:, None]
+    gather = np.full(rows * width, plan.v, dtype=np.int64)
+    gather[ranges_concat(at.ravel(), np.tile(plan.a_len, rows))] = a_src.ravel()
+    at += plan.a_len
+    gather[ranges_concat(at.ravel(), b_len.ravel())] = np.arange(delivery, swaps)
+    at += b_len
+    n_swaps = plan.swaps.shape[1]
+    gather[ranges_concat(at.ravel(), np.tile(plan.c_len, rows))] = np.tile(
+        np.arange(swaps, swaps + n_swaps), rows
+    )
+    return Tape(
+        _index_array(gather.reshape(rows, width), swaps + n_swaps),
+        counts=plan.counts,
+    )
 
 
-def _assemble_stream(plan, prices, local_flat, step_src, step_dest):
-    """Gather charge templates, local times and delivery charges into
-    the one operand stream the scalar engine folds serially.
+def _assemble(plan, prices, step_src, step_dest, rows: int = 1):
+    """A run's tape, its delivery charges and ``b_len``.
 
     The layout depends on the plan and on ``b_len`` only — and repeated
     runs of the same program deliver the same per-round message counts —
-    so it is cached on the plan (one :class:`_Pattern`, keyed by the
-    ``b_len`` bytes; a different delivery pattern just rebuilds).  A run
-    then lays its few operand sources end to end and takes the stream
-    from them with one gather.
+    so it is cached on the plan (one tape, keyed by the ``b_len`` bytes;
+    a different delivery pattern just rebuilds).  A run then lays its
+    pool ``[prices.values, local times at the holes, delivery charges,
+    prices.C_all]`` end to end and folds the tape over it.
     """
-    B, b_len = _delivery_stream(plan, prices.wc, step_src, step_dest)
+    B, b_len = _delivery_stream(plan, prices.wc, step_src, step_dest, rows)
     key = b_len.tobytes()
-    pattern = plan.pattern_cache.get(key)
-    if pattern is None:
-        pattern = _Pattern(plan, b_len)
-        plan.pattern_cache.clear()  # keep exactly one pattern resident
-        plan.pattern_cache[key] = pattern
-    pool = np.concatenate(
-        (prices.values, local_flat[plan.local_src], B, prices.C_all)
-    )
-    # one extra slot up front: the caller seeds it with the machine
-    # clock and cumsums in place, so the stream never has to be copied
-    # into a separate fold buffer
-    buf = np.empty(len(pattern.gather) + 1, dtype=np.float64)
-    pool.take(pattern.gather, out=buf[1:], mode="clip")
-    return buf, pattern, b_len
+    tape = plan.pattern_cache.get(key)
+    if tape is None:
+        tape = _tape(plan, b_len, rows)
+        plan.pattern_cache = {key: tape}  # keep exactly one pattern resident
+    return tape, B, b_len
 
 
 # ----------------------------------------------------------- observability
-def _add_counters(run, plan, b_len) -> None:
-    counters = run.counters
-    if counters is NULL_COUNTERS:
-        return
-    # same totals and same key-creation as the scalar adds: delivery
-    # creates words_touched/messages on every normal round (amount may
-    # be zero), swaps create their keys whenever at least one happens
-    if plan.n_normal_rounds:
-        total_msgs = int(b_len.sum()) // 2
-        counters.add("words_touched", plan.cycle_words + 2 * total_msgs)
-        counters.add("messages", total_msgs)
-    if plan.total_context_swaps:
-        counters.add("context_swaps", plan.total_context_swaps)
-        counters.add("words_touched", plan.total_swap_words)
-        counters.add("words_moved", plan.total_swap_words)
-    if plan.n_dummy_rounds:
-        counters.add("dummy_supersteps", plan.n_dummy_rounds)
+#: the Fig. 1 scheme's span names by code: ``(name, category, attribute
+#: keys)`` of its opens and leaves, as the scalar engine passes them
+_SPAN_NAMES = (
+    ("round", None, ("superstep", "label", "cluster")),
+    ("dummy", "dummies", ()),
+    ("local", "local", ()),
+    ("cycle-context", "cycling", ()),
+    ("delivery", "delivery", ()),
+    ("cycle-swaps", "swaps", ()),
+    ("swap", "swaps", ()),
+)
 
 
-def _walk_tracer(tracer, machine, plan, clk, off, b_len) -> None:
-    """Drive ``tracer`` through the scalar call sequence.
+def _spans(plan: ChargePlan, b_len) -> Spans:
+    """The scalar engine's span calls at ``b_len``'s stream positions,
+    compiled on the pattern's first traced run.
 
-    ``clk[i]`` is the charged clock after the first ``i`` elementary
-    operands — every value the serial run's ``machine.time`` ever takes,
-    reproduced by the cumsum fold.  ``open``/``close`` sample the clock
-    through ``machine.time``, so it is positioned before each call
-    exactly where the scalar engine would have it.  With an
-    :class:`~repro.sim.kernel.EventRecorder` over positions (``clk`` a
-    ``range``) the same walk compiles the plan's event table.
+    Each kind of row is laid out for every round at once — the round's
+    open; a dummy's leaf, or the template's ``local`` leaves at ``5k``
+    and ``cycle-context`` leaves from ``5k - 4`` and the delivery leaf;
+    the swap span; the close — and one sort by (round, position, rank)
+    puts them in call order.
     """
-    record = tracer.record
-    off_l = off.tolist()
-    b_l = b_len.tolist()
-    c_l = plan.c_len.tolist()
-    dummy_l = plan.dummy.tolist()
-    csize_l = plan.csize.tolist()
-    add_leaf = tracer.add_leaf
-    for r in range(plan.R):
-        i = off_l[r]
-        machine.time = clk[i]
-        if record:
-            s = int(plan.step[r])
-            csize = csize_l[r]
-            first = int(plan.first[r])
-            tracer.open(
-                "round",
-                None,
-                {
-                    "superstep": s,
-                    "label": int(plan.label[r]),
-                    "cluster": first // csize,
-                },
-            )
-        else:
-            tracer.open("round", None, None)
-        if dummy_l[r]:
-            add_leaf("dummy", "dummies", clk[i], clk[i + 1])
-            i += 1
-        else:
-            csize = csize_l[r]
-            add_leaf("local", "local", clk[i], clk[i + 1])
-            i += 1
-            for _ in range(csize - 1):
-                add_leaf("cycle-context", "cycling", clk[i], clk[i + 4])
-                i += 4
-                add_leaf("local", "local", clk[i], clk[i + 1])
-                i += 1
-            nb = b_l[r]
-            add_leaf("delivery", "delivery", clk[i], clk[i + nb])
-            i += nb
-        n_swaps = c_l[r]
-        if n_swaps:
-            machine.time = clk[i]
-            tracer.open("cycle-swaps", "swaps")
-            for _ in range(n_swaps):
-                add_leaf("swap", "swaps", clk[i], clk[i + 1])
-                i += 1
-            machine.time = clk[i]
-            tracer.close()
-        machine.time = clk[i]
-        tracer.close()
-
-
-def _phase_events(plan, pattern: _Pattern, b_len) -> PhaseEvents:
-    """The plan's span walk at ``pattern``'s stream positions, compiled
-    on the pattern's first ``phases`` run."""
-    if pattern.events is None:
-        at = SimpleNamespace(time=0)
-        rec = EventRecorder(clock=lambda: at.time)
-        _walk_tracer(
-            rec, at, plan, range(pattern.off[-1] + 1), pattern.off, b_len
-        )
-        pattern.events = rec.table()
-    return pattern.events
+    off = np.zeros(plan.R + 1, dtype=np.int64)
+    np.cumsum(plan.a_len + b_len + plan.c_len, out=off[1:])
+    rounds = np.arange(plan.R)
+    dummy = rounds[plan.dummy]
+    normal = rounds[~plan.dummy]
+    ctx = np.repeat(normal, plan.csize[normal])  # round of each context
+    local = off[ctx] + 5 * ranges_concat(np.zeros_like(normal), plan.csize[normal])
+    cycled = local > off[ctx]
+    delivery = off[normal] + plan.a_len[normal]
+    swap_at = off[:-1] + plan.a_len + b_len
+    swapping = rounds[plan.c_len > 0]
+    swap = np.repeat(swapping, plan.c_len[swapping])  # round of each swap
+    swap_leaf = ranges_concat(swap_at[swapping], plan.c_len[swapping])
+    groups = (  # round, position, rank, kind, code, leaf end
+        (rounds, off[:-1], 0, OPEN, 0, 0),
+        (dummy, off[dummy], 1, LEAF, 1, off[dummy] + 1),
+        (ctx, local, 1, LEAF, 2, local + 1),
+        (ctx[cycled], local[cycled] - 4, 1, LEAF, 3, local[cycled]),
+        (normal, delivery, 1, LEAF, 4, delivery + b_len[normal]),
+        (swapping, swap_at[swapping], 2, OPEN, 5, 0),
+        (swap, swap_leaf, 3, LEAF, 6, swap_leaf + 1),
+        (swapping, swap_at[swapping] + plan.c_len[swapping], 4, CLOSE, 0, 0),
+        (rounds, off[1:], 5, CLOSE, 0, 0),
+    )
+    rnd, pos, rank, kind, code, end = (
+        np.concatenate([np.broadcast_to(g[i], g[0].shape) for g in groups])
+        for i in range(6)
+    )
+    rows = np.stack((kind, code, pos, end), axis=1)[np.lexsort((rank, pos, rnd))]
+    attrs = np.stack((plan.step, plan.label, plan.first // plan.csize), axis=1)
+    return Spans(
+        rows.astype(np.min_scalar_type(rows.max(initial=0))),
+        _SPAN_NAMES,
+        attrs.ravel(),
+    )
 
 
 # ------------------------------------------------------------------ entry
@@ -551,19 +488,17 @@ def execute_vec(run) -> None:
     plan, prices = _plan_for(run)
     bodies = run_bodies(run.program, run.contexts, run.pending)
     run.body_pass = bodies.select(run.smoothed.original_steps)
-    buf, pattern, b_len = _assemble_stream(
-        plan, prices, bodies.local, bodies.src, bodies.dest
+    tape, B, b_len = _assemble(plan, prices, bodies.src, bodies.dest)
+    pool = np.concatenate(
+        (prices.values, bodies.local[plan.local_src], B, prices.C_all)
     )
-    _add_counters(run, plan, b_len)
-
-    machine = run.machine
-    buf[0] = machine.time
-    np.cumsum(buf, out=buf)
-    tracer = run.tracer
-    if tracer.record:
-        _walk_tracer(tracer, machine, plan, buf.tolist(), pattern.off, b_len)
-    elif tracer.enabled:
-        # the totals the walk would leave in this fresh tracer
-        tracer.totals = fold_phases(_phase_events(plan, pattern, b_len), buf)
-    machine.time = float(buf[-1])
+    clk = fold(tape.gather, pool, run.machine.time)[0]
+    # same totals and key creation as the scalar adds: two words
+    # touched per message
+    tape.add_counts(run.counters, words_touched=len(B), messages=len(B) // 2)
+    if run.tracer.enabled:
+        if tape.spans is None:
+            tape.spans = _spans(plan, b_len)
+        tape.trace(clk, run.tracer)
+    run.machine.time = float(clk[-1])
     run.round_index = plan.R

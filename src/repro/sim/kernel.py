@@ -1,13 +1,13 @@
-"""Array primitives shared by the vectorized simulation kernel.
+"""Array primitives and the charge tape shared by the simulation kernels.
 
 The scalar engines interleave *scheduling* (which cluster runs when,
 what every elementary ``time +=`` charges) with *execution* (running
-superstep bodies, moving messages).  The vectorized kernel
-(:mod:`repro.sim.hmm_vec`) splits the two: scheduling is compiled once
-into a :class:`~repro.sim.hmm_vec.ChargePlan` and execution becomes a
-handful of array operations.  This module holds the execution-side
-primitives, shared with the BT simulation and the direct executor, and
-the cache the compiled schedules live in:
+superstep bodies, moving messages).  The ``vec``, ``bt`` and ``brent``
+simulations split the two: Theorems 5, 12 and 10 all charge a run as a
+sequence of per-round charges fixed by the schedule, with holes for the
+guest's local times, so each engine compiles its figure into a
+body-independent :class:`Tape` once and folds it per run.  This module
+holds what they share:
 
 * :class:`ArrayView` — the whole-machine counterpart of
   :class:`~repro.dbsp.program.ProcView`, handed to
@@ -18,24 +18,29 @@ the cache the compiled schedules live in:
   arrays (the ``src``/``dst`` charge pattern of message delivery);
 * :func:`deliver_sorted` — batched replacement for per-message
   ``bisect.insort`` delivery loops (used by the BT simulation's
-  inline and transpose paths), bit-identical in the resulting inbox
-  order;
+  inline ablations), bit-identical in the resulting inbox order;
 * :func:`run_bodies` — the superstep-major body pass: every superstep
   of a program run for every processor, in step order, returning the
   local times per ``(step, pid)`` and the send arrays per step.  The
   ``vec``, ``bt`` and ``brent`` simulations and the direct executor all
   execute bodies through it and keep only the *charging* to themselves;
-* :class:`PhaseEvents` / :func:`fold_phases` — a plan's span walk
-  compiled into an event table (:class:`EventRecorder` builds it from
-  the walk's open/leaf/close calls), and the two-``bincount`` fold of
-  the ``phases`` breakdown from it;
-* :class:`PlanCache` — the bounded LRU the simulation kernels keep
-  their compiled, body-independent schedules in.
+* :class:`Tape` — an operand gather over a pool, a span table
+  (:class:`Spans`, recorded by :class:`EventRecorder`) and counter
+  constants; :func:`fold` (seeded take + ``cumsum``, one row per host
+  for Brent), :func:`replay` (the span table into a live tracer, for
+  ``full``) and :func:`fold_phases` over the table compiled by
+  :func:`phase_events` (the ``phases`` breakdown in two ``bincount``
+  calls); :func:`observed`, the breakdown and counters a result
+  reports at each trace level;
+* :data:`PLANS` — the one bounded LRU every engine keeps its compiled
+  plans in, keyed ``(engine, key)`` (:func:`cached_plan`,
+  :func:`plan_cache_info`).
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, NamedTuple
 
@@ -51,10 +56,19 @@ __all__ = [
     "deliver_sorted",
     "BodyPass",
     "run_bodies",
-    "PhaseEvents",
+    "Spans",
     "EventRecorder",
+    "PhaseEvents",
+    "phase_events",
     "fold_phases",
+    "replay",
+    "fold",
+    "Tape",
+    "observed",
     "PlanCache",
+    "PLANS",
+    "cached_plan",
+    "plan_cache_info",
 ]
 
 #: below this many messages the numpy fixed cost exceeds the insort loop
@@ -442,14 +456,87 @@ def _run_bodies_scalar(program, contexts, pending, out, check_sends):
             pending[dest].append(msg)
 
 
+# ---------------------------------------------------------------- tapes
+#: span table row kinds
+LEAF, OPEN, CLOSE = range(3)
+
+
+class Spans(NamedTuple):
+    """A span walk by stream position: the tracer calls a charge tape
+    makes, with positions where the tracer reads clock values.
+
+    ``rows[k] = (kind, code, start, end)``: an ``OPEN`` or ``CLOSE``
+    at position ``start`` (the clock a tracer's ``open``/``close``
+    samples is ``clk[start]``), or a ``LEAF`` from ``start`` to
+    ``end``.  ``names[code]`` is ``(name, category, attribute keys)``
+    (a close's code is unused), and ``attrs`` holds the attribute
+    values of every open with keys, in row order.
+    """
+
+    rows: np.ndarray
+    names: tuple[tuple[str, str | None, tuple[str, ...]], ...]
+    attrs: np.ndarray
+
+
+class EventRecorder:
+    """Records a span walk into a :class:`Spans` table.
+
+    Stands in for a recording :class:`~repro.obs.trace.Tracer`: the
+    same ``open``/``add_leaf``/``close`` calls, with ``clock`` and the
+    leaf bounds giving *positions* (indices into the clock array the
+    walk's charges will fold to) where the tracer takes clock values.
+    A compiler that knows its positions passes them as ``at``.
+    """
+
+    enabled = True
+    record = True
+
+    def __init__(self, clock: Callable[[], int] | None = None) -> None:
+        self.clock = clock
+        self._rows = array("q")
+        self._names: dict[tuple, int] = {}
+        self._attrs = array("q")
+
+    def _code(self, name: str, category: str | None, keys=()) -> int:
+        return self._names.setdefault((name, category, keys), len(self._names))
+
+    def open(self, name: str, category: str | None = None,
+             attrs: dict | None = None, at: int | None = None) -> None:
+        attrs = attrs or {}
+        self._attrs.extend(attrs.values())
+        self._rows.extend((
+            OPEN, self._code(name, category, tuple(attrs)),
+            self.clock() if at is None else at, 0,
+        ))
+
+    def add_leaf(self, name: str, category: str, start: int, end: int) -> None:
+        self._rows.extend((LEAF, self._code(name, category), start, end))
+
+    def close(self, at: int | None = None) -> None:
+        self._rows.extend((CLOSE, 0, self.clock() if at is None else at, 0))
+
+    def spans(self) -> Spans:
+        # tapes stay cached: keep the table in its smallest type
+        rows = np.frombuffer(self._rows, dtype=np.int64).reshape(-1, 4)
+        return Spans(
+            rows.astype(np.min_scalar_type(rows.max(initial=0))),
+            tuple(self._names),
+            np.array(self._attrs, dtype=np.int64),
+        )
+
+    def table(self) -> "PhaseEvents":
+        """The walk compiled for :func:`fold_phases`."""
+        return phase_events(self.spans())
+
+
 class PhaseEvents(NamedTuple):
     """A span walk compiled into rows, for :func:`fold_phases`.
 
-    One row per ``add_leaf`` and per ``close`` the walk makes, in call
-    order: row ``k`` has category ``names[category[k]]``, covers the
-    clock from ``clk[start[k]]`` to ``clk[end[k]]`` and lies inside the
-    span closed at row ``parent[k]`` (``len(category)`` for a root
-    row).  ``names`` is in order of first appearance, the key order of
+    One row per leaf and per close of the walk, in call order: row
+    ``k`` has category ``names[category[k]]``, covers the clock from
+    ``clk[start[k]]`` to ``clk[end[k]]`` and lies inside the span
+    closed at row ``parent[k]`` (``len(category)`` for a root row).
+    ``names`` is in order of first appearance, the key order of
     :attr:`Tracer.totals <repro.obs.trace.Tracer.totals>`.
     """
 
@@ -460,67 +547,45 @@ class PhaseEvents(NamedTuple):
     parent: np.ndarray
 
 
-class EventRecorder:
-    """Compiles a span walk into a :class:`PhaseEvents` table.
+def phase_events(spans: Spans) -> PhaseEvents:
+    """Compile a span table into its :class:`PhaseEvents` rows.
 
-    Stands in for a non-recording :class:`~repro.obs.trace.Tracer`: the
-    same ``open``/``add_leaf``/``close`` calls, with ``clock`` and the
-    leaf bounds giving *positions* (indices into the clock array the
-    walk's charges will fold to) where the tracer takes clock values.
-    A span opened without a category inherits its parent's, and a
-    root span without one counts as ``"other"``, as in the tracer.
+    A span opened without a category inherits its parent's, and a root
+    span without one counts as ``"other"``, as in the tracer.
     """
-
-    enabled = True
-    record = False
-
-    def __init__(self, clock: Callable[[], int]) -> None:
-        self.clock = clock
-        self.names: dict[str, int] = {}
-        self._category: list[int] = []
-        self._start: list[int] = []
-        self._end: list[int] = []
-        self._parent: list[int] = []  # open index of the enclosing span
-        self._close_row: list[int] = []  # row of each open's close
-        self._stack: list[tuple[str | None, int, int]] = []
-
-    def _row(self, category: str, start: int, end: int) -> None:
-        self._category.append(self.names.setdefault(category, len(self.names)))
-        self._start.append(start)
-        self._end.append(end)
-        self._parent.append(self._stack[-1][2] if self._stack else -1)
-
-    def open(self, name: str, category: str | None = None,
-             attrs: dict | None = None) -> None:
-        if category is None and self._stack:
-            category = self._stack[-1][0]
-        self._stack.append((category, self.clock(), len(self._close_row)))
-        self._close_row.append(-1)
-
-    def add_leaf(self, name: str, category: str, start: int, end: int) -> None:
-        self._row(category, start, end)
-
-    def close(self) -> None:
-        category, start, index = self._stack.pop()
-        self._close_row[index] = len(self._category)
-        self._row(
-            category if category is not None else OTHER, start, self.clock()
-        )
-
-    def table(self) -> PhaseEvents:
-        assert not self._stack, "unclosed spans in a compiled walk"
-        n = len(self._category)
-        # root rows point one past the last row: a bin nobody reads
-        close_row = np.array(self._close_row + [n], dtype=np.int64)
-        # plans stay cached: keep each column in its smallest type
-        pos_type = np.min_scalar_type(max(self._end, default=0))
-        return PhaseEvents(
-            tuple(self.names),
-            np.array(self._category, dtype=np.min_scalar_type(len(self.names))),
-            np.array(self._start, dtype=pos_type),
-            np.array(self._end, dtype=pos_type),
-            close_row[self._parent].astype(np.min_scalar_type(n)),
-        )
+    names: dict[str, int] = {}
+    #: per row: category code, start, end, open index of the enclosing span
+    out: list[tuple[int, int, int, int]] = []
+    close_row: list[int] = []  # row of each open's close
+    stack: list[tuple[str | None, int, int]] = []
+    for kind, code, t0, t1 in spans.rows.tolist():
+        cat = spans.names[code][1]
+        if kind == OPEN:
+            if cat is None and stack:
+                cat = stack[-1][0]
+            stack.append((cat, t0, len(close_row)))
+            close_row.append(-1)
+            continue
+        if kind == CLOSE:  # from the open's position to the close's
+            t1 = t0
+            cat, t0, index = stack.pop()
+            close_row[index] = len(out)
+        out.append((
+            names.setdefault(OTHER if cat is None else cat, len(names)),
+            t0, t1, stack[-1][2] if stack else -1,
+        ))
+    assert not stack, "unclosed spans in a compiled walk"
+    category, start, end, parent = np.array(out, dtype=np.int64).reshape(-1, 4).T
+    # root rows point one past the last row: a bin nobody reads
+    close_row.append(len(out))
+    pos_type = np.min_scalar_type(end.max(initial=0))
+    return PhaseEvents(
+        tuple(names),
+        category.astype(np.min_scalar_type(len(names))),
+        start.astype(pos_type),
+        end.astype(pos_type),
+        np.array(close_row)[parent].astype(np.min_scalar_type(len(out))),
+    )
 
 
 def fold_phases(events: PhaseEvents, clk) -> dict[str, float]:
@@ -577,14 +642,112 @@ def fold_phases(events: PhaseEvents, clk) -> dict[str, float]:
     return dict(zip(events.names, totals.tolist()))
 
 
+def replay(spans: Spans, clk, tracer) -> None:
+    """Drive ``tracer`` through the span table, its clock reading
+    ``clk[start]`` at every open and close: the calls, clock values and
+    attributes of the serial walk the table was compiled from."""
+    names = spans.names
+    attrs = iter(spans.attrs.tolist())
+    rows = spans.rows
+    now = 0.0
+    # the loop rebinds ``now`` to each row's start: the clock the
+    # tracer samples in ``open`` and ``close``
+    clock, tracer.clock = tracer.clock, lambda: now
+    add_leaf = tracer.add_leaf
+    for kind, code, now, end in zip(
+        rows[:, 0].tolist(),
+        rows[:, 1].tolist(),
+        clk[rows[:, 2]].tolist(),
+        clk[rows[:, 3]].tolist(),
+    ):
+        if kind == LEAF:
+            add_leaf(names[code][0], names[code][1], now, end)
+        elif kind == OPEN:
+            name, category, keys = names[code]
+            tracer.open(
+                name, category, {k: next(attrs) for k in keys} if keys else None
+            )
+        else:
+            tracer.close()
+    tracer.clock = clock
+
+
+def fold(gather: np.ndarray, pool: np.ndarray, seed: float = 0.0) -> np.ndarray:
+    """Fold a charge tape: the clock after each of its operands.
+
+    The operands are ``pool[gather]``; ``clk[..., 0] = seed`` and
+    ``clk[..., p]`` is the clock after the first ``p`` operands, added
+    one at a time in stream order (``np.cumsum``), so every value is
+    the serial ``t += c`` sum bit for bit.  A 2-D ``gather`` folds one
+    stream per row (Brent's hosts), each from ``seed``.
+    """
+    clk = np.empty(gather.shape[:-1] + (gather.shape[-1] + 1,))
+    clk[..., 0] = seed
+    pool.take(gather, out=clk[..., 1:], mode="clip")
+    return np.cumsum(clk, axis=-1, out=clk)
+
+
+class Tape:
+    """One compiled charge tape: a simulation's body-independent part.
+
+    ``gather`` takes each stream position's operand from a run's pool
+    (a priced value table, the holes' local times, message charges —
+    laid out by the engine that compiled the tape) for :func:`fold`;
+    ``spans`` is the tracer walk over its positions (``None`` until an
+    engine compiles it); ``counts`` the counter amounts every run adds,
+    in key-creation order.
+    """
+
+    __slots__ = ("gather", "spans", "counts", "_events")
+
+    def __init__(self, gather: np.ndarray, spans: Spans | None = None,
+                 counts: dict[str, int] | None = None) -> None:
+        self.gather = gather
+        self.spans = spans
+        self.counts = counts if counts is not None else {}
+        self._events: PhaseEvents | None = None
+
+    def trace(self, clk, tracer) -> None:
+        """Leave in ``tracer`` what walking the spans over ``clk``
+        would: every span at ``full``; otherwise the phase totals,
+        folded from the walk compiled once per tape (into a fresh
+        tracer)."""
+        if tracer.record:
+            replay(self.spans, clk, tracer)
+        elif tracer.enabled:
+            if self._events is None:
+                self._events = phase_events(self.spans)
+            tracer.totals = fold_phases(self._events, clk)
+
+    def add_counts(self, counters, **per_run: int) -> None:
+        """Add the tape's counter amounts, plus ``per_run`` to those
+        it holds (the run's message counts, say)."""
+        for name, amount in self.counts.items():
+            counters.add(name, amount + per_run.get(name, 0))
+
+
+def observed(trace: str, tracer, counters, phases, rounds: int | None = None):
+    """The ``breakdown`` and ``counters`` a simulation reports at trace
+    level ``trace``: the tracer's phase totals over every key of
+    ``phases`` (at ``phases`` and ``full``), and the counter snapshot,
+    ``rounds`` added (unless ``None``)."""
+    if trace == "off":
+        return {}, {}
+    breakdown: dict[str, float] = {}
+    if trace != "counters":
+        breakdown = dict.fromkeys(phases, 0.0)
+        breakdown.update(tracer.phase_totals())
+    if rounds is not None:
+        counters.add("rounds", rounds)
+    return breakdown, counters.snapshot()
+
+
 class PlanCache:
     """A bounded LRU of compiled plans, with lifetime counters.
 
-    The ``vec``, ``bt`` and ``brent`` simulations each compile a
-    body-independent plan per schedule key and keep the ``maxsize`` most
-    recently used ones (process-wide, shared by every thread);
-    :meth:`info` is their introspection hook for tests, ``/v1/metrics``
-    and the benchmark.
+    :data:`PLANS` is the one process-wide instance (shared by every
+    thread); :meth:`info` is its introspection hook for tests,
+    ``/v1/metrics`` and the benchmark.
     """
 
     def __init__(self, maxsize: int):
@@ -634,3 +797,21 @@ class PlanCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
+
+
+#: the compiled plans of the ``vec``, ``bt`` and ``brent`` simulations,
+#: keyed ``(engine, key)``.  vec's schedules are f-free, so about 80
+#: cover the benchmark's serve-cold sweep, where every request brings a
+#: fresh f; bt and brent plans keep their access function in the key
+PLANS = PlanCache(128)
+
+
+def cached_plan(engine: str, key: Hashable, build: Callable[[], Any]) -> Any:
+    """``engine``'s plan for ``key`` from :data:`PLANS`, built on a miss."""
+    return PLANS.get((engine, key), build)
+
+
+def plan_cache_info() -> dict:
+    """Cached plan count plus lifetime hit/miss/eviction counters of
+    :data:`PLANS` (process-wide, every engine)."""
+    return PLANS.info()

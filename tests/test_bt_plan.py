@@ -8,10 +8,11 @@
 * ``DBSPMachine`` runs array bodies when a program declares them; with
   the array bodies stripped it runs the scalar ones.  Both must give the
   same result, and the ``h <= mu`` degree error must come out unchanged.
-* The vec, bt and brent plan caches hold every cell of the benchmark's
-  paper workload: a second pass over the cells compiles and evicts
-  nothing, and brent's runs leave vec's cache untouched; threads that
-  record and read plans at once get the serial results.
+* The one plan cache holds every cell of the benchmark's paper
+  workload: a second pass over the cells compiles and evicts nothing
+  and makes one lookup per cell (warm brent runs do not read vec's
+  schedules); threads that record and read plans at once get the
+  serial results.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from repro.dbsp.machine import DBSPMachine
 from repro.dbsp.program import Program, Superstep
 from repro.engines import build_program
 from repro.functions import LogarithmicAccess, PolynomialAccess
-from repro.sim import brent, bt_sim, hmm_vec
 from repro.sim.bt_sim import BTSimulator, _BTSimRun
 from repro.sim.hmm_sim import HMMSimulator
-from repro.sim.kernel import PlanCache
+from repro.sim.kernel import PlanCache, plan_cache_info
 from repro.testing import random_program
 
 FUNCTIONS = [
@@ -90,10 +90,10 @@ class TestPlanMatchesInline:
     def test_plan_is_recorded_once_per_key(self):
         prog = random_program(8, n_steps=5, seed=11)
         sim = BTSimulator(PolynomialAccess(0.41))
-        before = bt_sim.plan_cache_info()
+        before = plan_cache_info()
         sim.simulate(prog)
         BTSimulator(PolynomialAccess(0.41), trace="full").simulate(prog)
-        after = bt_sim.plan_cache_info()
+        after = plan_cache_info()
         assert after["misses"] - before["misses"] == 1
         assert after["hits"] - before["hits"] == 1
 
@@ -112,10 +112,10 @@ class TestPlanMatchesInline:
 
     def test_ablations_run_inline(self):
         prog = random_program(8, n_steps=4, seed=12)
-        before = bt_sim.plan_cache_info()
+        before = plan_cache_info()
         BTSimulator(PolynomialAccess(0.5), sort="mergesort").simulate(prog)
         BTSimulator(PolynomialAccess(0.5), chunked_compute=False).simulate(prog)
-        after = bt_sim.plan_cache_info()
+        after = plan_cache_info()
         assert after["hits"] == before["hits"]
         assert after["misses"] == before["misses"]
 
@@ -156,9 +156,9 @@ def test_concurrent_runs_share_the_plan_cache():
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
-    before = bt_sim.plan_cache_info()
+    before = plan_cache_info()
     _run_in_threads(work, 8)
-    after = bt_sim.plan_cache_info()
+    after = plan_cache_info()
     assert not errors
     assert len(got) == 40
     for j, fields in got:
@@ -271,21 +271,13 @@ def test_paper_cells_stay_resident_in_the_plan_caches():
         for engine, program, f in PAPER_CELLS:
             repro.run(program, engine, f, v=PAPER_WIDTHS[program])
 
-    caches = (hmm_vec.plan_cache_info, bt_sim.plan_cache_info,
-              brent.plan_cache_info)
     run_all()  # warm-up: record whatever is not resident yet
-    vec_info = hmm_vec.plan_cache_info()
-    # brent's fine runs take their Section 3 schedules from vec's cache
-    # only when brent's own plan misses: warm brent runs neither read
-    # nor fill it
-    for program, v in PAPER_WIDTHS.items():
-        repro.run(program, "brent", "x^0.5", v=v, baseline=False)
-    assert hmm_vec.plan_cache_info() == vec_info
-    before = [info() for info in caches]
+    before = plan_cache_info()
     run_all()
-    after = [info() for info in caches]
-    assert after[0]["max"] == 128 and after[0]["size"] <= 128
-    for old, new in zip(before, after):
-        assert new["misses"] == old["misses"]
-        assert new["evictions"] == old["evictions"]
-        assert new["hits"] > old["hits"]
+    after = plan_cache_info()
+    assert after["max"] == 128 and after["size"] <= 128
+    assert after["misses"] == before["misses"]
+    assert after["evictions"] == before["evictions"]
+    # one hit per cell: brent's fine runs take their Section 3
+    # schedules from the cache only when brent's own plan misses
+    assert after["hits"] - before["hits"] == len(PAPER_CELLS)

@@ -1,7 +1,7 @@
 """The ``phases`` breakdown folded from a compiled walk equals the live one.
 
-At ``trace="phases"`` the ``vec`` and ``bt`` engines fold their
-breakdown from the plan's event table
+At ``trace="phases"`` the ``vec``, ``bt`` and ``brent`` engines fold
+their breakdown from the tape's compiled span table
 (:func:`repro.sim.kernel.fold_phases`); at ``trace="full"`` they still
 walk a live :class:`~repro.obs.trace.Tracer`, span by span.  On
 generated programs with data-dependent local times the two must agree
@@ -108,7 +108,7 @@ def assert_same(phases: dict, full: dict) -> None:
 
 
 @given(
-    engine=st.sampled_from(("vec", "bt")),
+    engine=st.sampled_from(("vec", "bt", "brent")),
     f=st.sampled_from(("x^0.5", "log", "x^0.3")),
     log_v=st.integers(min_value=0, max_value=6),
     n_steps=st.integers(min_value=1, max_value=12),
@@ -128,7 +128,7 @@ def test_other_is_exercised():
     seen = set()
     for seed in range(40):
         prog = jittered(random_program(16, n_steps=8, seed=seed))
-        for engine in ("vec", "bt"):
+        for engine in ("vec", "bt", "brent"):
             phases, full = breakdowns(engine, "x^0.5", prog)
             assert_same(phases, full)
             seen.add("other" in phases)

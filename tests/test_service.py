@@ -356,7 +356,7 @@ class TestServer:
         assert metrics["cache"]["size"] == 1
         assert metrics["queue"]["limit"] == server.service.scheduler.queue_limit
         assert metrics["jobs"]["enabled"] is False
-        assert metrics["http"]["deprecated_requests"] == 0
+        assert set(metrics["http"]) == {"parse_cache"}
 
     def test_batch(self, server):
         body = {"requests": [_request(0).to_json(), _request(1).to_json(),
@@ -367,22 +367,21 @@ class TestServer:
             "computed", "computed", "cached",
         ]
 
-    def test_legacy_aliases_work_with_deprecation_header(self, server):
-        """Unprefixed paths serve identically, marked ``Deprecation``."""
+    def test_bare_paths_are_not_found(self, server):
+        """The pre-``/v1`` paths are gone: each is the 404 envelope, with
+        no ``Deprecation`` header, and runs nothing."""
         body = _request().to_json()
-        status, legacy_doc, headers = _post(server.url, "/run", body)
-        assert status == 200
-        assert headers["Deprecation"] == "true"
-        status, v1_doc, v1_headers = _post(server.url, "/v1/run", body)
-        assert status == 200
-        assert "Deprecation" not in v1_headers
-        assert legacy_doc["result"] == v1_doc["result"]
-        # errors on legacy paths carry the header too
-        status, doc, headers = _post(server.url, "/run", {"engine": "nope"})
-        assert status == 400
-        assert headers["Deprecation"] == "true"
+        for path in ("/run", "/batch", "/plan", "/jobs"):
+            status, doc, headers = _post(server.url, path, body)
+            assert (status, doc["error"]["code"]) == (404, "not_found")
+            assert "Deprecation" not in headers
+        for path in ("/healthz", "/metrics", "/jobs"):
+            status, doc = _get(server.url, path)
+            assert (status, doc["error"]["code"]) == (404, "not_found")
         _, metrics = _get(server.url, "/v1/metrics")
-        assert metrics["http"]["deprecated_requests"] == 2
+        assert metrics["requests"]["admitted"] == 0
+        status, _, headers = _post(server.url, "/v1/run", body)
+        assert status == 200 and "Deprecation" not in headers
 
     @pytest.mark.parametrize("path,body,fragment", [
         ("/v1/run", {"engine": "nope", "program": "sort"}, "unknown engine"),
@@ -432,8 +431,9 @@ class TestServer:
         cases = [
             _post(server.url, "/v1/run", {"engine": "nope"})[:2],
             _get(server.url, "/v1/nope"),
-            _post(server.url, "/run", "junk")[:2],  # legacy alias too
+            _post(server.url, "/run", "junk")[:2],  # a bare path: 404
         ]
+        assert cases[-1][0] == 404
         for status, doc in cases:
             assert status >= 400
             assert set(doc) == {"error"}

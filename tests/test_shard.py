@@ -303,13 +303,16 @@ class TestRouter:
                 assert status == 200, doc
                 assert doc["results"][0]["result"] == expected["result"]
 
-    def test_deprecated_alias_carries_marker_through_the_router(self):
+    def test_bare_path_is_not_found_through_the_router(self):
         with _ThreadTier() as tier:
-            status, doc, headers = _get(tier.url, "/healthz")
-            assert status == 200 and doc["ok"] is True
-            assert headers.get("Deprecation") == "true"
+            for path in ("/healthz", "/jobs", "/metrics"):
+                status, doc, headers = _get(tier.url, path)
+                assert (status, doc["error"]["code"]) == (404, "not_found")
+                assert "Deprecation" not in headers
             status, _, headers = _get(tier.url, "/v1/healthz")
             assert status == 200 and "Deprecation" not in headers
+            # the router answered those itself: no shard saw them
+            assert tier.router.counters.snapshot().get("forwards", 0) == 0
 
     def test_healthz_is_shard_transparent_plus_router_section(self):
         with _ThreadTier() as tier:

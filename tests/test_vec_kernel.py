@@ -117,13 +117,20 @@ class TestPropertyEquivalence:
 class TestComposition:
     """The kernel composes with Brent fine runs."""
 
-    def test_brent_fine_runs_use_vec_identically(self):
-        prog = build_program("sort", 16)
-        scalar = BrentSimulator(F, v_host=4, kernel="scalar").simulate(prog)
-        vec = BrentSimulator(F, v_host=4, kernel="vec").simulate(prog)
-        assert vec.time == scalar.time
-        assert vec.contexts == scalar.contexts
-        assert vec.counters == scalar.counters
+    @pytest.mark.parametrize("name", ["sort", "fft-rec", "matmul"])
+    def test_one_host_brent_is_the_scalar_hmm_simulation(self, name):
+        """At ``v' = 1`` the whole program is one fine run, folded from
+        vec's tape: it must charge what the scalar engine charges."""
+        prog = build_program(name, 16)
+        brent = BrentSimulator(F, v_host=1).simulate(prog)
+        hmm = HMMSimulator(F, kernel="scalar").simulate(prog)
+        assert brent.time.hex() == hmm.time.hex()
+        assert brent.counters == hmm.counters
+        assert brent.contexts == hmm.contexts
+        assert brent.breakdown == {
+            "compute": 0.0, "communication": 0.0, "filing": 0.0,
+            "fine": hmm.time,
+        }
 
 
 class TestKernelSelection:
