@@ -1,28 +1,35 @@
-"""Wall-clock benchmark harness: the repo's perf trajectory recorder.
+"""Bench documents: one format, one rule table per kind, one ``check``.
 
-Everything else in ``benchmarks/`` measures *charged model cost* — exact,
-deterministic, machine-independent.  This module measures the other axis:
-how fast the simulators themselves run on the host, in wall-clock terms.
-It executes a fixed engine/workload matrix (the message-delivery-heavy
-sorting and FFT sweeps on all three simulation engines, plus the Fact 1/2
+Every checked-in ``BENCH_<kind>.json`` shares one format.  Its header
+(:func:`bench_header`) carries ``schema``, ``kind``, ``produced_by``
+and the host context -- ``python``, ``platform``, ``cpu_count``,
+``revision`` and ``seed`` -- followed by the producer's parameters and
+its measurements.  What a fresh document must satisfy, relative to a
+baseline or on its own, is the ``kind``'s row in :data:`RULES`, and
+:func:`check` is the only comparator: ``bench --check`` and ``loadgen
+--check`` call it against a baseline, and every standalone run calls it
+against its own document (the self-SLO pass).
+
+The module also holds the wall-clock engine benchmark, the
+``sim_throughput`` kind.  Everything else in ``benchmarks/`` measures
+*charged model cost* -- exact, deterministic, machine-independent.  This
+harness measures how fast the simulators themselves run on the host.  It
+executes a fixed engine/workload matrix (the message-delivery-heavy
+sorting and FFT sweeps on every simulation engine, plus the Fact 1/2
 touching kernels), growing each sweep geometrically until a per-workload
 time budget is spent, and records
 
-* ``wall_s`` — wall-clock seconds per run,
-* ``rounds_per_s`` — scheduler rounds retired per second,
-* ``charged_words_per_s`` — model words charged (touched + moved) per
+* ``wall_s`` -- wall-clock seconds per run,
+* ``rounds_per_s`` -- scheduler rounds retired per second,
+* ``charged_words_per_s`` -- model words charged (touched + moved) per
   wall-clock second, the throughput of the charging machinery itself,
-* ``peak`` — the largest sweep size completed within the budget.
+* ``peak`` -- the largest sweep size completed within the budget.
 
-``python -m repro bench`` writes the result matrix to
-``BENCH_sim_throughput.json`` at the invocation directory (the repo root
-in CI); successive PRs diff against the checked-in file, so the repo
-carries its own perf trajectory.  ``--check BASELINE`` compares a fresh
-run against a recorded one and fails on throughput regressions beyond a
-(generous, machine-to-machine) tolerance — the ``bench-smoke`` CI job.
-
-Wall-clock numbers are machine-dependent by nature; the charged model
-costs of every run in the matrix are deterministic and asserted elsewhere
+``python -m repro bench`` writes the result to
+``BENCH_sim_throughput.json``; ``--check BASELINE`` fails on throughput
+regressions beyond a (generous, machine-to-machine) tolerance -- the
+``bench-smoke`` CI job.  The charged model costs of every run in the
+matrix are deterministic and asserted elsewhere
 (``tests/test_batched_charging.py``, ``tests/test_equivalence.py``).
 """
 
@@ -35,34 +42,347 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from typing import Any
 
 from repro.engines import ENGINES, build_program, resolve_access_function
 
 __all__ = [
+    "DOC_SCHEMA",
+    "Rule",
+    "RULES",
+    "bench_header",
+    "check",
+    "write",
     "Workload",
     "WORKLOADS",
     "SMOKE_CAPS",
-    "BENCH_SCHEMA",
-    "bench_header",
     "sweep_workload",
     "workload_cell_key",
     "run_bench",
-    "check_against",
 ]
 
 #: default per-workload wall-clock budget (seconds) for the full matrix
 DEFAULT_BUDGET_S = 8.0
 
-#: bench document schema.  2 added ``cpu_count``, ``jobs`` and
-#: ``revision`` to the header — the context needed to interpret parallel
-#: results (a ``--jobs 4`` run on a 1-core host measures overhead, not
-#: speedup).  3 added the ``vec`` rows to the matrix and stamps every
-#: engine cell with the ``engine`` and ``kernel`` that produced it (the
-#: same workload can now run on two kernels, so a cell must say which
-#: one it measured).  Documents with different schemas are not
-#: comparable.
-BENCH_SCHEMA = 3
+#: the bench document format.  Schemas 1-3 were five per-document
+#: layouts with five comparators; 4 is the one header plus a ``kind``
+#: whose :data:`RULES` row says how to check it.  Documents with
+#: different schemas are not comparable.
+DOC_SCHEMA = 4
+
+#: the cell-key context of a ``bench-workload`` sweep cell.  Frozen at
+#: the value the cells were first recorded under, so checkpoint ledgers
+#: written before the unified format still resume.
+WORKLOAD_CELL_CONTEXT = {"schema": 3, "jobs": 1}
+
+#: the sharded tier's SLOs: 2-shard closed-loop throughput must be at
+#: least this multiple of the 1-shard row on the same host...
+SCALING_FLOOR_X = 1.5
+
+#: ...and the shard-kill run's p99 must stay within this multiple of
+#: the fault-free p99 (the Fractal bar: fault recovery *compared to
+#: fault-free conditions*).  The router detects the death passively on
+#: the first failed forward, so the visible damage is a sub-second
+#: blip of retried requests, not a minutes-long outage -- but p99 is
+#: exactly where that blip lands, hence a double-digit allowance.
+FAULT_P99_BOUND_X = 15.0
+
+#: the planner's admission SLO: under the adversarial cheap/enormous
+#: mix, cost-aware admission keeps the cheap lane's p99 within this
+#: multiple of the uniform-load p99 -- and flat ``queue_limit``
+#: admission must demonstrably exceed it, otherwise the mix was not
+#: adversarial enough to mean anything.
+PLAN_P99_BOUND_X = 3.0
+
+#: an open-loop phase refuses to report percentiles off fewer samples
+#: than this (a p99 needs ~100 samples to be a 99th percentile at all;
+#: 40 keeps smoke runs honest without making them slow)
+MIN_OPEN_LOOP_SAMPLES = 40
+
+#: the DAG bench's headline claim: locality-aware scheduling strictly
+#: beats greedy on direct-engine messages for at least this many
+#: workloads
+LOCALITY_WINS_FLOOR = 2
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One checked cell pattern of a bench document.
+
+    ``name``, ``unit``, ``better`` and ``bound`` are the cell shape of
+    ``BENCHMARK.json``; ``name`` is a dotted path whose segments are
+    :func:`fnmatch.fnmatchcase` patterns (list items are keyed by their
+    index).  ``rule`` says what is checked:
+
+    * ``exact`` -- equal to the baseline's cell;
+    * ``ratio`` -- within ``bound`` times the baseline's cell, in the
+      worse direction given by ``better`` (the ``tolerance`` argument of
+      :func:`check` overrides ``bound``);
+    * ``bound`` -- the fresh cell alone, at least ``bound`` when higher
+      is better, at most ``bound`` when lower is;
+    * ``true`` -- the fresh cell is ``True``; with a ``bound``, at least
+      that many of the matched cells are;
+    * ``ignored`` -- recorded, never compared.
+
+    ``required`` makes a cell missing from the fresh document (or
+    ``None`` there) a problem; otherwise it is skipped, which is how a
+    smoke run checks cleanly against a full baseline.
+    """
+
+    name: str
+    rule: str
+    better: str = "higher"
+    bound: float | None = None
+    unit: str = ""
+    required: bool = False
+
+
+#: what each kind of document must satisfy; :func:`check` applies the
+#: row of the fresh document's ``kind``
+RULES: dict[str, tuple[Rule, ...]] = {
+    "sim_throughput": (
+        Rule("workloads.*.sweep.*.charged_words_per_s", "ratio",
+             bound=3.0, unit="1/s"),
+        Rule("workloads.*.sweep.*.wall_s", "ignored", "lower", unit="s"),
+    ),
+    # charged costs are deterministic: any drift is a regression
+    "sim_dag": tuple(
+        Rule(f"workloads.*.heuristics.*.{cell}", "exact", required=True)
+        for cell in ("n_steps", "cross_volume", "supersteps", "messages",
+                     "communication")
+    ) + (
+        Rule("workloads.*.heuristics.*.time.*", "exact"),
+        Rule("workloads.*.locality_wins", "true",
+             bound=LOCALITY_WINS_FLOOR, required=True),
+        Rule("workloads.*.heuristics.*.wall_s", "ignored", "lower",
+             unit="s"),
+    ),
+    "service_throughput": (
+        Rule("errors", "bound", "lower", bound=0),
+        Rule("phases.*.requests_per_s", "ratio", bound=3.0, unit="1/s",
+             required=True),
+    ),
+    "service_shard": (
+        Rule("errors", "bound", "lower", bound=0),
+        Rule("non_envelope_errors", "bound", "lower", bound=0),
+        Rule("phases.*.requests_per_s", "ratio", bound=5.0, unit="1/s"),
+        Rule("phases.open_loop*.latency_p99_s", "ratio", "lower",
+             bound=5.0, unit="s"),
+        Rule("phases.open_loop*.latency_samples", "bound",
+             bound=MIN_OPEN_LOOP_SAMPLES),
+        Rule("scaling_x", "bound", bound=SCALING_FLOOR_X, unit="x"),
+        Rule("fault_p99_ratio", "bound", "lower", bound=FAULT_P99_BOUND_X,
+             unit="x"),
+        Rule("identity_ok", "true"),
+    ),
+    "service_plan": (
+        Rule("errors", "bound", "lower", bound=0),
+        Rule("non_envelope_errors", "bound", "lower", bound=0),
+        Rule("prediction.rows.*.within_band", "true", required=True),
+        Rule("shed_429", "bound", bound=1, required=True),
+        Rule("costaware_over_uniform", "bound", "lower",
+             bound=PLAN_P99_BOUND_X, unit="x", required=True),
+        Rule("flat_over_uniform", "bound", bound=PLAN_P99_BOUND_X,
+             unit="x", required=True),
+    ),
+    "service_jobs": (
+        Rule("errors", "bound", "lower", bound=0, required=True),
+        Rule("results_identical", "true", required=True),
+        Rule("p50_ratio", "ignored", "lower", unit="x"),
+    ),
+}
+
+
+def _git_revision() -> str:
+    """Short git revision of the package source, or ``"unknown"``.
+
+    ``+dirty`` marks uncommitted changes under the package directory:
+    the numbers then came from code that no revision holds.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], capture_output=True, text=True,
+                              timeout=10, cwd=here)
+
+    try:
+        out = git("rev-parse", "--short", "HEAD")
+        rev = out.stdout.strip()
+        if out.returncode or not rev:
+            return "unknown"
+        return rev + ("+dirty" if git("diff", "--quiet", "HEAD", "--",
+                                      ".").returncode else "")
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+
+
+def bench_header(kind: str, produced_by: str, **params: Any) -> dict[str, Any]:
+    """The header every bench document starts with.
+
+    ``cpu_count`` says whether a parallel or sharded run could have sped
+    anything up; ``revision`` ties the numbers to the code that produced
+    them; ``seed`` is ``None`` for producers without randomness.  The
+    producer's own parameters follow.
+    """
+    return {
+        "schema": DOC_SCHEMA,
+        "kind": kind,
+        "produced_by": produced_by,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "revision": _git_revision(),
+        "seed": params.pop("seed", None),
+        **params,
+    }
+
+
+def _cells(doc: Any, pattern: str) -> dict[tuple[str, ...], Any]:
+    """Every concrete path of ``doc`` matching a dotted ``pattern``."""
+    found: dict[tuple[str, ...], Any] = {(): doc}
+    for segment in pattern.split("."):
+        matched: dict[tuple[str, ...], Any] = {}
+        for path, node in found.items():
+            if isinstance(node, dict):
+                items = node.items()
+            elif isinstance(node, list):
+                items = ((str(i), item) for i, item in enumerate(node))
+            else:
+                continue
+            for key, value in items:
+                if fnmatchcase(key, segment):
+                    matched[path + (key,)] = value
+        found = matched
+    return found
+
+
+def _fmt(value: Any, unit: str = "") -> str:
+    text = f"{value:,.4g}" if isinstance(value, float) else repr(value)
+    return text + ("" if unit in ("", "x") else " ") + unit
+
+
+def _apply(
+    rule: Rule, fresh: dict, baseline: dict, tolerance: float | None
+) -> list[str]:
+    """The problems one rule finds in ``fresh`` (against ``baseline``)."""
+    if rule.rule == "ignored":
+        return []
+    got = _cells(fresh, rule.name)
+    problems: list[str] = []
+    if rule.rule in ("exact", "ratio"):
+        factor = tolerance if tolerance is not None else rule.bound
+        for path, base in _cells(baseline, rule.name).items():
+            where = ".".join(path)
+            if path not in got:
+                if rule.required:
+                    problems.append(f"{where}: missing from the fresh run")
+                continue
+            value = got[path]
+            if rule.rule == "exact":
+                if value != base:
+                    problems.append(
+                        f"{where}: {value!r} drifted from the baseline's "
+                        f"{base!r} (compared exactly)"
+                    )
+            elif not (value and base):
+                continue
+            elif rule.better == "higher" and value < base / factor:
+                problems.append(
+                    f"{where}: {_fmt(value, rule.unit)} < baseline "
+                    f"{_fmt(base, rule.unit)} / {factor:g}"
+                )
+            elif rule.better == "lower" and value > base * factor:
+                problems.append(
+                    f"{where}: {_fmt(value, rule.unit)} > baseline "
+                    f"{_fmt(base, rule.unit)} x {factor:g}"
+                )
+        return problems
+    got = {path: value for path, value in got.items() if value is not None}
+    if not got:
+        if rule.required:
+            problems.append(f"{rule.name}: missing from the fresh run")
+        return problems
+    if rule.rule == "true":
+        if rule.bound is not None:
+            wins = sum(1 for value in got.values() if value is True)
+            if wins < rule.bound:
+                problems.append(
+                    f"{rule.name}: true on {wins} of {len(got)} cell(s), "
+                    f"needs at least {rule.bound:g}"
+                )
+            return problems
+        return [
+            f"{'.'.join(path)}: {value!r}, must be true"
+            for path, value in got.items() if value is not True
+        ]
+    for path, value in got.items():
+        if rule.better == "higher" and value < rule.bound:
+            problems.append(
+                f"{'.'.join(path)}: {_fmt(value, rule.unit)} is below the "
+                f"{_fmt(rule.bound, rule.unit)} floor"
+            )
+        elif rule.better == "lower" and value > rule.bound:
+            problems.append(
+                f"{'.'.join(path)}: {_fmt(value, rule.unit)} is above the "
+                f"{_fmt(rule.bound, rule.unit)} bound"
+            )
+    return problems
+
+
+def _describe(doc: dict[str, Any], role: str) -> str:
+    return (
+        f"{doc.get('kind')} {role} (schema {doc.get('schema')!r}, "
+        f"produced by {doc.get('produced_by')!r})"
+    )
+
+
+def check(
+    fresh: dict[str, Any],
+    baseline: dict[str, Any],
+    tolerance: float | None = None,
+    extra: tuple[Rule, ...] = (),
+) -> list[str]:
+    """Check a fresh bench document against a baseline; ``[]`` = pass.
+
+    Refuses (raises :class:`ValueError`, naming both producers) when the
+    documents differ in ``schema`` or ``kind`` -- incomparable runs are
+    not compared.  Otherwise applies the ``kind``'s :data:`RULES` row,
+    plus any ``extra`` rules, and returns one message per flagged cell.
+    ``tolerance`` overrides the bound of every ``ratio`` rule.
+    ``check(doc, doc)`` is the self-check: baseline-relative rules pass
+    trivially and the absolute ones still apply.
+
+    >>> doc = bench_header("service_jobs", "example", seed=7)
+    >>> doc.update(errors=0, results_identical=True)
+    >>> check(doc, doc)
+    []
+    >>> check(dict(doc, errors=2, results_identical=False), doc)
+    ['errors: 2 is above the 0 bound', 'results_identical: False, must be true']
+    >>> check(doc, dict(doc, kind="sim_dag"))  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    ...
+    ValueError: cannot compare a service_jobs document (schema 4, ...
+    """
+    if (fresh.get("schema"), fresh.get("kind")) != (
+        baseline.get("schema"), baseline.get("kind")
+    ) or fresh.get("kind") not in RULES:
+        raise ValueError(
+            f"cannot compare a {_describe(fresh, 'document')} with a "
+            f"{_describe(baseline, 'baseline')}; regenerate the baseline "
+            f"with the current code and re-check"
+        )
+    problems: list[str] = []
+    for rule in RULES[fresh["kind"]] + tuple(extra):
+        problems.extend(_apply(rule, fresh, baseline, tolerance))
+    return problems
+
+
+def write(path: str, doc: dict[str, Any]) -> None:
+    """Write a bench document (indented JSON, trailing newline)."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=False)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -199,49 +519,6 @@ def _run_touch_workload(kind: str, n: int) -> dict[str, Any]:
     }
 
 
-def _git_revision() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-    except OSError:
-        return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
-
-
-def bench_header(
-    budget_s: float, smoke: bool, jobs: int = 1
-) -> dict[str, Any]:
-    """The schema-2 document header: provenance + host context.
-
-    ``cpu_count`` and ``jobs`` together say whether a parallel run could
-    have sped anything up; ``revision`` ties the numbers to the code that
-    produced them.
-    """
-    produced_by = "python -m repro bench"
-    if smoke:
-        produced_by += " --smoke"
-    if jobs > 1:
-        produced_by += f" --jobs {jobs}"
-    return {
-        "schema": BENCH_SCHEMA,
-        "produced_by": produced_by,
-        "budget_s": budget_s,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "jobs": jobs,
-        "revision": _git_revision(),
-        "workloads": {},
-    }
-
-
 def sweep_workload(
     w: Workload,
     budget_s: float = DEFAULT_BUDGET_S,
@@ -310,7 +587,7 @@ def workload_cell_key(w: Workload, budget_s: float, smoke: bool) -> str:
 
     Shared between the serial bench and the distributed runner: the
     args mirror the ``bench-workload`` worker task's, and the context
-    pins the bench schema plus a nominal ``jobs=1`` (every cell is
+    (:data:`WORKLOAD_CELL_CONTEXT`) pins a nominal ``jobs=1`` (every cell is
     measured serially, in this process or in one worker, so a serial
     and a distributed run are interchangeable).
     """
@@ -321,7 +598,7 @@ def workload_cell_key(w: Workload, budget_s: float, smoke: bool) -> str:
     return cell_key(
         "bench-workload",
         (dataclasses.asdict(w), budget_s, smoke),
-        {"schema": BENCH_SCHEMA, "jobs": 1},
+        WORKLOAD_CELL_CONTEXT,
     )
 
 
@@ -343,7 +620,13 @@ def run_bench(
     and only computes the missing ones.  Ledger entries are shared with
     ``bench --distribute`` (same keys, same shape).
     """
-    doc = bench_header(budget_s, smoke)
+    doc = bench_header(
+        "sim_throughput",
+        "python -m repro bench" + (" --smoke" if smoke else ""),
+        budget_s=budget_s,
+        jobs=1,
+        workloads={},
+    )
     if ledger is None:
         for w in workloads:
             doc["workloads"][w.name] = sweep_workload(
@@ -370,59 +653,6 @@ def run_bench(
         faults.check_abort(ledger.cells_recorded)
     doc["resilience"] = ledger.summary()
     return doc
-
-
-def check_against(
-    fresh: dict[str, Any], baseline: dict[str, Any], tolerance: float = 3.0
-) -> list[str]:
-    """Compare a fresh run against a recorded baseline.
-
-    Refuses (raises :class:`ValueError`) when the two documents carry
-    different schema versions — the fields that qualify a schema-2
-    result (``cpu_count``, ``jobs``) have no counterpart in a schema-1
-    document, so a cross-schema comparison silently compares
-    incomparable runs.
-
-    Returns a list of human-readable regression messages (empty = pass).
-    Only workloads and sweep sizes present in *both* documents are
-    compared (the smoke matrix is a prefix of the full one), and only in
-    the slow direction: a fresh throughput below ``baseline / tolerance``
-    is a regression.  The tolerance is generous by design — wall-clock
-    numbers cross machines.
-    """
-    fresh_schema = fresh.get("schema")
-    base_schema = baseline.get("schema")
-    if fresh_schema != base_schema:
-        raise ValueError(
-            f"cannot compare bench documents across schemas: fresh run is "
-            f"schema {fresh_schema!r}, baseline is schema {base_schema!r}. "
-            f"Regenerate the baseline with the current code "
-            f"(python -m repro bench -o <baseline.json>) and re-check."
-        )
-    problems: list[str] = []
-    for name, base_wl in baseline.get("workloads", {}).items():
-        fresh_wl = fresh.get("workloads", {}).get(name)
-        if fresh_wl is None:
-            continue
-        base_rows = {c["v"]: c for c in base_wl.get("sweep", [])}
-        for cell in fresh_wl.get("sweep", []):
-            base_cell = base_rows.get(cell["v"])
-            if not base_cell:
-                continue
-            b = base_cell.get("charged_words_per_s")
-            got = cell.get("charged_words_per_s")
-            if b and got and got < b / tolerance:
-                problems.append(
-                    f"{name} @ size {cell['v']}: charged-words/s "
-                    f"{got:,.0f} < baseline {b:,.0f} / {tolerance:g}"
-                )
-    return problems
-
-
-def write_bench(path: str, doc: dict[str, Any]) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
 
 
 def _main(argv: list[str] | None = None) -> int:  # pragma: no cover - thin

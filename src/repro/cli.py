@@ -28,8 +28,12 @@ the direct D-BSP run.  ``profile`` runs one engine with full tracing and
 renders the span tree as a per-phase cost profile.  ``touch`` contrasts
 Fact 1 and Fact 2 at a given size.  ``bench`` measures wall-clock engine
 throughput (charged words per second) over the fixed workload matrix and
-writes ``BENCH_sim_throughput.json``; ``--check`` compares a fresh run
-against a recorded baseline.  ``--checkpoint LEDGER`` records every
+writes ``BENCH_sim_throughput.json``.  Every ``bench`` and ``loadgen``
+mode writes one :mod:`repro.bench` document, ``BENCH_<kind>.json`` by
+default, and checks it with :func:`repro.bench.check`: against
+``--check BASELINE`` when given (``--tolerance`` overrides the ratio
+rules' factor), otherwise against itself, so the kind's absolute SLOs
+still apply; any flagged cell exits 1.  ``--checkpoint LEDGER`` records every
 completed sweep cell to an append-only ledger and ``--resume LEDGER``
 replays it after an interruption, recomputing only the missing cells —
 the resumed document's charged costs are byte-identical to an
@@ -275,13 +279,45 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _finish_bench(args, doc: dict, extra: tuple = ()) -> int:
+    """Write a bench document and check it; the exit status.
+
+    With ``--check BASELINE`` the fresh document is checked against the
+    baseline (and written only to an explicit ``--output``); otherwise
+    it is written to ``--output`` or ``BENCH_<kind>.json`` and checked
+    against itself — the self-SLO pass.  Either way
+    :func:`repro.bench.check` applies the document kind's rules.
+    """
+    from repro.bench import check, write
+
+    baseline = doc
+    if args.check:
+        try:
+            baseline = json.loads(pathlib.Path(args.check).read_text())
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"cannot read baseline {args.check}: {exc}")
+    elif args.json:
+        _dump_json(doc)
+    try:
+        problems = check(doc, baseline, args.tolerance, extra)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    out = args.output or (None if args.check else f"BENCH_{doc['kind']}.json")
+    if out:
+        write(out, doc)
+        if not args.json:
+            print(f"wrote {out}")
+    label = "REGRESSION" if args.check else "SLO VIOLATION"
+    for p in problems:
+        print(f"{label}: {p}", file=sys.stderr)
+    if args.check and not problems and not args.json:
+        print(f"no regressions vs {args.check}")
+    return 1 if problems else 0
+
+
 def _bench_dag(args) -> int:
     """The ``bench --dag`` matrix: charged scheduling costs, not wall."""
-    from repro.dag.bench import (
-        check_dag_against,
-        run_dag_bench,
-        write_dag_bench,
-    )
+    from repro.dag.bench import run_dag_bench
 
     for flag in ("distribute", "checkpoint", "resume", "only"):
         if getattr(args, flag, None):
@@ -295,45 +331,18 @@ def _bench_dag(args) -> int:
         echo(f"benchmarking DAG scheduling heuristics ({mode}, "
              f"charged costs — deterministic)")
     doc = run_dag_bench(smoke=args.smoke, echo=echo)
-    if args.check:
-        try:
-            baseline = json.loads(pathlib.Path(args.check).read_text())
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read baseline {args.check}: {exc}")
-        try:
-            problems = check_dag_against(doc, baseline)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        if args.output:
-            write_dag_bench(args.output, doc)
-        if problems:
-            for p in problems:
-                print(f"REGRESSION: {p}", file=sys.stderr)
-            return 1
-        if echo:
-            echo(f"no regressions vs {args.check} (exact charged-cost "
-                 f"comparison)")
-        return 0
-    if args.json:
-        _dump_json(doc)
-    out = args.output or "BENCH_sim_dag.json"
-    write_dag_bench(out, doc)
     if echo:
-        echo(f"\nwrote {out}")
         echo(f"{'workload':28s} {'greedy msgs':>12s} {'locality msgs':>14s}")
         for name, wl in doc["workloads"].items():
             g = wl["heuristics"].get("greedy", {})
             loc = wl["heuristics"].get("locality", {})
             echo(f"{name:28s} {g.get('messages', 0):>12d} "
                  f"{loc.get('messages', 0):>14d}")
-    problems = check_dag_against(doc, doc)
-    for p in problems:
-        print(f"GUARDRAIL: {p}", file=sys.stderr)
-    return 1 if problems else 0
+    return _finish_bench(args, doc)
 
 
 def cmd_bench(args) -> int:
-    from repro.bench import WORKLOADS, check_against, run_bench, write_bench
+    from repro.bench import WORKLOADS, run_bench
 
     if args.dag:
         return _bench_dag(args)
@@ -378,42 +387,17 @@ def cmd_bench(args) -> int:
     finally:
         if ledger is not None:
             ledger.close()
-    if ledger is not None and echo:
-        echo(f"checkpoint {ledger.path}: {ledger.hits} cell(s) resumed, "
-             f"{ledger.cells_recorded} recorded")
-
-    if args.check:
-        try:
-            baseline = json.loads(pathlib.Path(args.check).read_text())
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read baseline {args.check}: {exc}")
-        problems = check_against(doc, baseline, tolerance=args.tolerance)
-        if args.output:
-            write_bench(args.output, doc)
-        if problems:
-            for p in problems:
-                print(f"REGRESSION: {p}", file=sys.stderr)
-            return 1
-        if echo:
-            echo(f"no regressions vs {args.check} "
-                 f"(tolerance {args.tolerance:g}x)")
-        return 0
-
-    if args.json:
-        _dump_json(doc)
-    out = args.output or "BENCH_sim_throughput.json"
-    write_bench(out, doc)
     if echo:
-        echo(f"\nwrote {out}")
+        if ledger is not None:
+            echo(f"checkpoint {ledger.path}: {ledger.hits} cell(s) "
+                 f"resumed, {ledger.cells_recorded} recorded")
         echo(f"{'workload':16s} {'peak':>9s} {'best words/s':>14s} "
              f"{'best rounds/s':>14s}")
         for name, wl in doc["workloads"].items():
-            words = wl["best_charged_words_per_s"]
-            rounds = wl["best_rounds_per_s"]
             echo(f"{name:16s} {wl['peak'] or 0:>9d} "
-                 f"{words or 0:>14,.0f} "
-                 f"{rounds or 0:>14,.0f}")
-    return 0
+                 f"{wl['best_charged_words_per_s'] or 0:>14,.0f} "
+                 f"{wl['best_rounds_per_s'] or 0:>14,.0f}")
+    return _finish_bench(args, doc)
 
 
 def cmd_calibrate(args) -> int:
@@ -521,65 +505,30 @@ def cmd_serve(args) -> int:
 
 
 def cmd_loadgen(args) -> int:
-    from repro.service.loadgen import (
-        check_plan_against,
-        check_service_against,
-        check_shard_against,
-        run_job_bench,
-        run_loadgen,
-        run_plan_bench,
-        run_shard_bench,
-        write_service_bench,
-    )
+    from repro.service import loadgen
 
     echo = None if args.json else print
+    modes = [m for m in ("plan_mode", "open_loop", "job_mode")
+             if getattr(args, m)]
+    if len(modes) > 1:
+        raise SystemExit("--plan-mode, --open-loop and --job-mode are "
+                         "mutually exclusive")
+    if args.url and (args.plan_mode or args.job_mode):
+        raise SystemExit(
+            "--plan-mode and --job-mode boot in-process servers (they "
+            "compare admission policies or stop the job runner mid-job); "
+            "--url is not supported"
+        )
+    extra = ()
     if args.plan_mode:
-        if args.open_loop or args.job_mode:
-            raise SystemExit("--plan-mode is exclusive with "
-                             "--open-loop/--job-mode")
-        if args.url:
-            raise SystemExit(
-                "--plan-mode boots in-process servers (it compares planner "
-                "on/off admission policies); --url is not supported"
-            )
-        doc = run_plan_bench(
+        doc = loadgen.run_plan_bench(
             seed=args.seed,
             smoke=args.smoke,
             calibration=args.calibration,
             echo=echo,
         )
-        if args.check:
-            try:
-                baseline = json.loads(pathlib.Path(args.check).read_text())
-            except (OSError, ValueError) as exc:
-                raise SystemExit(f"cannot read baseline {args.check}: {exc}")
-            try:
-                problems = check_plan_against(doc, baseline)
-            except ValueError as exc:
-                raise SystemExit(str(exc))
-            if args.output:
-                write_service_bench(args.output, doc)
-            if problems:
-                for p in problems:
-                    print(f"REGRESSION: {p}", file=sys.stderr)
-                return 1
-            if echo:
-                echo(f"no regressions vs {args.check}")
-            return 0
-        if args.json:
-            _dump_json(doc)
-        out = args.output or "BENCH_service_plan.json"
-        write_service_bench(out, doc)
-        if echo:
-            echo(f"\nwrote {out}")
-        problems = check_plan_against(doc, doc)
-        for p in problems:
-            print(f"SLO VIOLATION: {p}", file=sys.stderr)
-        return 1 if problems else 0
-    if args.open_loop:
-        if args.job_mode:
-            raise SystemExit("--open-loop and --job-mode are exclusive")
-        doc = run_shard_bench(
+    elif args.open_loop:
+        doc = loadgen.run_shard_bench(
             url=args.url,
             shards=args.shards,
             rate=args.rate,
@@ -589,44 +538,11 @@ def cmd_loadgen(args) -> int:
             smoke=args.smoke,
             echo=echo,
         )
-        if args.check:
-            try:
-                baseline = json.loads(pathlib.Path(args.check).read_text())
-            except (OSError, ValueError) as exc:
-                raise SystemExit(f"cannot read baseline {args.check}: {exc}")
-            try:
-                problems = check_shard_against(
-                    doc, baseline, tolerance=args.tolerance
-                )
-            except ValueError as exc:
-                raise SystemExit(str(exc))
-            if args.output:
-                write_service_bench(args.output, doc)
-            if problems:
-                for p in problems:
-                    print(f"REGRESSION: {p}", file=sys.stderr)
-                return 1
-            if echo:
-                echo(f"no regressions vs {args.check} "
-                     f"(tolerance {args.tolerance:g}x)")
-            return 0
-        if args.json:
-            _dump_json(doc)
-        out = args.output or "BENCH_service_shard.json"
-        write_service_bench(out, doc)
-        if echo:
-            echo(f"\nwrote {out}")
-        problems = check_shard_against(doc, doc)
-        for p in problems:
-            print(f"SLO VIOLATION: {p}", file=sys.stderr)
-        return 1 if problems else 0
-    if args.job_mode:
-        if args.url:
-            raise SystemExit(
-                "--job-mode runs against in-process servers (it must stop "
-                "the job runner mid-job); --url is not supported"
-            )
-        doc = run_job_bench(
+    else:
+        run = loadgen.run_job_bench if args.job_mode else loadgen.run_loadgen
+        kwargs = {} if args.job_mode else {"url": args.url,
+                                           "batch": args.batch}
+        doc = run(
             clients=args.clients,
             requests_per_client=args.requests,
             hot_ratio=args.hot_ratio,
@@ -635,79 +551,14 @@ def cmd_loadgen(args) -> int:
             smoke=args.smoke,
             jobs=args.jobs,
             echo=echo,
+            **kwargs,
         )
-        if args.json:
-            _dump_json(doc)
-        out = args.output or "BENCH_service_jobs.json"
-        write_service_bench(out, doc)
-        if echo:
-            echo(f"\nwrote {out}")
-        if doc["errors"]:
-            print(f"{doc['errors']} request(s) failed", file=sys.stderr)
-            return 1
-        if not doc["results_identical"]:
-            print(
-                "resumed job result differs from the uninterrupted run",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    doc = run_loadgen(
-        url=args.url,
-        clients=args.clients,
-        requests_per_client=args.requests,
-        hot_ratio=args.hot_ratio,
-        hot_keys=args.hot_keys,
-        batch=args.batch,
-        seed=args.seed,
-        smoke=args.smoke,
-        jobs=args.jobs,
-        echo=echo,
-    )
+        if args.min_speedup is not None and not args.job_mode:
+            from repro.bench import Rule
 
-    if args.check:
-        try:
-            baseline = json.loads(pathlib.Path(args.check).read_text())
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read baseline {args.check}: {exc}")
-        try:
-            problems = check_service_against(
-                doc, baseline,
-                tolerance=args.tolerance,
-                min_speedup=args.min_speedup,
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        if args.output:
-            write_service_bench(args.output, doc)
-        if problems:
-            for p in problems:
-                print(f"REGRESSION: {p}", file=sys.stderr)
-            return 1
-        if echo:
-            echo(f"no regressions vs {args.check} "
-                 f"(tolerance {args.tolerance:g}x)")
-        return 0
-
-    if args.json:
-        _dump_json(doc)
-    out = args.output or "BENCH_service_throughput.json"
-    write_service_bench(out, doc)
-    if echo:
-        echo(f"\nwrote {out}")
-    if doc["errors"]:
-        print(f"{doc['errors']} request(s) failed", file=sys.stderr)
-        return 1
-    if args.min_speedup is not None:
-        speedup = doc.get("hot_vs_cold_speedup")
-        if not speedup or speedup < args.min_speedup:
-            print(
-                f"hot/cold speedup {speedup!r} is below the "
-                f"{args.min_speedup:g}x floor",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+            extra = (Rule("hot_vs_cold_speedup", "bound",
+                          bound=args.min_speedup, unit="x", required=True),)
+    return _finish_bench(args, doc, extra)
 
 
 def _dag_spec(args):
@@ -1019,10 +870,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run only workloads whose name contains "
                               "SUBSTR (e.g. --only vec, --only sort/)")
     p_bench.add_argument("--output", default=None, metavar="PATH",
-                         help="output JSON (default BENCH_sim_throughput.json)")
+                         help="output JSON (default BENCH_sim_throughput"
+                              ".json, or BENCH_sim_dag.json with --dag)")
     p_bench.add_argument("--check", default=None, metavar="BASELINE",
-                         help="compare against a recorded run; exit 1 on "
-                              "throughput regressions")
+                         help="check against a recorded run with "
+                              "repro.bench.check; exit 1 on any flagged "
+                              "cell")
     p_bench.add_argument("--tolerance", type=float, default=3.0,
                          help="allowed slow-down factor for --check")
     p_bench.add_argument("--jobs", type=int, default=1,
@@ -1224,11 +1077,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "requests; queueing beyond it lands in the "
                              "latency distribution)")
     p_load.add_argument("--output", default=None, metavar="PATH",
-                        help="output JSON "
-                             "(default BENCH_service_throughput.json)")
+                        help="output JSON (default BENCH_<kind>.json: "
+                             "service_throughput, or service_shard, "
+                             "service_plan, service_jobs by mode)")
     p_load.add_argument("--check", default=None, metavar="BASELINE",
-                        help="compare against a recorded run; exit 1 on "
-                             "throughput regressions or failed requests")
+                        help="check against a recorded run with "
+                             "repro.bench.check; exit 1 on any flagged "
+                             "cell")
     p_load.add_argument("--tolerance", type=float, default=3.0,
                         help="allowed slow-down factor for --check")
     p_load.add_argument("--min-speedup", type=float, default=None,

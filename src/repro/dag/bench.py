@@ -3,11 +3,12 @@
 Unlike the wall-clock matrix in :mod:`repro.bench`, every number this
 bench records is a *charged* model cost — deterministic, machine
 independent, byte-identical on every host.  That changes what the
-checked-in baseline (``BENCH_sim_dag.json``) means: ``check_dag_against``
-compares shared cells **exactly** (any drift is a charged-determinism
-regression, not noise), and additionally enforces the headline claim of
-the scheduler — that the locality-aware heuristic strictly beats greedy
-ETF on cross-processor traffic for the pseudo-streaming workloads.
+checked-in baseline (``BENCH_sim_dag.json``) means: its ``sim_dag`` rule
+row in :data:`repro.bench.RULES` compares shared cells **exactly** (any
+drift is a charged-determinism regression, not noise), and additionally
+enforces the headline claim of the scheduler — that the locality-aware
+heuristic strictly beats greedy ETF on cross-processor traffic for at
+least two of the pseudo-streaming workloads.
 
 The matrix runs each streaming workload (sized so partitions outnumber
 processors — the regime where placement matters; at ``partitions <= v``
@@ -22,29 +23,21 @@ against the full checked-in baseline.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any
 
 from repro.algorithms.streaming import streaming_spec
+from repro.bench import bench_header
 from repro.dag.compile import dag_program
 from repro.dag.scheduler import HEURISTICS, schedule
 from repro.engines import ENGINES, resolve_access_function
 
 __all__ = [
-    "DAG_BENCH_SCHEMA",
     "DAG_WORKLOADS",
     "DAG_ENGINES",
     "DAG_SMOKE_ENGINES",
     "run_dag_bench",
-    "check_dag_against",
-    "write_dag_bench",
 ]
-
-#: dag-bench document schema; bumped whenever recorded fields change
-#: meaning (cross-schema comparisons are refused, like the other
-#: checked-in benches)
-DAG_BENCH_SCHEMA = 1
 
 #: the fixed workload matrix: every streaming shape, sized with
 #: ``partitions > v`` so the two heuristics separate strictly
@@ -104,22 +97,20 @@ def run_dag_bench(
     """Run the DAG matrix; return the JSON-serializable result document.
 
     Every recorded field except ``wall_s`` is a charged model cost —
-    the document is byte-identical across hosts, which is what lets
-    ``check_dag_against`` compare exactly instead of within a tolerance.
+    the measurements are identical across hosts, which is what lets
+    :func:`repro.bench.check` compare them exactly instead of within a
+    tolerance.
     """
     engines = DAG_SMOKE_ENGINES if smoke else DAG_ENGINES
-    produced_by = "python -m repro bench --dag"
-    if smoke:
-        produced_by += " --smoke"
-    doc: dict[str, Any] = {
-        "schema": DAG_BENCH_SCHEMA,
-        "produced_by": produced_by,
-        "v": v,
-        "mu": mu,
-        "f": f,
-        "engines": list(engines),
-        "workloads": {},
-    }
+    doc = bench_header(
+        "sim_dag",
+        "python -m repro bench --dag" + (" --smoke" if smoke else ""),
+        v=v,
+        mu=mu,
+        f=f,
+        engines=list(engines),
+        workloads={},
+    )
     for workload, params in DAG_WORKLOADS:
         spec = streaming_spec(workload, **params)
         entry: dict[str, Any] = {
@@ -145,81 +136,3 @@ def run_dag_bench(
         )
         doc["workloads"][spec.name] = entry
     return doc
-
-
-def check_dag_against(
-    fresh: dict[str, Any], baseline: dict[str, Any]
-) -> list[str]:
-    """Compare a fresh DAG bench against a recorded baseline.
-
-    Refuses (raises :class:`ValueError`) on a schema mismatch.  Shared
-    cells are compared **exactly** — charged costs are deterministic, so
-    any difference means the scheduler, compiler or charging machinery
-    changed behaviour and the baseline must be regenerated deliberately.
-    Independently of the baseline, the fresh document must show the
-    locality heuristic strictly beating greedy on direct-engine messages
-    for at least two workloads — the claim the checked-in bench exists
-    to keep true.
-
-    Returns a list of human-readable problem messages (empty = pass).
-    """
-    fresh_schema = fresh.get("schema")
-    base_schema = baseline.get("schema")
-    if fresh_schema != base_schema:
-        raise ValueError(
-            f"cannot compare DAG bench documents across schemas: fresh "
-            f"run is schema {fresh_schema!r}, baseline is schema "
-            f"{base_schema!r}. Regenerate the baseline with the current "
-            f"code (python -m repro bench --dag --output "
-            f"BENCH_sim_dag.json) and re-check."
-        )
-    problems: list[str] = []
-    exact_fields = (
-        "n_steps", "cross_volume", "supersteps", "messages",
-        "communication",
-    )
-    for name, base_wl in baseline.get("workloads", {}).items():
-        fresh_wl = fresh.get("workloads", {}).get(name)
-        if fresh_wl is None:
-            problems.append(f"{name}: missing from the fresh run")
-            continue
-        for heuristic, base_cell in base_wl.get("heuristics", {}).items():
-            fresh_cell = fresh_wl.get("heuristics", {}).get(heuristic)
-            if fresh_cell is None:
-                problems.append(f"{name}/{heuristic}: missing cell")
-                continue
-            for field in exact_fields:
-                if field not in base_cell or field not in fresh_cell:
-                    continue
-                if fresh_cell[field] != base_cell[field]:
-                    problems.append(
-                        f"{name}/{heuristic}: charged {field} drifted "
-                        f"({fresh_cell[field]!r} != baseline "
-                        f"{base_cell[field]!r})"
-                    )
-            base_times = base_cell.get("time", {})
-            fresh_times = fresh_cell.get("time", {})
-            for engine in sorted(set(base_times) & set(fresh_times)):
-                if fresh_times[engine] != base_times[engine]:
-                    problems.append(
-                        f"{name}/{heuristic}: charged {engine} time "
-                        f"drifted ({fresh_times[engine]!r} != baseline "
-                        f"{base_times[engine]!r})"
-                    )
-    wins = sum(
-        1 for wl in fresh.get("workloads", {}).values()
-        if wl.get("locality_wins")
-    )
-    if wins < 2:
-        problems.append(
-            f"locality-aware scheduling beats greedy on only {wins} "
-            f"workload(s); the bench requires at least 2 — the "
-            f"scheduler's headline claim no longer holds"
-        )
-    return problems
-
-
-def write_dag_bench(path: str, doc: dict[str, Any]) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")

@@ -129,8 +129,8 @@ def run_matrix_distributed(
     import dataclasses
 
     from repro.bench import (
-        BENCH_SCHEMA,
         DEFAULT_BUDGET_S,
+        WORKLOAD_CELL_CONTEXT,
         WORKLOADS,
         bench_header,
     )
@@ -140,9 +140,17 @@ def run_matrix_distributed(
     if budget_s is None:
         budget_s = DEFAULT_BUDGET_S
     cfg = resolve_parallel(parallel)
-    doc = bench_header(budget_s, smoke, cfg.jobs)
-    doc["produced_by"] += " --distribute"
-    doc["distributed"] = True
+    produced_by = "python -m repro bench" + (" --smoke" if smoke else "")
+    if cfg.jobs > 1:
+        produced_by += f" --jobs {cfg.jobs}"
+    doc = bench_header(
+        "sim_throughput",
+        produced_by + " --distribute",
+        budget_s=budget_s,
+        jobs=cfg.jobs,
+        distributed=True,
+        workloads={},
+    )
     args_list = [
         (dataclasses.asdict(w), budget_s, smoke) for w in workloads
     ]
@@ -158,7 +166,7 @@ def run_matrix_distributed(
             args_list,
             ledger,
             cfg,
-            context={"schema": BENCH_SCHEMA, "jobs": 1},
+            context=WORKLOAD_CELL_CONTEXT,
         )
     else:
         results = parallel_map("bench-workload", args_list, cfg)

@@ -37,11 +37,15 @@ CLI into a serving subsystem:
   passive failure detection, deterministic failover and supervisor
   respawns — submachine locality translated into per-shard locality of
   reference;
-* :mod:`repro.service.loadgen` — the load generator: closed-loop
+* :mod:`repro.service.loadgen` — the load generator: one keep-alive
+  client and one phase runner behind four bench modes — closed-loop
   hot/cold phases (``BENCH_service_throughput.json``), a job-mode
-  interference driver, and the open-loop (Poisson-arrival)
-  sharded-tier bench with p50/p95/p99 + histogram tail-latency phases
-  and a shard-kill fault run (``BENCH_service_shard.json``).
+  interference bench, the open-loop (Poisson-arrival) sharded-tier
+  bench with tail-latency phases and a shard-kill fault run
+  (``BENCH_service_shard.json``), and the planner's
+  prediction-accuracy and adversarial-admission bench
+  (``BENCH_service_plan.json``) — each writing a :mod:`repro.bench`
+  document checked by :func:`repro.bench.check`.
 
 The serving contract mirrors the PR 3/PR 4 re-fold contracts: for a
 fixed request, the charged ``time``/``counters`` in the response are

@@ -221,8 +221,8 @@ class JobSpec:
             import dataclasses
 
             from repro.bench import (
-                BENCH_SCHEMA,
                 DEFAULT_BUDGET_S,
+                WORKLOAD_CELL_CONTEXT,
                 WORKLOADS,
             )
 
@@ -232,7 +232,7 @@ class JobSpec:
             args = [
                 (dataclasses.asdict(w), budget, self.smoke) for w in WORKLOADS
             ]
-            return "bench-workload", args, {"schema": BENCH_SCHEMA, "jobs": 1}
+            return "bench-workload", args, dict(WORKLOAD_CELL_CONTEXT)
         args = [request.args for request in self.cells]
         return "run-cell", args, {"schema": SERVICE_SCHEMA}
 

@@ -1,75 +1,56 @@
-"""Closed-loop load generator for the simulation service.
+"""Load generators for the simulation service: one client, one phase runner.
 
-Drives a running server (or an in-process one) with a configurable
-client mix and records served-request throughput in
-``BENCH_service_throughput.json`` — the serving counterpart of
-``repro.bench``'s engine-throughput document, in the same schema-2
-style (header with ``schema`` / ``python`` / ``platform`` /
-``cpu_count`` / ``revision``; ``--check`` refuses cross-schema
-comparisons).
+Every bench mode here writes a :mod:`repro.bench` document -- the shared
+header from :func:`~repro.bench.bench_header`, checked by
+:func:`~repro.bench.check` against its ``kind``'s rule row -- and all of
+them drive the server through one keep-alive client (:class:`_Client`)
+and one phase runner (:func:`_run_lanes`).  A phase is a set of *lanes*;
+a lane is a set of clients, each pulling ``(offset, path, body)`` items
+off a schedule.  A closed loop is a schedule whose offsets are all 0
+(every client issues its next request the moment the previous response
+lands); an open loop is a schedule of Poisson arrival offsets shared by
+a pool of workers, with latency measured from each request's
+*scheduled* arrival so queueing delay is charged to the tier rather
+than silently absorbed by the arrival process.
 
-The run has two phases, each a closed loop (every client issues its
-next request the moment the previous response lands):
+Request streams are seeded (``random.Random``), so two runs against
+equivalent servers issue the identical request sequences.  A 429 or 503
+from the server is not an error: a retrying client honours
+``Retry-After`` and retries, counting the rejection; a single-attempt
+client (the plan bench's bulk lane) counts a 429 as shed and moves on.
+Every non-2xx response is parsed through the unified error envelope
+(``{"error": {"code", "message", "retry_after_s"}}``); one without it
+counts in ``non_envelope_errors``.  Every phase carries the latency
+block of :func:`repro.obs.latency.latency_fields`.
 
-* ``cold`` — every request carries a unique content key (the access
-  function's exponent is perturbed per request), so every request is
-  computed: this measures the service's raw compute-bound ceiling
-  against a cold cache.
-* ``hot`` — a ``hot_ratio`` fraction of requests (default 0.9) draws
-  from a small fixed hot-key set, the rest stay unique: this measures
-  the cache-accelerated serving rate.  ``hot_vs_cold_speedup`` is the
-  ratio of the two phases' requests/s — the number the ROADMAP's
-  "heavy traffic" goal turns on.
-
-Request streams are seeded (`random.Random`), so two runs against
-equivalent servers issue the identical request sequences.  A 429 from
-the server's backpressure is not an error: the client honours
-``Retry-After`` and retries, counting the rejection.  Every non-2xx
-response is parsed through the unified error envelope
-(``{"error": {"code", "message", "retry_after_s"}}``).
-
-Every phase document carries the latency block: ``latency_samples``,
-nearest-rank ``latency_p50_s`` / ``latency_p95_s`` / ``latency_p99_s``
-and a compact log-spaced ``latency_histogram``.
-
-:func:`run_shard_bench` is the sharded-tier driver (``loadgen
---open-loop``, writing ``BENCH_service_shard.json``): closed-loop
-scaling rows (N shards vs 1 over the same working set), then
-**open-loop** phases — Poisson arrivals at a fixed offered rate, with
-latency measured from each request's *scheduled* arrival so queueing
-delay is charged to the tier, not silently absorbed by the arrival
-process — fault-free and with a shard killed mid-phase under the
-supervisor's watch.  Open-loop percentiles are suppressed below
-:data:`MIN_OPEN_LOOP_SAMPLES` samples.
-
-:func:`run_job_bench` is the jobs-mode driver (``loadgen --job-mode``):
-it measures interactive ``/v1/run`` p50 latency with and without a
-background sweep job competing for the worker pool, the job's
-time-to-complete, and — after stopping the job runner mid-job and
-re-adopting on a fresh service over the same jobs directory — whether
-the resumed job's result document is identical to an uninterrupted
-run's.
-
-:func:`run_plan_bench` is the planner driver (``loadgen --plan-mode``,
-writing ``BENCH_service_plan.json``): it checks ``POST /v1/plan``
-prediction accuracy against measured charged cost over the bench
-sort/FFT matrix (interior *and* extrapolated guest widths), then runs
-the adversarial cheap/enormous mix — a lane of cheap simulations
-sharing the service with clients submitting enormous ones — under flat
-``queue_limit`` admission and under cost-aware admission.  The
-documented SLO (:data:`PLAN_P99_BOUND_X`): cost-aware admission keeps
-the cheap lane's p99 within 3x the uniform-load p99 by shedding the
-enormous requests at the door, while flat admission lets them occupy
-the queue slots and demonstrably does not.
+* :func:`run_loadgen` (``loadgen``, kind ``service_throughput``) -- two
+  closed-loop phases: ``cold`` (every request a unique content key, so
+  every request is computed) and ``hot`` (a ``hot_ratio`` fraction from
+  a small fixed hot-key set).  ``hot_vs_cold_speedup`` is the ratio of
+  their requests/s.
+* :func:`run_shard_bench` (``loadgen --open-loop``, kind
+  ``service_shard``) -- closed-loop scaling rows (N shards vs 1 over the
+  same working set), then open-loop phases, fault-free and with a shard
+  killed mid-phase under the supervisor's watch.  Open-loop percentiles
+  are suppressed below :data:`MIN_OPEN_LOOP_SAMPLES` samples.
+* :func:`run_job_bench` (``loadgen --job-mode``, kind
+  ``service_jobs``) -- interactive p50 latency with and without a
+  background sweep job competing for the worker pool, and whether a job
+  resumed after a mid-job restart returns the uninterrupted result.
+* :func:`run_plan_bench` (``loadgen --plan-mode``, kind
+  ``service_plan``) -- ``POST /v1/plan`` prediction accuracy against
+  measured charged cost, then the adversarial cheap/enormous mix under
+  flat ``queue_limit`` admission and under cost-aware admission.  The
+  documented SLO (:data:`PLAN_P99_BOUND_X`): cost-aware admission keeps
+  the cheap lane's p99 within 3x the uniform-load p99 by shedding the
+  enormous requests at the door, while flat admission does not.
 """
 
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
-import math
-import os
-import platform
 import random
 import socket
 import threading
@@ -77,33 +58,23 @@ import time
 import urllib.parse
 from typing import Any
 
+from repro.bench import (
+    FAULT_P99_BOUND_X,
+    MIN_OPEN_LOOP_SAMPLES,
+    PLAN_P99_BOUND_X,
+    SCALING_FLOOR_X,
+    bench_header,
+)
+from repro.obs.latency import latency_fields
+
 __all__ = [
-    "SERVICE_BENCH_SCHEMA",
-    "SHARD_BENCH_SCHEMA",
-    "PLAN_BENCH_SCHEMA",
     "MIN_OPEN_LOOP_SAMPLES",
     "PLAN_P99_BOUND_X",
     "run_loadgen",
     "run_job_bench",
     "run_shard_bench",
     "run_plan_bench",
-    "check_service_against",
-    "check_shard_against",
-    "check_plan_against",
-    "write_service_bench",
 ]
-
-#: service bench document schema (styled after ``repro.bench``'s
-#: schema 2: same provenance header, phases instead of workloads)
-SERVICE_BENCH_SCHEMA = 2
-
-#: sharded-tier bench document schema (``BENCH_service_shard.json``):
-#: scaling rows + open-loop tail-latency phases + fault-injection run
-SHARD_BENCH_SCHEMA = 1
-
-#: planner bench document schema (``BENCH_service_plan.json``):
-#: prediction-accuracy rows + the adversarial admission comparison
-PLAN_BENCH_SCHEMA = 1
 
 #: engines in the request mix (every family; ``direct`` keeps the guest
 #: reference in the traffic)
@@ -151,28 +122,60 @@ def _cold_request(index: int) -> dict[str, Any]:
     }
 
 
-class _Client(threading.Thread):
-    """One closed-loop client: issue requests back-to-back, tally paths.
+def _pick(rng: random.Random, hot_ratio: float, hot: list, cold) -> dict:
+    """A hot-set request with probability ``hot_ratio``, else a fresh
+    cold one (``cold`` is the shared counter of cold indices)."""
+    if hot_ratio > 0 and rng.random() < hot_ratio:
+        return hot[rng.randrange(len(hot))]
+    return _cold_request(next(cold))
 
-    Uses one persistent (keep-alive) HTTP/1.1 connection for its whole
-    stream — per-request TCP setup would otherwise put a floor under
-    the cache-hit serving rate and understate the hot/cold contrast.
+
+class _Cursor:
+    """A thread-safe iterator over one schedule of ``(offset_s, path,
+    body)`` items; open-loop workers share one, closed-loop clients each
+    own one."""
+
+    def __init__(self, items: list):
+        self.items = items
+        self._i = 0
+        self._lock = threading.Lock()
+
+    def next(self):
+        with self._lock:
+            if self._i >= len(self.items):
+                return None
+            item = self.items[self._i]
+            self._i += 1
+            return item
+
+
+class _Client(threading.Thread):
+    """One load client: pull schedule items, issue them, tally outcomes.
+
+    An item with offset 0 is issued as soon as the previous response
+    lands and timed from its send; an item with a positive offset waits
+    for ``t0 + offset`` and is timed from that scheduled moment, so a
+    tier that falls behind shows the queueing delay in its latencies
+    (the coordinated-omission-safe measurement).  Uses one persistent
+    (keep-alive) HTTP/1.1 connection for its whole schedule — per-request
+    TCP setup would otherwise put a floor under the cache-hit serving
+    rate.  With ``once``, every request gets exactly one attempt: the
+    plan bench's enormous requests must not ride the 429 retry loop
+    (under cost-aware admission the whole point is that they are shed),
+    so a 429 is tallied as ``shed_429`` and the client moves on.
     """
 
-    def __init__(
-        self,
-        url: str,
-        requests: list[dict[str, Any]],
-        batch: int = 1,
-    ):
+    def __init__(self, url: str, cursor: _Cursor, once: bool = False):
         super().__init__(daemon=True)
         parsed = urllib.parse.urlsplit(url)
         self.host = parsed.hostname or "127.0.0.1"
         self.port = parsed.port or 80
-        self.requests = requests
-        self.batch = max(1, batch)
+        self.cursor = cursor
+        self.once = once
+        self.t0 = 0.0
         self.served: dict[str, int] = {}
         self.rejected = 0
+        self.shed_429 = 0
         self.unavailable_503 = 0
         self.errors = 0
         self.non_envelope_errors = 0
@@ -199,18 +202,13 @@ class _Client(threading.Thread):
             self._conn.close()
             self._conn = None
 
-    def _tally(self, response: dict[str, Any]) -> None:
-        for item in response.get("results", [response]):
-            served = item.get("served", "?")
-            self.served[served] = self.served.get(served, 0) + 1
+    def _fail(self, detail: str) -> None:
+        self.errors += 1
+        if len(self.failures) < 8:
+            self.failures.append(detail)
 
     def _issue(self, path: str, body: Any, t0: float | None = None) -> None:
-        """Issue one request; ``t0`` overrides the latency clock's start.
-
-        Open-loop workers pass the request's *scheduled arrival time* so
-        the recorded latency includes any time the request spent waiting
-        for a worker — the coordinated-omission-safe measurement.
-        """
+        """Issue one request; ``t0`` overrides the latency clock's start."""
         payload = json.dumps(body).encode("utf-8")
         transport_failures = 0
         backoffs = 0
@@ -230,10 +228,8 @@ class _Client(threading.Thread):
             except (http.client.HTTPException, OSError) as exc:
                 self._reconnect()
                 transport_failures += 1
-                if transport_failures > 3:
-                    self.errors += 1
-                    if len(self.failures) < 8:
-                        self.failures.append(f"transport: {exc!r}")
+                if self.once or transport_failures > 3:
+                    self._fail(f"transport: {exc!r}")
                     return
                 continue
             try:
@@ -244,7 +240,9 @@ class _Client(threading.Thread):
                 # latency includes any 429 backoff the request rode out
                 # — it is the latency the client experienced
                 self.latencies.append(time.perf_counter() - t0)
-                self._tally(doc)
+                for item in doc.get("results", [doc]):
+                    served = item.get("served", "?")
+                    self.served[served] = self.served.get(served, 0) + 1
                 return
             envelope = doc.get("error")
             if not isinstance(envelope, dict):  # non-envelope (proxy?) error
@@ -253,7 +251,11 @@ class _Client(threading.Thread):
                     "code": "unknown",
                     "message": raw.decode("utf-8", "replace"),
                 }
-            if status in (429, 503) and backoffs < 100:
+            if status == 429 and self.once:
+                self.shed_429 += 1
+                self.rejected += 1
+                return
+            if status in (429, 503) and not self.once and backoffs < 100:
                 # both are the service saying "come back shortly": 429
                 # is admission backpressure, 503 is the router riding
                 # out a dead shard until the supervisor respawns it.
@@ -266,264 +268,197 @@ class _Client(threading.Thread):
                 backoff = envelope.get("retry_after_s") or retry_after
                 time.sleep(min(float(backoff or 0.1), 0.5))
                 continue
-            self.errors += 1
-            if len(self.failures) < 8:
-                self.failures.append(
-                    f"{status} {envelope.get('code', '?')}: "
-                    f"{envelope.get('message', '')}"
-                )
-            return
-
-    def run(self) -> None:
-        try:
-            if self.batch == 1:
-                for request in self.requests:
-                    self._issue("/v1/run", request)
-            else:
-                for start in range(0, len(self.requests), self.batch):
-                    chunk = self.requests[start : start + self.batch]
-                    self._issue("/v1/batch", {"requests": chunk})
-        finally:
-            self._reconnect()
-
-
-class _OneShotClient(_Client):
-    """A bulk-lane client: every request gets exactly one attempt.
-
-    The plan bench's enormous requests must *not* ride the 429 retry
-    loop — under cost-aware admission the whole point is that they are
-    shed, and a retrying client would just re-offer them.  A 429 is
-    tallied as ``shed_429`` and the client moves on.
-    """
-
-    def __init__(self, url: str, requests: list[dict[str, Any]]):
-        super().__init__(url, requests, batch=1)
-        self.shed_429 = 0
-
-    def run(self) -> None:
-        try:
-            for request in self.requests:
-                self._issue_once(request)
-        finally:
-            self._reconnect()
-
-    def _issue_once(self, body: dict[str, Any]) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        t0 = time.perf_counter()
-        try:
-            conn = self._connect()
-            conn.request(
-                "POST", "/v1/run", body=payload,
-                headers={"Content-Type": "application/json"},
-            )
-            resp = conn.getresponse()
-            raw = resp.read()
-            status = resp.status
-        except (http.client.HTTPException, OSError) as exc:
-            self._reconnect()
-            self.errors += 1
-            if len(self.failures) < 8:
-                self.failures.append(f"transport: {exc!r}")
-            return
-        try:
-            doc = json.loads(raw) if raw else {}
-        except ValueError:
-            doc = {}
-        if status == 200:
-            self.latencies.append(time.perf_counter() - t0)
-            self._tally(doc)
-            return
-        if status == 429:
-            self.shed_429 += 1
-            self.rejected += 1
-            return
-        envelope = doc.get("error")
-        if not isinstance(envelope, dict):
-            envelope = {"code": "unknown",
-                        "message": raw.decode("utf-8", "replace")}
-        self.errors += 1
-        if len(self.failures) < 8:
-            self.failures.append(
+            self._fail(
                 f"{status} {envelope.get('code', '?')}: "
                 f"{envelope.get('message', '')}"
             )
+            return
+
+    def run(self) -> None:
+        try:
+            while (item := self.cursor.next()) is not None:
+                offset, path, body = item
+                start = None
+                if offset:
+                    start = self.t0 + offset
+                    delay = start - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
+                self._issue(path, body, start)
+        finally:
+            self._reconnect()
 
 
-def _percentile(values: list[float], q: float) -> float | None:
-    """Nearest-rank percentile (small samples; no interpolation).
-
-    Nearest-rank on N samples means the p99 *is* one of the observed
-    latencies — honest for small N, but off 3 requests it is just the
-    maximum.  Callers that promise tail percentiles (the open-loop
-    phases) therefore gate on :data:`MIN_OPEN_LOOP_SAMPLES` via
-    :func:`_latency_fields` and record ``latency_samples`` next to every
-    percentile so a reader can judge its weight.
-    """
-    if not values:
-        return None
-    ranked = sorted(values)
-    return ranked[min(len(ranked) - 1, round(q * (len(ranked) - 1)))]
-
-
-#: an open-loop phase refuses to report percentiles off fewer samples
-#: than this (a p99 needs ~100 samples to be a 99th percentile at all;
-#: 40 keeps smoke runs honest without making them slow)
-MIN_OPEN_LOOP_SAMPLES = 40
-
-#: latency histogram: bucket 0 is [0, floor); bucket i >= 1 is
-#: [floor * 2**(i-1), floor * 2**i) — log-spaced, so 24 buckets span
-#: 100 us to ~14 minutes
-_HISTOGRAM_FLOOR_S = 1e-4
-_HISTOGRAM_BUCKETS = 24
-
-
-def _latency_histogram(latencies: list[float]) -> dict[str, Any]:
-    """A compact log-spaced latency histogram (trailing zeros trimmed).
-
-    >>> _latency_histogram([0.00005, 0.0003, 0.0005, 0.009])
-    {'floor_s': 0.0001, 'factor': 2, 'counts': [1, 0, 0, 2, 0, 0, 0, 1]}
-    """
-    counts = [0] * _HISTOGRAM_BUCKETS
-    for latency in latencies:
-        if latency < _HISTOGRAM_FLOOR_S:
-            index = 0
+def _closed(
+    streams: list[list[dict[str, Any]]], batch: int = 1, start_s: float = 0.0
+) -> list[_Cursor]:
+    """Closed-loop schedules: one cursor per client stream, every offset
+    0 (``start_s`` delays each client's first request); ``batch > 1``
+    sends the stream in ``POST /v1/batch`` chunks."""
+    cursors = []
+    for stream in streams:
+        if batch > 1:
+            items = [
+                ("/v1/batch", {"requests": stream[i : i + batch]})
+                for i in range(0, len(stream), batch)
+            ]
         else:
-            index = min(
-                _HISTOGRAM_BUCKETS - 1,
-                int(math.log2(latency / _HISTOGRAM_FLOOR_S)) + 1,
-            )
-        counts[index] += 1
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return {"floor_s": _HISTOGRAM_FLOOR_S, "factor": 2, "counts": counts}
+            items = [("/v1/run", body) for body in stream]
+        cursors.append(_Cursor([
+            (start_s if i == 0 else 0.0, path, body)
+            for i, (path, body) in enumerate(items)
+        ]))
+    return cursors
 
 
-def _latency_fields(
-    latencies: list[float], min_samples: int | None = None
-) -> dict[str, Any]:
-    """The per-phase latency block: samples, p50/p95/p99, histogram.
+def _run_lanes(
+    url: str,
+    lanes: dict[str, tuple[list[_Cursor], bool]],
+    mid_phase: tuple[float, Any] | None = None,
+) -> tuple[float, dict[str, list[_Client]]]:
+    """The phase runner: every lane's clients at once, one per cursor.
 
-    With ``min_samples``, percentiles below the floor are reported as
-    ``None`` (plus an explanatory ``latency_note``) rather than as
-    numbers a reader would mistake for measurements.
+    ``lanes`` maps a lane name to ``(cursors, once)``.  Returns the
+    phase's wall seconds and each lane's finished clients.
+    ``mid_phase=(at_s, hook)`` fires ``hook()`` that many seconds into
+    the phase from the coordinating thread — the fault run uses it to
+    kill a shard while the offered load keeps arriving.
     """
-    doc: dict[str, Any] = {"latency_samples": len(latencies)}
-    enough = min_samples is None or len(latencies) >= min_samples
-    for field, q in (
-        ("latency_p50_s", 0.50),
-        ("latency_p95_s", 0.95),
-        ("latency_p99_s", 0.99),
-    ):
-        doc[field] = _percentile(latencies, q) if enough else None
-    if not enough:
-        doc["latency_note"] = (
-            f"percentiles suppressed: {len(latencies)} sample(s) is "
-            f"below the {min_samples}-sample open-loop minimum"
-        )
-    doc["latency_histogram"] = _latency_histogram(latencies)
+    clients = {
+        name: [_Client(url, cursor, once) for cursor in cursors]
+        for name, (cursors, once) in lanes.items()
+    }
+    everyone = [c for lane in clients.values() for c in lane]
+    t0 = time.perf_counter()
+    for c in everyone:
+        c.t0 = t0
+        c.start()
+    if mid_phase is not None:
+        at_s, hook = mid_phase
+        time.sleep(max(0.0, t0 + at_s - time.perf_counter()))
+        hook()
+    for c in everyone:
+        c.join()
+    return time.perf_counter() - t0, clients
+
+
+def _collect(
+    workers: list[_Client], min_samples: int | None = None
+) -> dict[str, Any]:
+    """Aggregate one lane's client tallies into phase-document fields."""
+    served: dict[str, int] = {}
+    latencies: list[float] = []
+    failures: list[str] = []
+    for w in workers:
+        for k, v in w.served.items():
+            served[k] = served.get(k, 0) + v
+        latencies.extend(w.latencies)
+        failures.extend(w.failures)
+    doc: dict[str, Any] = {
+        "served": {k: served[k] for k in sorted(served)},
+        "rejected_429": sum(w.rejected for w in workers),
+        "unavailable_503": sum(w.unavailable_503 for w in workers),
+        "errors": sum(w.errors for w in workers),
+        "non_envelope_errors": sum(w.non_envelope_errors for w in workers),
+    }
+    if any(w.once for w in workers):
+        doc["shed_429"] = sum(w.shed_429 for w in workers)
+    doc.update(latency_fields(latencies, min_samples=min_samples))
+    if failures:
+        doc["failures"] = failures[:8]
     return doc
 
 
-def _fmt_latency(doc: dict[str, Any]) -> str:
-    """``p50/p95/p99`` for the human-readable phase summary line."""
-    parts = []
+def _phase_line(name: str, doc: dict[str, Any]) -> str:
+    """The human-readable summary line of one phase (or lane)."""
+    line = f"  {name:28s}"
+    if doc.get("requests_per_s"):
+        line += (f" {doc['requests']:>5d} req in {doc['wall_s']:6.2f}s "
+                 f"{doc['requests_per_s']:>8,.1f} req/s ")
     for field, label in (
         ("latency_p50_s", "p50"),
         ("latency_p95_s", "p95"),
         ("latency_p99_s", "p99"),
     ):
         value = doc.get(field)
-        parts.append(
-            f"{label}={value * 1e3:.1f}ms" if value is not None else
-            f"{label}=?"
-        )
-    return " ".join(parts) + f" n={doc.get('latency_samples', 0)}"
-
-
-def _collect(
-    workers: list["_Client"], min_samples: int | None = None
-) -> dict[str, Any]:
-    """Aggregate worker tallies into the shared phase-document fields."""
-    served: dict[str, int] = {}
-    rejected = unavailable = errors = non_envelope = 0
-    failures: list[str] = []
-    latencies: list[float] = []
-    for w in workers:
-        for k, v in w.served.items():
-            served[k] = served.get(k, 0) + v
-        rejected += w.rejected
-        unavailable += w.unavailable_503
-        errors += w.errors
-        non_envelope += w.non_envelope_errors
-        failures.extend(w.failures)
-        latencies.extend(w.latencies)
-    doc: dict[str, Any] = {
-        "served": {k: served[k] for k in sorted(served)},
-        "rejected_429": rejected,
-        "unavailable_503": unavailable,
-        "errors": errors,
-        "non_envelope_errors": non_envelope,
-    }
-    doc.update(_latency_fields(latencies, min_samples=min_samples))
-    if failures:
-        doc["failures"] = failures[:8]
-    return doc
+        line += (f" {label}={value * 1e3:.1f}ms" if value is not None
+                 else f" {label}=?")
+    line += f" n={doc.get('latency_samples', 0)}  (served: " + (", ".join(
+        f"{k}={v}" for k, v in doc["served"].items()
+    ) or "none")
+    for field, label in (
+        ("rejected_429", "rejected"),
+        ("shed_429", "shed"),
+        ("unavailable_503", "503s"),
+        ("errors", "ERRORS"),
+    ):
+        if doc.get(field):
+            line += f", {label}={doc[field]}"
+    return line + ")"
 
 
 def _run_phase(
     url: str,
     name: str,
-    clients: int,
-    requests_per_client: int,
     hot_ratio: float,
     hot_keys: int,
-    batch: int,
     seed: int,
     cold_base: int,
+    clients: int = 1,
+    requests_per_client: int = 0,
+    batch: int = 1,
+    rate: float | None = None,
+    duration_s: float = 0.0,
+    concurrency: int = 1,
+    mid_phase: tuple[float, Any] | None = None,
     echo=None,
 ) -> tuple[dict[str, Any], int]:
-    """Run one closed-loop phase; returns ``(phase doc, cold keys used)``."""
+    """One hot/cold phase; returns ``(phase doc, cold keys used)``.
+
+    Closed-loop by default: ``clients`` clients, each issuing its own
+    seeded stream of ``requests_per_client`` requests back to back.
+    With a ``rate``, open-loop: Poisson arrivals at ``rate``/s over
+    ``duration_s``, pulled off one shared schedule by ``concurrency``
+    workers (which bounds the requests in flight), percentiles
+    suppressed below :data:`MIN_OPEN_LOOP_SAMPLES` samples.
+    """
     hot = _hot_set(hot_keys)
-    cold_index = cold_base
-    workers: list[_Client] = []
-    for c in range(clients):
-        rng = random.Random(seed * 1000 + c)
-        stream = []
-        for _ in range(requests_per_client):
-            if hot_ratio > 0 and rng.random() < hot_ratio:
-                stream.append(hot[rng.randrange(len(hot))])
-            else:
-                stream.append(_cold_request(cold_index))
-                cold_index += 1
-        workers.append(_Client(url, stream, batch=batch))
-    t0 = time.perf_counter()
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    wall = time.perf_counter() - t0
-    total = clients * requests_per_client
-    doc = {
-        "requests": total,
-        "wall_s": wall,
-        "requests_per_s": total / wall if wall > 0 else None,
-        "hot_ratio": hot_ratio,
-    }
-    doc.update(_collect(workers))
+    cold = itertools.count(cold_base)
+    doc: dict[str, Any] = {}
+    min_samples = None
+    if rate is None:
+        streams = []
+        for c in range(clients):
+            rng = random.Random(seed * 1000 + c)
+            streams.append([
+                _pick(rng, hot_ratio, hot, cold)
+                for _ in range(requests_per_client)
+            ])
+        cursors = _closed(streams, batch)
+        total = clients * requests_per_client
+    else:
+        rng = random.Random(seed)
+        schedule = []
+        t = rng.expovariate(rate)
+        while t < duration_s:
+            schedule.append((t, "/v1/run", _pick(rng, hot_ratio, hot, cold)))
+            t += rng.expovariate(rate)
+        cursors = [_Cursor(schedule)] * concurrency
+        total = len(schedule)
+        min_samples = MIN_OPEN_LOOP_SAMPLES
+        doc.update(mode="open_loop", offered_rate_per_s=rate,
+                   duration_s=duration_s, concurrency=concurrency)
+    wall, lanes = _run_lanes(url, {name: (cursors, False)}, mid_phase)
+    doc.update(
+        requests=total,
+        wall_s=wall,
+        requests_per_s=total / wall if wall > 0 else None,
+        hot_ratio=hot_ratio,
+    )
+    doc.update(_collect(lanes[name], min_samples))
     if echo:
-        rps = doc["requests_per_s"]
-        echo(
-            f"  {name:5s} {total:>5d} requests in {wall:7.2f}s  "
-            f"{rps:>8,.1f} req/s  {_fmt_latency(doc)}  (served: "
-            + ", ".join(
-                f"{k}={v}" for k, v in sorted(doc["served"].items())
-            )
-            + (f", rejected={doc['rejected_429']}"
-               if doc["rejected_429"] else "")
-            + (f", ERRORS={doc['errors']}" if doc["errors"] else "")
-            + ")"
-        )
-    return doc, cold_index - cold_base
+        echo(_phase_line(name, doc))
+    return doc, next(cold) - cold_base
 
 
 def run_loadgen(
@@ -552,31 +487,22 @@ def run_loadgen(
     ``smoke`` shrinks the request counts for CI without changing the
     phase structure.
     """
-    from repro.bench import _git_revision
-
     if smoke:
         clients = min(clients, 2)
         requests_per_client = min(requests_per_client, 8)
         hot_keys = min(hot_keys, 4)
-    produced_by = "python -m repro loadgen"
-    if smoke:
-        produced_by += " --smoke"
-    doc: dict[str, Any] = {
-        "schema": SERVICE_BENCH_SCHEMA,
-        "produced_by": produced_by,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "jobs": jobs,
-        "revision": _git_revision(),
-        "clients": clients,
-        "requests_per_client": requests_per_client,
-        "hot_ratio": hot_ratio,
-        "hot_keys": hot_keys,
-        "batch": batch,
-        "seed": seed,
-        "phases": {},
-    }
+    doc = bench_header(
+        "service_throughput",
+        "python -m repro loadgen" + (" --smoke" if smoke else ""),
+        seed=seed,
+        jobs=jobs,
+        clients=clients,
+        requests_per_client=requests_per_client,
+        hot_ratio=hot_ratio,
+        hot_keys=hot_keys,
+        batch=batch,
+        phases={},
+    )
     server = None
     if url is None:
         from repro.service.server import ServiceServer, SimService
@@ -593,21 +519,18 @@ def run_loadgen(
         if echo:
             echo(f"load-generating against {url} "
                  f"({clients} client(s) x {requests_per_client} request(s))")
+        closed = {"clients": clients, "batch": batch, "echo": echo,
+                  "requests_per_client": requests_per_client}
         cold, cold_used = _run_phase(
-            url, "cold", clients, requests_per_client,
-            hot_ratio=0.0, hot_keys=hot_keys, batch=batch,
-            seed=seed, cold_base=0, echo=echo,
+            url, "cold", 0.0, hot_keys, seed, 0, **closed
         )
         hot, _ = _run_phase(
-            url, "hot", clients, requests_per_client,
-            hot_ratio=hot_ratio, hot_keys=hot_keys, batch=batch,
-            seed=seed + 1, cold_base=cold_used, echo=echo,
+            url, "hot", hot_ratio, hot_keys, seed + 1, cold_used, **closed
         )
     finally:
         if server is not None:
             server.close()
-    doc["phases"]["cold"] = cold
-    doc["phases"]["hot"] = hot
+    doc["phases"] = {"cold": cold, "hot": hot}
     cold_rps = cold["requests_per_s"]
     hot_rps = hot["requests_per_s"]
     doc["hot_vs_cold_speedup"] = (
@@ -619,134 +542,9 @@ def run_loadgen(
     return doc
 
 
-# --------------------------------------------------------------- open loop
-
-
-class _Cursor:
-    """A shared, thread-safe index into the open-loop arrival schedule."""
-
-    def __init__(self, items: list):
-        self.items = items
-        self._i = 0
-        self._lock = threading.Lock()
-
-    def next(self):
-        with self._lock:
-            if self._i >= len(self.items):
-                return None
-            item = self.items[self._i]
-            self._i += 1
-            return item
-
-
-class _OpenLoopWorker(_Client):
-    """One open-loop worker: issue requests at their *scheduled* times.
-
-    Poisson arrivals are precomputed as offsets from the phase start;
-    each worker pulls the next arrival off the shared cursor, sleeps
-    until its time, and measures latency from the scheduled time — so
-    when the tier falls behind the offered rate, the queueing delay
-    lands in the latency distribution instead of silently slowing the
-    arrival process (the coordinated-omission trap a closed loop has).
-    """
-
-    def __init__(self, url: str, cursor: _Cursor, t0: float):
-        super().__init__(url, requests=[])
-        self.cursor = cursor
-        self.t0 = t0
-
-    def run(self) -> None:
-        try:
-            while True:
-                item = self.cursor.next()
-                if item is None:
-                    return
-                offset, body = item
-                target = self.t0 + offset
-                delay = target - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                self._issue("/v1/run", body, t0=target)
-        finally:
-            self._reconnect()
-
-
-def _run_open_phase(
-    url: str,
-    name: str,
-    rate: float,
-    duration_s: float,
-    hot_ratio: float,
-    hot_keys: int,
-    concurrency: int,
-    seed: int,
-    cold_base: int,
-    echo=None,
-    mid_phase: tuple[float, Any] | None = None,
-) -> tuple[dict[str, Any], int]:
-    """One open-loop phase at a fixed offered rate.
-
-    ``mid_phase=(at_s, hook)`` fires ``hook()`` that many seconds into
-    the phase from the coordinating thread — the fault run uses it to
-    kill a shard while the offered load keeps arriving.
-    """
-    rng = random.Random(seed)
-    hot = _hot_set(hot_keys)
-    schedule: list[tuple[float, dict[str, Any]]] = []
-    t = 0.0
-    cold_index = cold_base
-    while True:
-        t += rng.expovariate(rate)
-        if t >= duration_s:
-            break
-        if hot_ratio > 0 and rng.random() < hot_ratio:
-            body = hot[rng.randrange(len(hot))]
-        else:
-            body = _cold_request(cold_index)
-            cold_index += 1
-        schedule.append((t, body))
-    cursor = _Cursor(schedule)
-    t0 = time.perf_counter()
-    workers = [
-        _OpenLoopWorker(url, cursor, t0) for _ in range(concurrency)
-    ]
-    for w in workers:
-        w.start()
-    if mid_phase is not None:
-        at_s, hook = mid_phase
-        delay = t0 + at_s - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        hook()
-    for w in workers:
-        w.join()
-    wall = time.perf_counter() - t0
-    doc: dict[str, Any] = {
-        "mode": "open_loop",
-        "offered_rate_per_s": rate,
-        "duration_s": duration_s,
-        "concurrency": concurrency,
-        "requests": len(schedule),
-        "wall_s": wall,
-        "requests_per_s": len(schedule) / wall if wall > 0 else None,
-        "hot_ratio": hot_ratio,
-    }
-    doc.update(_collect(workers, min_samples=MIN_OPEN_LOOP_SAMPLES))
-    if echo:
-        echo(
-            f"  {name:15s} {len(schedule):>5d} arrivals at "
-            f"{rate:,.0f}/s over {duration_s:g}s  {_fmt_latency(doc)}"
-            + (f", 503s={doc['unavailable_503']}"
-               if doc["unavailable_503"] else "")
-            + (f", ERRORS={doc['errors']}" if doc["errors"] else "")
-        )
-    return doc, cold_index - cold_base
-
-
 def _warm(url: str, hot_keys: int) -> None:
     """Touch every hot key once so a phase measures steady state."""
-    worker = _Client(url, _hot_set(hot_keys))
-    worker.run()  # synchronously, on this thread
+    _Client(url, _closed([_hot_set(hot_keys)])[0]).run()  # on this thread
 
 
 def _fetch_results(url: str, requests: list[dict[str, Any]]) -> list[Any]:
@@ -776,20 +574,6 @@ def _fetch_results(url: str, requests: list[dict[str, Any]]) -> list[Any]:
 
 # ------------------------------------------------------------- shard bench
 
-#: the sharded tier's documented SLOs, recorded in every bench document
-#: and enforced by :func:`check_shard_against`:
-#: 2-shard closed-loop throughput must be at least this multiple of the
-#: 1-shard row on the same host...
-SCALING_FLOOR_X = 1.5
-
-#: ...and the shard-kill run's p99 must stay within this multiple of
-#: the fault-free p99 (the Fractal bar: fault recovery *compared to
-#: fault-free conditions*).  The router detects the death passively on
-#: the first failed forward, so the visible damage is a sub-second
-#: blip of retried requests, not a minutes-long outage — but p99 is
-#: exactly where that blip lands, hence a double-digit allowance.
-FAULT_P99_BOUND_X = 15.0
-
 
 def run_shard_bench(
     url: str | None = None,
@@ -817,7 +601,8 @@ def run_shard_bench(
       the tier's aggregate capacity, so the 2-shard row wins on cache
       locality — the serving-layer translation of the paper's claim,
       and an honest scaling number on any host (it does not require
-      spare cores, only aggregate cache).
+      spare cores, only aggregate cache).  The ``service_shard`` rules
+      require at least :data:`SCALING_FLOOR_X` scaling.
     * ``open_loop`` — Poisson arrivals at ``rate`` against a fresh
       N-shard tier; the tail-latency (p50/p95/p99 + histogram) phase.
     * ``open_loop_fault`` — the same offered load, with shard 0
@@ -834,35 +619,26 @@ def run_shard_bench(
     Attached (``url=...``) it drives an already-running tier with the
     ``open_loop`` phase only — the CI leg.
     """
-    from repro.bench import _git_revision
-
     if smoke:
         rate = min(rate, 60.0)
         duration_s = min(duration_s, 2.5)
         hot_keys = min(hot_keys, 32)
         requests_per_client = min(requests_per_client, 25)
         concurrency = min(concurrency, 8)
-    produced_by = "python -m repro loadgen --open-loop"
-    if smoke:
-        produced_by += " --smoke"
-    doc: dict[str, Any] = {
-        "schema": SHARD_BENCH_SCHEMA,
-        "produced_by": produced_by,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "revision": _git_revision(),
-        "shards": shards,
-        "cache_capacity_per_shard": cache_capacity,
-        "hot_keys": hot_keys,
-        "offered_rate_per_s": rate,
-        "duration_s": duration_s,
-        "concurrency": concurrency,
-        "seed": seed,
-        "scaling_floor_x": SCALING_FLOOR_X,
-        "fault_p99_bound_x": FAULT_P99_BOUND_X,
-        "phases": {},
-    }
+    doc = bench_header(
+        "service_shard",
+        "python -m repro loadgen --open-loop" + (" --smoke" if smoke else ""),
+        seed=seed,
+        shards=shards,
+        cache_capacity_per_shard=cache_capacity,
+        hot_keys=hot_keys,
+        offered_rate_per_s=rate,
+        duration_s=duration_s,
+        concurrency=concurrency,
+        phases={},
+    )
+    open_loop = {"rate": rate, "duration_s": duration_s, "echo": echo,
+                 "concurrency": concurrency}
 
     if url is not None:
         # attached mode: one open-loop phase against the running tier
@@ -870,10 +646,8 @@ def run_shard_bench(
         if echo:
             echo(f"open-loop load against {url}")
         _warm(url, hot_keys)
-        phase, _ = _run_open_phase(
-            url, "open_loop", rate, duration_s,
-            hot_ratio=0.95, hot_keys=hot_keys,
-            concurrency=concurrency, seed=seed, cold_base=0, echo=echo,
+        phase, _ = _run_phase(
+            url, "open_loop", 0.95, hot_keys, seed, 0, **open_loop
         )
         doc["phases"]["open_loop"] = phase
         doc["errors"] = phase["errors"]
@@ -889,9 +663,8 @@ def run_shard_bench(
         ) as tier:
             _warm(tier.url, hot_keys)
             phase, _ = _run_phase(
-                tier.url, name, clients, requests_per_client,
-                hot_ratio=1.0, hot_keys=hot_keys, batch=1,
-                seed=seed, cold_base=0, echo=echo,
+                tier.url, name, 1.0, hot_keys, seed, 0, clients=clients,
+                requests_per_client=requests_per_client, echo=echo,
             )
             phase["shards"] = tier_shards
         return phase
@@ -921,11 +694,8 @@ def run_shard_bench(
         shards=shards, cache_capacity=cache_capacity, restart=True
     ) as tier:
         _warm(tier.url, hot_keys)
-        fault_free, cold_used = _run_open_phase(
-            tier.url, "open_loop", rate, duration_s,
-            hot_ratio=0.95, hot_keys=hot_keys,
-            concurrency=concurrency, seed=seed + 1, cold_base=0,
-            echo=echo,
+        fault_free, cold_used = _run_phase(
+            tier.url, "open_loop", 0.95, hot_keys, seed + 1, 0, **open_loop
         )
         doc["phases"]["open_loop"] = fault_free
 
@@ -936,12 +706,9 @@ def run_shard_bench(
             if victim.proc is not None:
                 victim.proc.kill()
 
-        faulted, _ = _run_open_phase(
-            tier.url, "open_loop_fault", rate, duration_s,
-            hot_ratio=0.95, hot_keys=hot_keys,
-            concurrency=concurrency, seed=seed + 2,
-            cold_base=cold_used, echo=echo,
-            mid_phase=(kill_at, kill_shard),
+        faulted, _ = _run_phase(
+            tier.url, "open_loop_fault", 0.95, hot_keys, seed + 2,
+            cold_used, mid_phase=(kill_at, kill_shard), **open_loop
         )
         faulted["killed_shard"] = 0
         faulted["killed_at_s"] = kill_at
@@ -993,85 +760,6 @@ def run_shard_bench(
     return doc
 
 
-def check_shard_against(
-    fresh: dict[str, Any],
-    baseline: dict[str, Any],
-    tolerance: float = 5.0,
-) -> list[str]:
-    """Guardrail for ``BENCH_service_shard.json`` (CI's ``--check``).
-
-    Same shape as :func:`check_service_against` — schema drift refuses,
-    only slow-direction drift beyond ``tolerance`` is a regression —
-    plus the tier's own SLOs, which are absolute, not relative to the
-    baseline: zero non-envelope errors, the ``scaling_floor_x``
-    throughput scaling floor, the ``fault_p99_bound_x`` tail bound
-    and the ``identity_ok`` bit (whenever the fresh run measured them).
-    """
-    fresh_schema = fresh.get("schema")
-    base_schema = baseline.get("schema")
-    if fresh_schema != base_schema:
-        raise ValueError(
-            f"cannot compare shard bench documents across schemas: fresh "
-            f"run is schema {fresh_schema!r}, baseline is schema "
-            f"{base_schema!r}.  Regenerate the baseline with the current "
-            f"code (python -m repro loadgen --open-loop --output "
-            f"<baseline.json>) and re-check."
-        )
-    problems: list[str] = []
-    if fresh.get("errors"):
-        problems.append(
-            f"{fresh['errors']} request(s) failed "
-            f"(first: {_first_failure(fresh)})"
-        )
-    if fresh.get("non_envelope_errors"):
-        problems.append(
-            f"{fresh['non_envelope_errors']} error response(s) leaked "
-            f"without the {{\"error\": ...}} envelope"
-        )
-    for name, base_phase in baseline.get("phases", {}).items():
-        fresh_phase = fresh.get("phases", {}).get(name)
-        if fresh_phase is None:
-            continue  # smoke/attached runs measure a phase subset
-        b = base_phase.get("requests_per_s")
-        got = fresh_phase.get("requests_per_s")
-        if b and got and got < b / tolerance:
-            problems.append(
-                f"phase {name!r}: {got:,.1f} req/s < baseline "
-                f"{b:,.1f} / {tolerance:g}"
-            )
-        if fresh_phase.get("mode") == "open_loop":
-            if fresh_phase.get("latency_note"):
-                problems.append(
-                    f"phase {name!r}: {fresh_phase['latency_note']}"
-                )
-            b99 = base_phase.get("latency_p99_s")
-            got99 = fresh_phase.get("latency_p99_s")
-            if b99 and got99 and got99 > b99 * tolerance:
-                problems.append(
-                    f"phase {name!r}: p99 {got99 * 1e3:,.1f}ms > baseline "
-                    f"{b99 * 1e3:,.1f}ms x {tolerance:g}"
-                )
-    floor = fresh.get("scaling_floor_x") or SCALING_FLOOR_X
-    scaling = fresh.get("scaling_x")
-    if scaling is not None and scaling < floor:
-        problems.append(
-            f"throughput scaling {scaling:.2f}x is below the "
-            f"{floor:g}x floor"
-        )
-    bound = fresh.get("fault_p99_bound_x") or FAULT_P99_BOUND_X
-    ratio = fresh.get("fault_p99_ratio")
-    if ratio is not None and ratio > bound:
-        problems.append(
-            f"shard-kill p99 is {ratio:.2f}x the fault-free p99 "
-            f"(bound {bound:g}x)"
-        )
-    if fresh.get("identity_ok") is False:
-        problems.append(
-            "served documents diverged from the unsharded engine path"
-        )
-    return problems
-
-
 def _wait_job(manager, job_id: str, timeout_s: float = 300.0) -> None:
     """Block until the job is terminal (the in-process polling loop)."""
     deadline = time.monotonic() + timeout_s
@@ -1110,14 +798,14 @@ def run_job_bench(
        time-to-complete including the restart and whether the resumed
        result document equals round 2's uninterrupted one.
 
-    ``p50_ratio`` (round 2 p50 / round 1 p50) is the acceptance number:
-    the ROADMAP requires it within 2x.  ``results_identical`` must be
-    ``True`` — the byte-identity contract under restart.
+    ``p50_ratio`` (round 2 p50 / round 1 p50) is the interference
+    number, recorded but not gated.  The ``service_jobs`` rules require
+    zero failed requests and ``results_identical`` — the byte-identity
+    contract under restart.
     """
     import shutil
     import tempfile
 
-    from repro.bench import _git_revision
     from repro.service.server import ServiceServer, SimService
 
     if smoke:
@@ -1129,30 +817,24 @@ def run_job_bench(
             [4096, 8192, 16384, 32768, 65536]
         )
     job_body = {"kind": "touch", "sizes": sizes, "f": "x^0.5"}
-    doc: dict[str, Any] = {
-        "schema": SERVICE_BENCH_SCHEMA,
-        "produced_by": "python -m repro loadgen --job-mode"
-        + (" --smoke" if smoke else ""),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "jobs": jobs,
-        "revision": _git_revision(),
-        "clients": clients,
-        "requests_per_client": requests_per_client,
-        "hot_ratio": hot_ratio,
-        "hot_keys": hot_keys,
-        "seed": seed,
-        "job": job_body,
-        "rounds": {},
-    }
+    doc = bench_header(
+        "service_jobs",
+        "python -m repro loadgen --job-mode" + (" --smoke" if smoke else ""),
+        seed=seed,
+        jobs=jobs,
+        clients=clients,
+        requests_per_client=requests_per_client,
+        hot_ratio=hot_ratio,
+        hot_keys=hot_keys,
+        job=job_body,
+        rounds={},
+    )
     errors = 0
 
     def interactive_round(url: str, name: str) -> dict[str, Any]:
         phase, _ = _run_phase(
-            url, name, clients, requests_per_client,
-            hot_ratio=hot_ratio, hot_keys=hot_keys, batch=1,
-            seed=seed, cold_base=0, echo=echo,
+            url, name, hot_ratio, hot_keys, seed, 0, clients=clients,
+            requests_per_client=requests_per_client, echo=echo,
         )
         return phase
 
@@ -1232,14 +914,6 @@ def run_job_bench(
 
 # -------------------------------------------------------------- plan bench
 
-#: the planner's documented admission SLO, recorded in every plan-bench
-#: document and enforced by :func:`check_plan_against`: under the
-#: adversarial cheap/enormous mix, cost-aware admission must keep the
-#: cheap lane's p99 within this multiple of the uniform-load p99 —
-#: and flat ``queue_limit`` admission must demonstrably exceed it,
-#: otherwise the mix was not adversarial enough to mean anything.
-PLAN_P99_BOUND_X = 3.0
-
 #: global in-flight predicted-cost ceiling for the cost-aware phase —
 #: far below one enormous request's predicted charged words, far above
 #: a cheap request's, so admission separates the lanes by cost alone
@@ -1300,47 +974,6 @@ def _post_plan(conn: http.client.HTTPConnection, body: dict[str, Any]) -> dict[s
     return json.loads(raw)
 
 
-def _run_mix_phase(
-    url: str,
-    name: str,
-    cheap_streams: list[list[dict[str, Any]]],
-    bulk_streams: list[list[dict[str, Any]]],
-    echo=None,
-) -> dict[str, Any]:
-    """One adversarial phase: cheap closed-loop clients beside one-shot
-    bulk clients; the bulk lane starts first so the enormous requests
-    are already at the door when the cheap lane arrives."""
-    cheap = [_Client(url, stream) for stream in cheap_streams]
-    bulk = [_OneShotClient(url, stream) for stream in bulk_streams]
-    t0 = time.perf_counter()
-    for w in bulk:
-        w.start()
-    if bulk:
-        time.sleep(0.05)
-    for w in cheap:
-        w.start()
-    for w in bulk:
-        w.join()
-    for w in cheap:
-        w.join()
-    wall = time.perf_counter() - t0
-    doc: dict[str, Any] = {"wall_s": wall, "cheap": _collect(cheap)}
-    if bulk:
-        bulk_doc = _collect(bulk)
-        bulk_doc["shed_429"] = sum(w.shed_429 for w in bulk)
-        doc["bulk"] = bulk_doc
-    if echo:
-        line = f"  {name:22s} cheap {_fmt_latency(doc['cheap'])}"
-        if bulk:
-            served = sum(doc["bulk"]["served"].values())
-            line += (f"  bulk served={served} "
-                     f"shed={doc['bulk']['shed_429']}")
-        if doc["cheap"]["errors"] or (bulk and doc["bulk"]["errors"]):
-            line += "  ERRORS"
-        echo(line)
-    return doc
-
-
 def run_plan_bench(
     seed: int = 7,
     smoke: bool = False,
@@ -1368,7 +1001,6 @@ def run_plan_bench(
         calibrate_profile,
         load_profile,
     )
-    from repro.bench import _git_revision
     from repro.service.planner import Planner
     from repro.service.server import ServiceServer, SimService
 
@@ -1401,36 +1033,58 @@ def run_plan_bench(
     enormous_v = 512 if smoke else 1024
     queue_limit = 4
 
-    doc: dict[str, Any] = {
-        "schema": PLAN_BENCH_SCHEMA,
-        "produced_by": "python -m repro loadgen --plan-mode"
-        + (" --smoke" if smoke else ""),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "revision": _git_revision(),
-        "seed": seed,
-        "calibration": {
+    doc = bench_header(
+        "service_plan",
+        "python -m repro loadgen --plan-mode" + (" --smoke" if smoke else ""),
+        seed=seed,
+        calibration={
             "source": cal_source,
             "v_grid": profile.doc.get("v_grid"),
             "mu": profile.doc.get("mu"),
             "f": profile.doc.get("f"),
         },
-        "queue_limit": queue_limit,
-        "cost_ceiling": _PLAN_COST_CEILING,
-        "cheap_clients": cheap_clients,
-        "cheap_per_client": cheap_per_client,
-        "bulk_clients": bulk_clients,
-        "bulk_per_client": bulk_per_client,
-        "enormous_v": enormous_v,
-        "p99_bound_x": PLAN_P99_BOUND_X,
-    }
+        queue_limit=queue_limit,
+        cost_ceiling=_PLAN_COST_CEILING,
+        cheap_clients=cheap_clients,
+        cheap_per_client=cheap_per_client,
+        bulk_clients=bulk_clients,
+        bulk_per_client=bulk_per_client,
+        enormous_v=enormous_v,
+    )
+
+    cheap_index = itertools.count()
+    bulk_index = itertools.count()
+
+    def mix_phase(url: str, name: str, bulk: bool) -> dict[str, Any]:
+        """Cheap closed-loop clients, beside single-attempt bulk clients
+        that start 50 ms earlier, so the enormous requests are already
+        at the door when the cheap lane arrives.  Every request is a
+        fresh cold key."""
+        cheap_streams = [
+            [_plan_cheap_request(next(cheap_index))
+             for _ in range(cheap_per_client)]
+            for _ in range(cheap_clients)
+        ]
+        lanes = {"cheap": (_closed(cheap_streams, start_s=0.05 * bulk),
+                           False)}
+        if bulk:
+            lanes["bulk"] = (_closed([
+                [_plan_enormous_request(next(bulk_index), enormous_v)
+                 for _ in range(bulk_per_client)]
+                for _ in range(bulk_clients)
+            ]), True)
+        wall, clients = _run_lanes(url, lanes)
+        phase: dict[str, Any] = {"wall_s": wall}
+        for lane, workers in clients.items():
+            phase[lane] = _collect(workers)
+            if echo:
+                echo(_phase_line(f"{name}/{lane}", phase[lane]))
+        return phase
 
     # --- section 1: prediction accuracy + the uniform-load baseline
     if echo:
         echo("prediction accuracy (POST /v1/plan vs measured):")
     rows: list[dict[str, Any]] = []
-    cheap_base = 0
     with ServiceServer(
         SimService(queue_limit=queue_limit, planner=make_planner())
     ) as server:
@@ -1485,56 +1139,16 @@ def run_plan_bench(
 
         if echo:
             echo("admission phases (cheap p99 is the number):")
-        cheap_streams = []
-        for _ in range(cheap_clients):
-            stream = [
-                _plan_cheap_request(cheap_base + i)
-                for i in range(cheap_per_client)
-            ]
-            cheap_base += cheap_per_client
-            cheap_streams.append(stream)
-        uniform = _run_mix_phase(
-            server.url, "uniform", cheap_streams, [], echo=echo
-        )
-
-    def fresh_cheap_streams() -> list[list[dict[str, Any]]]:
-        nonlocal cheap_base
-        streams = []
-        for _ in range(cheap_clients):
-            streams.append([
-                _plan_cheap_request(cheap_base + i)
-                for i in range(cheap_per_client)
-            ])
-            cheap_base += cheap_per_client
-        return streams
-
-    bulk_base = 0
-
-    def fresh_bulk_streams() -> list[list[dict[str, Any]]]:
-        nonlocal bulk_base
-        streams = []
-        for _ in range(bulk_clients):
-            streams.append([
-                _plan_enormous_request(bulk_base + i, enormous_v)
-                for i in range(bulk_per_client)
-            ])
-            bulk_base += bulk_per_client
-        return streams
+        uniform = mix_phase(server.url, "uniform", bulk=False)
 
     # --- section 2: the adversarial mix, flat vs cost-aware admission
     with ServiceServer(SimService(queue_limit=queue_limit)) as server:
-        flat = _run_mix_phase(
-            server.url, "adversarial_flat",
-            fresh_cheap_streams(), fresh_bulk_streams(), echo=echo,
-        )
+        flat = mix_phase(server.url, "adversarial_flat", bulk=True)
 
     with ServiceServer(
         SimService(queue_limit=queue_limit, planner=make_planner())
     ) as server:
-        costaware = _run_mix_phase(
-            server.url, "adversarial_costaware",
-            fresh_cheap_streams(), fresh_bulk_streams(), echo=echo,
-        )
+        costaware = mix_phase(server.url, "adversarial_costaware", bulk=True)
 
     doc["phases"] = {
         "uniform": uniform,
@@ -1555,11 +1169,15 @@ def run_plan_bench(
         if uniform_p99 and costaware_p99 else None
     )
     doc["shed_429"] = costaware["bulk"]["shed_429"]
-    doc["errors"] = sum(
-        phase[lane]["errors"]
+    lanes = [
+        phase[lane]
         for phase in doc["phases"].values()
         for lane in ("cheap", "bulk")
         if lane in phase
+    ]
+    doc["errors"] = sum(lane["errors"] for lane in lanes)
+    doc["non_envelope_errors"] = sum(
+        lane["non_envelope_errors"] for lane in lanes
     )
     if echo and doc["flat_over_uniform"] and doc["costaware_over_uniform"]:
         echo(
@@ -1570,128 +1188,3 @@ def run_plan_bench(
             f"{doc['shed_429']} enormous request(s)"
         )
     return doc
-
-
-def check_plan_against(
-    fresh: dict[str, Any], baseline: dict[str, Any]
-) -> list[str]:
-    """Enforce the plan bench's documented guarantees.
-
-    Refuses (raises :class:`ValueError`) on schema drift, like the
-    other ``check_*_against`` gates.  The checks are self-SLOs of the
-    fresh document — every prediction within its own error band, the
-    cost-aware phase actually shedding, and the p99 contrast — so
-    ``check_plan_against(doc, doc)`` is the standalone-mode check.
-    """
-    fresh_schema = fresh.get("schema")
-    base_schema = baseline.get("schema")
-    if fresh_schema != base_schema:
-        raise ValueError(
-            f"cannot compare plan bench documents across schemas: fresh "
-            f"run is schema {fresh_schema!r}, baseline is schema "
-            f"{base_schema!r}.  Regenerate the baseline with the current "
-            f"code (python -m repro loadgen --plan-mode --output "
-            f"<baseline.json>) and re-check."
-        )
-    problems: list[str] = []
-    if fresh.get("errors"):
-        problems.append(f"{fresh['errors']} request(s) failed")
-    rows = fresh.get("prediction", {}).get("rows", [])
-    if not rows:
-        problems.append("no prediction-accuracy rows recorded")
-    for row in rows:
-        if not row.get("within_band"):
-            problems.append(
-                f"prediction out of band: {row['engine']}/{row['program']}"
-                f" v={row['v']}: measured {row['measured']:,.0f} outside "
-                f"[{row['lo']:,.0f}, {row['hi']:,.0f}]"
-            )
-    if not fresh.get("shed_429"):
-        problems.append(
-            "cost-aware admission shed no enormous request (shed_429=0) "
-            "— the cost gate never fired"
-        )
-    bound = fresh.get("p99_bound_x") or PLAN_P99_BOUND_X
-    costaware_x = fresh.get("costaware_over_uniform")
-    flat_x = fresh.get("flat_over_uniform")
-    if costaware_x is None or flat_x is None:
-        problems.append("cheap-lane p99 ratios missing from the document")
-    else:
-        if costaware_x > bound:
-            problems.append(
-                f"cost-aware admission: cheap p99 is {costaware_x:.2f}x "
-                f"the uniform-load p99 (documented bound: {bound:g}x)"
-            )
-        if flat_x <= bound:
-            problems.append(
-                f"flat queue_limit admission kept cheap p99 at "
-                f"{flat_x:.2f}x uniform (<= {bound:g}x) — the adversarial "
-                f"mix failed to demonstrate the contrast"
-            )
-    return problems
-
-
-def check_service_against(
-    fresh: dict[str, Any],
-    baseline: dict[str, Any],
-    tolerance: float = 3.0,
-    min_speedup: float | None = None,
-) -> list[str]:
-    """Compare a fresh loadgen run against a recorded baseline.
-
-    Mirrors :func:`repro.bench.check_against`: refuses (raises
-    :class:`ValueError`) on schema drift, and reports only
-    slow-direction regressions beyond the (generous, cross-machine)
-    ``tolerance``.  A fresh run with any failed request is always a
-    problem, whatever the baseline says; ``min_speedup`` additionally
-    enforces a hot/cold throughput floor.
-    """
-    fresh_schema = fresh.get("schema")
-    base_schema = baseline.get("schema")
-    if fresh_schema != base_schema:
-        raise ValueError(
-            f"cannot compare service bench documents across schemas: fresh "
-            f"run is schema {fresh_schema!r}, baseline is schema "
-            f"{base_schema!r}.  Regenerate the baseline with the current "
-            f"code (python -m repro loadgen --output <baseline.json>) and "
-            f"re-check."
-        )
-    problems: list[str] = []
-    if fresh.get("errors"):
-        problems.append(
-            f"{fresh['errors']} request(s) failed "
-            f"(first: {_first_failure(fresh)})"
-        )
-    for name, base_phase in baseline.get("phases", {}).items():
-        fresh_phase = fresh.get("phases", {}).get(name)
-        if fresh_phase is None:
-            problems.append(f"phase {name!r} missing from the fresh run")
-            continue
-        b = base_phase.get("requests_per_s")
-        got = fresh_phase.get("requests_per_s")
-        if b and got and got < b / tolerance:
-            problems.append(
-                f"phase {name!r}: {got:,.1f} req/s < baseline "
-                f"{b:,.1f} / {tolerance:g}"
-            )
-    if min_speedup is not None:
-        speedup = fresh.get("hot_vs_cold_speedup")
-        if not speedup or speedup < min_speedup:
-            problems.append(
-                f"hot/cold speedup {speedup!r} is below the "
-                f"{min_speedup:g}x floor"
-            )
-    return problems
-
-
-def _first_failure(doc: dict[str, Any]) -> str:
-    for phase in doc.get("phases", {}).values():
-        for failure in phase.get("failures", []):
-            return failure
-    return "no failure detail recorded"
-
-
-def write_service_bench(path: str, doc: dict[str, Any]) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")

@@ -270,10 +270,10 @@ class TestBenchOnlyFilter:
 
         def fake_run_bench(**kw):
             captured["workloads"] = kw["workloads"]
-            return {"schema": 3, "workloads": {}}
+            return bench_mod.bench_header("sim_throughput", "test", workloads={})
 
         monkeypatch.setattr(bench_mod, "run_bench", fake_run_bench)
-        monkeypatch.setattr(bench_mod, "write_bench", lambda *_: None)
+        monkeypatch.setattr(bench_mod, "write", lambda *_: None)
         assert main(["bench", "--only", "fft-rec", "--smoke"]) == 0
         names = [w.name for w in captured["workloads"]]
         assert names == ["spectral/hmm"]

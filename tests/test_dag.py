@@ -280,38 +280,45 @@ class TestCompiledEquivalence:
 # --------------------------------------------------------------- the bench
 class TestDagBench:
     def test_smoke_bench_upholds_the_guardrail(self):
-        from repro.dag.bench import check_dag_against, run_dag_bench
+        from repro.bench import check
+        from repro.dag.bench import run_dag_bench
 
         doc = run_dag_bench(smoke=True)
-        assert check_dag_against(doc, doc) == []
+        assert check(doc, doc) == []
         wins = [w["locality_wins"] for w in doc["workloads"].values()]
         assert sum(wins) >= 2
 
     def test_check_refuses_cross_schema(self):
-        from repro.dag.bench import check_dag_against, run_dag_bench
+        from repro.bench import check
+        from repro.dag.bench import run_dag_bench
 
         doc = run_dag_bench(smoke=True)
         with pytest.raises(ValueError, match="schema"):
-            check_dag_against(doc, {"schema": 99})
+            check(doc, {"schema": 99})
 
     def test_check_reports_charged_drift(self):
-        from repro.dag.bench import check_dag_against, run_dag_bench
+        from repro.bench import check
+        from repro.dag.bench import run_dag_bench
 
         doc = run_dag_bench(smoke=True)
         drifted = json.loads(json.dumps(doc))
         name = next(iter(drifted["workloads"]))
         drifted["workloads"][name]["heuristics"]["greedy"]["messages"] += 1
-        problems = check_dag_against(drifted, doc)
-        assert problems and "drifted" in problems[0]
+        problems = check(drifted, doc)
+        assert len(problems) == 1 and "drifted" in problems[0]
+        assert problems[0].startswith(
+            f"workloads.{name}.heuristics.greedy.messages:"
+        )
 
     def test_checked_in_baseline_matches_the_code(self):
         import pathlib
 
-        from repro.dag.bench import check_dag_against, run_dag_bench
+        from repro.bench import check
+        from repro.dag.bench import run_dag_bench
 
         baseline_path = pathlib.Path(__file__).parent.parent / (
             "BENCH_sim_dag.json"
         )
         baseline = json.loads(baseline_path.read_text())
         fresh = run_dag_bench(smoke=True)
-        assert check_dag_against(fresh, baseline) == []
+        assert check(fresh, baseline) == []

@@ -21,11 +21,11 @@ import pytest
 
 import repro
 from repro.bench import (
-    BENCH_SCHEMA,
+    DOC_SCHEMA,
     Workload,
     _run_engine_workload,
     bench_header,
-    check_against,
+    check,
     sweep_workload,
 )
 from repro.obs.trace import SpanRecord, merge_span_lists, tag_spans
@@ -266,20 +266,23 @@ def test_merge_span_lists_shifts_indices():
 
 
 # ----------------------------------------------------- bench satellites
-def test_bench_header_schema_three():
-    doc = bench_header(1.0, smoke=True, jobs=4)
-    assert doc["schema"] == BENCH_SCHEMA == 3
+def test_bench_header_unified():
+    doc = bench_header("sim_throughput", "python -m repro bench --jobs 4",
+                       budget_s=1.0, jobs=4)
+    assert doc["schema"] == DOC_SCHEMA == 4
+    assert doc["kind"] == "sim_throughput"
     assert doc["cpu_count"] >= 1
     assert doc["jobs"] == 4
-    assert "revision" in doc
+    assert "revision" in doc and doc["seed"] is None
     assert "--jobs 4" in doc["produced_by"]
 
 
-def test_check_against_refuses_cross_schema():
-    fresh = bench_header(1.0, smoke=True)
+def test_check_refuses_cross_schema():
+    fresh = bench_header("sim_throughput", "python -m repro bench --smoke",
+                         workloads={})
     baseline = {"schema": 1, "workloads": {}}
     with pytest.raises(ValueError, match="schema"):
-        check_against(fresh, baseline)
+        check(fresh, baseline)
 
 
 def test_engine_workload_propagates_genuine_value_error():

@@ -22,11 +22,8 @@ from repro.parallel.config import reset_fallback_warnings
 from repro.parallel.pool import shared_pool
 from repro.resilience import MISSING, SweepLedger, recovery
 from repro.service.cache import ResultCache
-from repro.service.loadgen import (
-    SERVICE_BENCH_SCHEMA,
-    check_service_against,
-    run_loadgen,
-)
+from repro.bench import DOC_SCHEMA, Rule, check
+from repro.service.loadgen import run_loadgen
 from repro.service.scheduler import (
     SERVICE_SCHEMA,
     TASK_KIND,
@@ -480,7 +477,8 @@ class TestLoadgen:
     def test_smoke_run_in_process(self):
         doc = run_loadgen(smoke=True, clients=2, requests_per_client=6,
                           hot_keys=2, seed=11)
-        assert doc["schema"] == SERVICE_BENCH_SCHEMA
+        assert doc["schema"] == DOC_SCHEMA
+        assert doc["kind"] == "service_throughput"
         assert doc["errors"] == 0
         assert set(doc["phases"]) == {"cold", "hot"}
         cold = doc["phases"]["cold"]
@@ -495,40 +493,49 @@ class TestLoadgen:
         assert doc["errors"] == 0
         assert sum(doc["phases"]["cold"]["served"].values()) == 6
 
+    #: the ``loadgen --min-speedup 5`` floor, as the CLI adds it
+    MIN_SPEEDUP_5 = (Rule("hot_vs_cold_speedup", "bound", bound=5.0,
+                          unit="x", required=True),)
+    KIND = {"schema": DOC_SCHEMA, "kind": "service_throughput"}
+
     def test_check_refuses_schema_drift(self):
         with pytest.raises(ValueError, match="schema"):
-            check_service_against(
-                {"schema": SERVICE_BENCH_SCHEMA, "phases": {}},
-                {"schema": SERVICE_BENCH_SCHEMA + 1, "phases": {}},
+            check(
+                {**self.KIND, "phases": {}},
+                {**self.KIND, "schema": DOC_SCHEMA + 1, "phases": {}},
             )
 
     def test_check_flags_errors_regressions_and_speedup_floor(self):
         base = {
-            "schema": SERVICE_BENCH_SCHEMA,
+            **self.KIND,
             "phases": {"cold": {"requests_per_s": 100.0},
                        "hot": {"requests_per_s": 500.0}},
         }
         fresh = {
-            "schema": SERVICE_BENCH_SCHEMA,
+            **self.KIND,
             "errors": 1,
             "phases": {"cold": {"requests_per_s": 10.0}},
             "hot_vs_cold_speedup": 1.2,
         }
-        problems = check_service_against(
-            fresh, base, tolerance=3.0, min_speedup=5.0
-        )
+        problems = check(fresh, base, tolerance=3.0,
+                         extra=self.MIN_SPEEDUP_5)
+        flagged = [p.split(":")[0] for p in problems]
+        assert flagged == [
+            "errors",
+            "phases.cold.requests_per_s",
+            "phases.hot.requests_per_s",
+            "hot_vs_cold_speedup",
+        ]
         text = "\n".join(problems)
-        assert "request(s) failed" in text
-        assert "phase 'cold'" in text
-        assert "phase 'hot' missing" in text
+        assert "phases.hot.requests_per_s: missing" in text
         assert "below the 5x floor" in text
 
     def test_check_passes_identical_run(self):
         doc = {
-            "schema": SERVICE_BENCH_SCHEMA,
+            **self.KIND,
             "errors": 0,
             "phases": {"cold": {"requests_per_s": 100.0},
                        "hot": {"requests_per_s": 600.0}},
             "hot_vs_cold_speedup": 6.0,
         }
-        assert check_service_against(doc, doc, min_speedup=5.0) == []
+        assert check(doc, doc, extra=self.MIN_SPEEDUP_5) == []

@@ -31,16 +31,9 @@ from repro.parallel.config import reset_fallback_warnings
 from repro.parallel.pool import shared_pool
 from repro.resilience import recovery
 from repro.resilience.faults import FaultPlan
-from repro.service.loadgen import (
-    MIN_OPEN_LOOP_SAMPLES,
-    SHARD_BENCH_SCHEMA,
-    _latency_fields,
-    _latency_histogram,
-    _percentile,
-    _run_open_phase,
-    _run_phase,
-    check_shard_against,
-)
+from repro.bench import DOC_SCHEMA, check
+from repro.obs.latency import latency_fields, latency_histogram, percentile
+from repro.service.loadgen import MIN_OPEN_LOOP_SAMPLES, _run_phase
 from repro.service.router import (
     HashRing,
     Router,
@@ -437,34 +430,35 @@ class TestShardedTierProcess:
 class TestLatencyStats:
     def test_percentile_nearest_rank(self):
         values = [float(i) for i in range(1, 101)]
-        assert _percentile(values, 0.50) == 51.0  # rank round(0.5 * 99)
-        assert _percentile(values, 0.99) == 99.0
-        assert _percentile([], 0.5) is None
+        assert percentile(values, 0.50) == 50.0  # rank ceil(0.5 * 100)
+        assert percentile(values, 0.99) == 99.0
+        assert percentile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
+        assert percentile([], 0.5) is None
 
     def test_histogram_buckets_and_trimming(self):
-        doc = _latency_histogram([0.00005, 0.0003, 0.0005, 0.009])
+        doc = latency_histogram([0.00005, 0.0003, 0.0005, 0.009])
         assert doc["floor_s"] == 1e-4 and doc["factor"] == 2
         # bucket 0: below floor; bucket i: [floor*2^(i-1), floor*2^i)
         # 0.3ms -> [0.2ms, 0.4ms), 0.5ms -> [0.4ms, 0.8ms), 9ms -> bucket 7
         assert doc["counts"] == [1, 0, 1, 1, 0, 0, 0, 1]
-        assert _latency_histogram([])["counts"] == []
-        total = sum(_latency_histogram([0.001] * 7)["counts"])
+        assert latency_histogram([])["counts"] == []
+        total = sum(latency_histogram([0.001] * 7)["counts"])
         assert total == 7
 
     def test_latency_fields_record_sample_count(self):
-        doc = _latency_fields([0.002] * 50)
+        doc = latency_fields([0.002] * 50)
         assert doc["latency_samples"] == 50
         assert doc["latency_p50_s"] == 0.002
         assert doc["latency_p99_s"] == 0.002
         assert "latency_histogram" in doc
 
     def test_min_sample_guard_suppresses_percentiles(self):
-        doc = _latency_fields([0.002] * 3, min_samples=MIN_OPEN_LOOP_SAMPLES)
+        doc = latency_fields([0.002] * 3, min_samples=MIN_OPEN_LOOP_SAMPLES)
         assert doc["latency_samples"] == 3
         assert doc["latency_p50_s"] is None
         assert doc["latency_p99_s"] is None
         assert "suppressed" in doc["latency_note"]
-        ok = _latency_fields(
+        ok = latency_fields(
             [0.002] * MIN_OPEN_LOOP_SAMPLES,
             min_samples=MIN_OPEN_LOOP_SAMPLES,
         )
@@ -485,7 +479,7 @@ class TestLatencyStats:
 
     def test_open_loop_phase_measures_from_scheduled_arrival(self):
         with ServiceServer(SimService(cache_capacity=16)) as server:
-            phase, _ = _run_open_phase(
+            phase, _ = _run_phase(
                 server.url, "ol", rate=120.0, duration_s=1.0,
                 hot_ratio=1.0, hot_keys=4, concurrency=4, seed=7,
                 cold_base=0,
@@ -503,9 +497,8 @@ class TestLatencyStats:
 class TestCheckShardAgainst:
     def _doc(self, **overrides):
         doc = {
-            "schema": SHARD_BENCH_SCHEMA,
-            "scaling_floor_x": 1.5,
-            "fault_p99_bound_x": 15.0,
+            "schema": DOC_SCHEMA,
+            "kind": "service_shard",
             "scaling_x": 2.0,
             "fault_p99_ratio": 3.0,
             "identity_ok": True,
@@ -526,34 +519,31 @@ class TestCheckShardAgainst:
 
     def test_clean_self_check(self):
         doc = self._doc()
-        assert check_shard_against(doc, doc) == []
+        assert check(doc, doc) == []
 
     def test_schema_drift_refuses(self):
         with pytest.raises(ValueError):
-            check_shard_against(self._doc(schema=99), self._doc())
+            check(self._doc(schema=99), self._doc())
 
     def test_errors_and_envelope_leaks_flag(self):
-        problems = check_shard_against(
+        problems = check(
             self._doc(errors=2, non_envelope_errors=1), self._doc()
         )
-        assert any("2 request(s) failed" in p for p in problems)
-        assert any("envelope" in p for p in problems)
+        assert [p.split(":")[0] for p in problems] == [
+            "errors", "non_envelope_errors",
+        ]
 
     def test_scaling_floor_enforced(self):
-        problems = check_shard_against(self._doc(scaling_x=1.2), self._doc())
-        assert any("scaling" in p for p in problems)
+        problems = check(self._doc(scaling_x=1.2), self._doc())
+        assert [p.split(":")[0] for p in problems] == ["scaling_x"]
 
     def test_fault_p99_bound_enforced(self):
-        problems = check_shard_against(
-            self._doc(fault_p99_ratio=40.0), self._doc()
-        )
-        assert any("fault-free p99" in p for p in problems)
+        problems = check(self._doc(fault_p99_ratio=40.0), self._doc())
+        assert [p.split(":")[0] for p in problems] == ["fault_p99_ratio"]
 
     def test_identity_divergence_flags(self):
-        problems = check_shard_against(
-            self._doc(identity_ok=False), self._doc()
-        )
-        assert any("diverged" in p for p in problems)
+        problems = check(self._doc(identity_ok=False), self._doc())
+        assert [p.split(":")[0] for p in problems] == ["identity_ok"]
 
     def test_throughput_and_p99_drift_vs_baseline(self):
         base = self._doc()
@@ -562,9 +552,11 @@ class TestCheckShardAgainst:
         slow["phases"]["open_loop"] = dict(base["phases"]["open_loop"])
         slow["phases"]["open_loop"]["requests_per_s"] = 10.0
         slow["phases"]["open_loop"]["latency_p99_s"] = 1.0
-        problems = check_shard_against(slow, base, tolerance=5.0)
-        assert any("req/s" in p for p in problems)
-        assert any("p99" in p for p in problems)
+        problems = check(slow, base, tolerance=5.0)
+        assert [p.split(":")[0] for p in problems] == [
+            "phases.open_loop.requests_per_s",
+            "phases.open_loop.latency_p99_s",
+        ]
 
     def test_suppressed_percentiles_flag(self):
         doc = self._doc()
@@ -572,13 +564,16 @@ class TestCheckShardAgainst:
         doc["phases"]["open_loop"]["latency_note"] = (
             "percentiles suppressed: 3 sample(s)..."
         )
-        problems = check_shard_against(doc, self._doc())
-        assert any("suppressed" in p for p in problems)
+        doc["phases"]["open_loop"]["latency_samples"] = 3
+        problems = check(doc, self._doc())
+        assert [p.split(":")[0] for p in problems] == [
+            "phases.open_loop.latency_samples",
+        ]
 
     def test_missing_phase_in_smoke_run_is_fine(self):
         fresh = self._doc()
         fresh["phases"] = {"open_loop": fresh["phases"]["open_loop"]}
-        assert check_shard_against(fresh, self._doc()) == []
+        assert check(fresh, self._doc()) == []
 
 
 # ------------------------------------------------------------- fault knob
