@@ -70,7 +70,9 @@ from repro.analysis.fitting import (
     bounded_ratio,
     fit_power_law,
 )
-from repro.engines import ENGINES, build_program, resolve_access_function
+from repro.engines import (
+    ENGINES, build_program, cached_program, resolve_access_function,
+)
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -111,14 +113,16 @@ def structural_bound(
 ) -> float:
     """The closed-form cost shape for one request, without running it.
 
-    Builds the program (cheap: superstep construction only, no body
-    executes), counts labels, and evaluates the engine's theorem bound
-    with ``tau = mu * len(program)`` — a structural floor of one
+    Takes the program from the shared program cache
+    (:func:`repro.engines.cached_program`: built once per shape,
+    superstep construction only, no body executes), counts labels,
+    and evaluates the engine's theorem bound with
+    ``tau = mu * len(program)`` — a structural floor of one
     context touch per superstep.  The absolute scale is wrong by a
     constant (that is what calibration pins down); the growth shape in
     ``v``/``mu``/``f`` is the paper's.
     """
-    program = build_program(program_name, v, mu)
+    program = cached_program(program_name, v, mu)
     lambdas = program.label_counts()
     tau = float(mu * len(program))
     f = resolve_access_function(f_spec)

@@ -18,6 +18,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,28 +121,26 @@ class DBSPMachine:
         the ``+=`` loop it replaces).  Any pass of ``program``'s bodies
         does — the simulations hand theirs over
         (:meth:`BodyPass.select <repro.sim.kernel.BodyPass.select>`)
-        once :meth:`reproduces` has vouched for it.
+        once :meth:`reproduces` has vouched for it.  The send side
+        (``h``, the message count) is memoized per message pattern
+        (:func:`_send_side`); ``tau`` and every price are worked out
+        per call.
         """
+        return self._fold(program, bodies, _send_side(program, bodies))
+
+    def _fold(
+        self, program: Program, bodies: BodyPass, sends: "_SendSide"
+    ) -> DBSPRunResult:
         v, mu = program.v, program.mu
         steps = program.supersteps
         n = len(steps)
-        labels = np.array([step.label for step in steps], dtype=np.int64)
-        body = np.array([not step.is_dummy for step in steps], dtype=bool)
+        body, h = sends.body, sends.h
         tau = np.ones(n)
         if body.any():
             top = bodies.local.reshape(n, v)[body].max(axis=1)
             tau[body] = np.where(top > 1.0, top, 1.0)
-        h = np.zeros(n, dtype=np.int64)
-        sent, src, dest = _sends(bodies, body)
-        if sent.size:
-            key = np.repeat(sent * v, [len(bodies.src[s]) for s in sent])
-            out_deg = np.bincount(key + src, minlength=n * v).reshape(n, v)
-            in_deg = np.bincount(key + dest, minlength=n * v).reshape(n, v)
-            h[sent] = np.maximum(out_deg.max(axis=1), in_deg.max(axis=1))[sent]
-        per_label = {
-            lab: self.g(mu * cluster_size(v, lab)) for lab in set(labels.tolist())
-        }
-        cost = tau + h * np.array([per_label[lab] for lab in labels.tolist()])
+        prices = [self.g(mu * cluster_size(v, lab)) for lab in sends.levels]
+        cost = tau + h * np.array(prices)[sends.level_of]
         records = [
             SuperstepRecord(index, step.label, step.name, t, hs, c)
             for index, (step, t, hs, c) in enumerate(
@@ -162,7 +161,7 @@ class DBSPMachine:
             counters={
                 "supersteps": n,
                 "dummy_supersteps": int(n - body.sum()),
-                "messages": len(src),
+                "messages": sends.messages,
                 "max_h": int(h.max()) if n else 0,
             },
         )
@@ -177,24 +176,25 @@ class DBSPMachine:
         send stays inside its superstep's original-label cluster and,
         when validating, no processor receives more than ``mu``
         messages in a superstep.  Otherwise the caller runs ``program``
-        directly, which raises the error.
+        directly, which raises the error.  Both facts are memoized with
+        the send side (:func:`_send_side`).
         """
-        v, mu = program.v, program.mu
-        steps = program.supersteps
-        body = np.array([not step.is_dummy for step in steps], dtype=bool)
-        sent, src, dest = _sends(bodies, body)
-        if not sent.size:
-            return True
-        lens = [len(bodies.src[s]) for s in sent]
-        reach = np.repeat(
-            [v >> steps[s].label for s in sent.tolist()], lens
-        )
-        if np.any((src ^ dest) >= reach):
+        return self._admits(program, _send_side(program, bodies))
+
+    def fold_reproduced(
+        self, program: Program, bodies: BodyPass
+    ) -> DBSPRunResult | None:
+        """:meth:`fold` of a pass that :meth:`reproduces` ``program``,
+        else ``None``; both from one look-up of the pass's pattern."""
+        sends = _send_side(program, bodies)
+        if not self._admits(program, sends):
+            return None
+        return self._fold(program, bodies, sends)
+
+    def _admits(self, program: Program, sends: "_SendSide") -> bool:
+        if not sends.in_cluster:
             return False
-        if not self.validate:
-            return True
-        key = np.repeat(sent * v, lens) + dest
-        return int(np.bincount(key).max()) <= mu
+        return not self.validate or sends.max_in <= program.mu
 
     @staticmethod
     def _check_degrees(
@@ -210,19 +210,67 @@ class DBSPMachine:
             )
 
 
-def _sends(
-    bodies: BodyPass, body: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The body steps that sent messages, and all their endpoints
-    concatenated in step order."""
+class _SendSide(NamedTuple):
+    """What one message pattern of a pass of one program fixes: every
+    field of a direct run's charge but ``tau`` and the prices."""
+
+    body: np.ndarray  #: per step: whether it has a body
+    levels: list  #: the distinct labels, ascending
+    level_of: np.ndarray  #: per step: its label's index in ``levels``
+    in_cluster: bool  #: every send stays in its step's label cluster
+    h: np.ndarray  #: per step: most messages one processor sends or gets
+    max_in: int  #: most messages one processor gets in one step
+    messages: int
+
+
+def _send_side(program: Program, bodies: BodyPass) -> _SendSide:
+    """:func:`_count_sends` of ``bodies``, memoized on ``program`` for
+    its last message pattern (:meth:`BodyPass.pattern`).
+
+    A bundled or cached program sends the same messages on every run,
+    so a repeat call skips the counting.  The memo is one
+    ``(pattern, side)`` pair, replaced whole, so a thread reading it
+    while another replaces it sees one pair or the other.  It holds no
+    access function and no validation flag: :meth:`DBSPMachine.fold`
+    prices per call, and :meth:`DBSPMachine.reproduces` compares
+    ``max_in`` with ``mu`` per call.
+    """
+    pattern = bodies.pattern(np.min_scalar_type(program.v - 1))
+    memo = getattr(program, "_send_memo", None)
+    if memo is not None and memo[0] == pattern:
+        return memo[1]
+    side = _count_sends(program, bodies)
+    program._send_memo = (pattern, side)  # type: ignore[attr-defined]
+    return side
+
+
+def _count_sends(program: Program, bodies: BodyPass) -> _SendSide:
+    """Count the messages of a pass per step: ``h``, the largest
+    receive count and whether every send stays inside the cluster of
+    its step's label."""
+    v = program.v
+    steps = program.supersteps
+    n = len(steps)
+    labels = np.array([step.label for step in steps], dtype=np.int64)
+    body = np.array([not step.is_dummy for step in steps], dtype=bool)
+    levels, level_of = np.unique(labels, return_inverse=True)
+    h = np.zeros(n, dtype=np.int64)
+    in_cluster, max_in, messages = True, 0, 0
     sent = [
         s for s, src in enumerate(bodies.src) if src is not None and body[s]
     ]
-    if not sent:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    return (
-        np.array(sent, dtype=np.int64),
-        np.concatenate([bodies.src[s] for s in sent]),
-        np.concatenate([bodies.dest[s] for s in sent]),
+    if sent:
+        src = np.concatenate([bodies.src[s] for s in sent])
+        dest = np.concatenate([bodies.dest[s] for s in sent])
+        lens = [len(bodies.src[s]) for s in sent]
+        in_cluster = not np.any(
+            (src ^ dest) >= np.repeat(v >> labels[sent], lens)
+        )
+        key = np.repeat(np.array(sent, dtype=np.int64) * v, lens)
+        out_deg = np.bincount(key + src, minlength=n * v).reshape(n, v)
+        in_deg = np.bincount(key + dest, minlength=n * v).reshape(n, v)
+        h[sent] = np.maximum(out_deg.max(axis=1), in_deg.max(axis=1))[sent]
+        max_in, messages = int(in_deg.max()), len(src)
+    return _SendSide(
+        body, levels.tolist(), level_of, in_cluster, h, max_in, messages
     )

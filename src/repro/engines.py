@@ -55,7 +55,7 @@ from repro.obs.trace import OTHER, SpanRecord
 from repro.sim.brent import BrentSimulator
 from repro.sim.bt_sim import BTSimulator
 from repro.sim.hmm_sim import HMMSimulator
-from repro.sim.kernel import BodyPass
+from repro.sim.kernel import BodyPass, PlanCache
 from repro.testing import random_program
 
 __all__ = [
@@ -66,6 +66,8 @@ __all__ = [
     "FUNCTION_HELP",
     "run",
     "build_program",
+    "cached_program",
+    "PROGRAM_CACHE",
     "resolve_access_function",
 ]
 
@@ -151,6 +153,31 @@ def build_program(name: str, v: int, mu: int = 8) -> Program:
         )
     builder, _ = PROGRAMS[name]
     return builder(v, mu=mu)
+
+
+#: built programs, shared by every run that names its program instead
+#: of passing one: bundled programs keyed ``(name, v, mu)``
+#: (:func:`cached_program`), DAG programs ``(spec_json, v, mu,
+#: heuristic)`` (the ``run-dag`` worker task).  A program carries its
+#: smoothings and its normalized form, and that form its direct
+#: baseline's send side, so those are built once per shape too.  Kept
+#: apart from the kernel's plan cache so that programs never evict
+#: vec's schedules.
+PROGRAM_CACHE = PlanCache(128)
+
+
+def cached_program(name: str, v: int, mu: int = 8) -> Program:
+    """:func:`build_program`'s program for ``(name, v, mu)``, built once
+    and shared from :data:`PROGRAM_CACHE`.
+
+    Programs and their bodies hold no state between runs (every run
+    starts from ``initial_contexts()``), so one object serves every
+    run of its shape.  Callers that change a program build their own.
+
+    >>> cached_program("sort", v=8) is cached_program("sort", v=8)
+    True
+    """
+    return PROGRAM_CACHE.get((name, v, mu), lambda: build_program(name, v, mu))
 
 
 @dataclass
@@ -468,8 +495,10 @@ def _direct_baseline(
     pass or the pass breaks a rule of the direct run (see :func:`run`)."""
     normalized = program.with_global_sync()
     machine = DBSPMachine(f)
-    if bodies is not None and machine.reproduces(normalized, bodies):
-        return machine.fold(normalized, bodies)
+    if bodies is not None:
+        folded = machine.fold_reproduced(normalized, bodies)
+        if folded is not None:
+            return folded
     return machine.run(normalized)
 
 
@@ -490,7 +519,10 @@ def run(
     ----------
     program:
         A :class:`~repro.dbsp.program.Program`, or the name of a bundled
-        one (see :data:`PROGRAMS`) built for ``(v, mu)``.
+        one (see :data:`PROGRAMS`) for ``(v, mu)``.  A name is built
+        once per shape and then served from :data:`PROGRAM_CACHE`
+        (:func:`cached_program`), with the smoothings and the
+        normalized form the program keeps on itself.
     engine:
         Registry key: ``direct`` | ``hmm`` | ``vec`` | ``bt`` |
         ``brent`` (``vec`` is the ``hmm`` simulation on the vectorized
@@ -514,7 +546,12 @@ def run(
         breaks a rule of the direct run that the simulation does not
         check — a send leaving its original label's cluster, or more
         than ``mu`` messages to one processor — so that run raises the
-        error.
+        error.  The fold's send side (each step's ``h``, the message
+        count, and the two rule checks) depends only on which messages
+        the pass sent, so it is memoized on the normalized program for
+        the last send pattern; a repeat run of a program prices its
+        steps under ``f`` and counts nothing again.  A new pattern is
+        counted and checked in full.
     opts:
         Passed through to the engine (e.g. ``sort="mergesort"`` for
         ``bt``, ``v_host=16`` for ``brent``, ``kernel="scalar"`` for
@@ -532,7 +569,7 @@ def run(
     if isinstance(f, str):
         f = resolve_access_function(f)
     if isinstance(program, str):
-        program = build_program(program, v, mu)
+        program = cached_program(program, v, mu)
     result = ENGINES[engine].run(program, f, trace=trace, **opts)
     if baseline and engine != "direct":
         guest = _direct_baseline(

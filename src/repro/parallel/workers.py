@@ -22,6 +22,10 @@ Task registry
     One DAG request: re-parse the canonical spec, schedule it with the
     requested heuristic, compile to a superstep program and run it on
     the requested engine — same result-document shape as ``run-cell``.
+
+Both run tasks take their program from the process's program cache
+(:data:`repro.engines.PROGRAM_CACHE`): a program depends on the payload
+only, so a cached one gives the same document as a fresh build.
 """
 
 from __future__ import annotations
@@ -78,10 +82,10 @@ def _touch_cost(args: tuple) -> dict[str, Any]:
 
 def _run_cell(args: tuple) -> dict[str, Any]:
     """One (engine, program, f, v) run; spans included under trace=full."""
-    from repro.engines import ENGINES, build_program, resolve_access_function
+    from repro.engines import ENGINES, cached_program, resolve_access_function
 
     engine, program_name, v, mu, f_spec, trace = args
-    program = build_program(program_name, v, mu)
+    program = cached_program(program_name, v, mu)
     f = resolve_access_function(f_spec)
     res = ENGINES[engine].run(program, f, trace=trace)
     doc = res.to_json(include_trace=False)
@@ -92,16 +96,24 @@ def _run_cell(args: tuple) -> dict[str, Any]:
 def _run_dag(args: tuple) -> dict[str, Any]:
     """One DAG request: schedule, compile, run — a pure function of the
     canonical spec string, so the served document is identical wherever
-    it computes (inline, pool worker, any shard)."""
+    it computes (inline, pool worker, any shard).  The compiled program
+    is cached per ``(spec_json, v, mu, heuristic)`` in
+    :data:`repro.engines.PROGRAM_CACHE`, so a repeat shape is neither
+    parsed nor scheduled again."""
     import json
 
     from repro.dag.compile import dag_program
     from repro.dag.spec import DagSpec
-    from repro.engines import ENGINES, resolve_access_function
+    from repro.engines import ENGINES, PROGRAM_CACHE, resolve_access_function
 
     engine, heuristic, spec_json, v, mu, f_spec, trace = args
-    spec = DagSpec.from_json(json.loads(spec_json))
-    program = dag_program(spec, v=v, mu=mu, heuristic=heuristic)
+    program = PROGRAM_CACHE.get(
+        (spec_json, v, mu, heuristic),
+        lambda: dag_program(
+            DagSpec.from_json(json.loads(spec_json)), v=v, mu=mu,
+            heuristic=heuristic,
+        ),
+    )
     f = resolve_access_function(f_spec)
     res = ENGINES[engine].run(program, f, trace=trace)
     doc = res.to_json(include_trace=False)

@@ -424,25 +424,19 @@ class Router:
             "tenants": {},
         }
         tenant_rollup: dict[str, dict[str, float]] = planner_rollup["tenants"]
-        kernel_rollup: dict[str, int] | None = None
+        kernel_rollup: dict[str, dict[str, int]] = {}
         for shard in self.shards:
             doc = self.shard_doc(shard)
             shards[str(shard.index)] = doc
             for field in rollup:
                 rollup[field] += doc.get("cache", {}).get(field, 0)
-            shard_cache = doc.get("kernel", {}).get("plan_cache")
-            if shard_cache is not None:
+            for name, shard_cache in doc.get("kernel", {}).items():
                 # per-process caches: the tier-wide view is the sum
-                if kernel_rollup is None:
-                    kernel_rollup = {
-                        "size": 0,
-                        "max": 0,
-                        "hits": 0,
-                        "misses": 0,
-                        "evictions": 0,
-                    }
-                for field in kernel_rollup:
-                    kernel_rollup[field] += shard_cache.get(field, 0)
+                total = kernel_rollup.setdefault(name, dict.fromkeys(
+                    ("size", "max", "hits", "misses", "evictions"), 0
+                ))
+                for field in total:
+                    total[field] += shard_cache.get(field, 0)
             shard_planner = doc.get("planner", {})
             if shard_planner.get("enabled"):
                 # each shard gates its own key-space slice; the tier-wide
@@ -476,9 +470,9 @@ class Router:
         if planner_rollup["enabled"] or self.planner is not None:
             doc["planner"] = planner_rollup
         # same conditional pattern: present only when some shard reports
-        # its vec-kernel plan cache
-        if kernel_rollup is not None:
-            doc["kernel"] = {"plan_cache": kernel_rollup}
+        # its kernel caches (the plan cache and the program cache)
+        if kernel_rollup:
+            doc["kernel"] = kernel_rollup
         return doc
 
     def healthz(self) -> dict[str, Any]:

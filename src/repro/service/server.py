@@ -301,6 +301,7 @@ class SimService:
             planner_section.update(self.planner.gauges())
         else:
             planner_section = {"enabled": False}
+        from repro.engines import PROGRAM_CACHE
         from repro.sim.hmm_vec import plan_cache_info
 
         doc: dict[str, Any] = {
@@ -313,7 +314,10 @@ class SimService:
             "jobs": jobs_section,
             "http": {"parse_cache": parse_cache_info()},
             "recovery": recovery.counters(),
-            "kernel": {"plan_cache": plan_cache_info()},
+            "kernel": {
+                "plan_cache": plan_cache_info(),
+                "program_cache": PROGRAM_CACHE.info(),
+            },
         }
         if self.identity is not None:
             doc["shard"] = self.identity

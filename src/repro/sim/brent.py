@@ -238,21 +238,6 @@ class BrentSimulator:
         )
 
 
-def _message_pattern(bodies: BodyPass, pid_type: np.dtype) -> bytes:
-    """Every message the pass sent, as one compact byte string: the
-    per-step send counts, then all endpoints in ``pid_type`` (the
-    smallest type that holds a pid).  Everything a layout holds is a
-    function of it."""
-    counts = np.array([-1 if src is None else len(src) for src in bodies.src])
-    ends = [
-        end for src, dest in zip(bodies.src, bodies.dest) if src is not None
-        for end in (src, dest)
-    ]
-    if not ends:
-        return counts.tobytes()
-    return counts.tobytes() + np.concatenate(ends).astype(pid_type).tobytes()
-
-
 def _planned_body(view) -> None:  # pragma: no cover - never executed
     raise AssertionError("plan programs are compiled, never run")
 
@@ -422,7 +407,7 @@ class _BrentPlan:
         self.compute = np.stack(
             (guest % per_host, per_host + guest), axis=2
         ).reshape(n_body * v_host, 2 * per_host)
-        #: one message pattern's layout (see :func:`_message_pattern`)
+        #: one message pattern's layout (see :meth:`BodyPass.pattern`)
         self._layouts: dict[bytes, _Layout] = {}
         self.pid_type = np.min_scalar_type(v - 1)
 
@@ -430,7 +415,7 @@ class _BrentPlan:
     def fold(self, bodies: BodyPass) -> tuple[np.ndarray, tuple[int, int]]:
         """The host clock after each operand (``clk[0] = 0.0``), and the
         number of messages sent in coarse supersteps and in fine runs."""
-        pattern = _message_pattern(bodies, self.pid_type)
+        pattern = bodies.pattern(self.pid_type)
         layout = self._layouts.get(pattern)
         if layout is None:
             layout = self._layout(bodies)

@@ -290,6 +290,23 @@ class BodyPass(NamedTuple):
             [self.dest[s] for s in steps],
         )
 
+    def pattern(self, pid_type: np.dtype) -> bytes:
+        """Every message the pass sent, as one compact byte string: the
+        per-step send counts (``-1`` for a step that sent none), then
+        each sending step's endpoints in ``pid_type`` (the smallest type
+        that holds a pid; both send paths keep pids in ``[0, v)``).  The
+        counts fix the length, so equal strings mean equal messages —
+        what the brent layouts and the direct baseline's send side are
+        memoized by."""
+        counts = np.array([-1 if src is None else len(src) for src in self.src])
+        ends = [
+            end for src, dest in zip(self.src, self.dest) if src is not None
+            for end in (src, dest)
+        ]
+        if not ends:
+            return counts.tobytes()
+        return counts.tobytes() + np.concatenate(ends).astype(pid_type).tobytes()
+
 
 def run_bodies(
     program: Program,

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro.algorithms.streaming as streaming
 import repro.dag.service as dag_service
+import repro.engines as engines
 import repro.resilience.ledger as ledger
 from repro.analysis.predict import (
     CalibrationProfile,
@@ -46,6 +47,7 @@ from repro.service.scheduler import (
     parse_run_request,
 )
 from repro.service.server import ServiceServer, SimService
+from repro.sim.kernel import PlanCache
 
 SIM = {"program": "sort", "v": 16, "f": "x^0.53"}
 DAG = {
@@ -364,6 +366,9 @@ def calls(monkeypatch):
     cell_key = wrap("cell_key", ledger.cell_key)
     for module in (scheduler, dag_service, ledger):
         monkeypatch.setattr(module, "cell_key", cell_key)
+    # an empty program cache: a first request builds its program (a
+    # DAG's worker decodes its spec) whatever earlier tests have run
+    monkeypatch.setattr(engines, "PROGRAM_CACHE", PlanCache(128))
     return counted
 
 

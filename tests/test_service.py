@@ -354,6 +354,11 @@ class TestServer:
         assert metrics["queue"]["limit"] == server.service.scheduler.queue_limit
         assert metrics["jobs"]["enabled"] is False
         assert set(metrics["http"]) == {"parse_cache"}
+        # the kernel's plan cache and the program cache, one shape
+        assert set(metrics["kernel"]) == {"plan_cache", "program_cache"}
+        for info in metrics["kernel"].values():
+            assert set(info) == {"size", "max", "hits", "misses", "evictions"}
+        assert metrics["kernel"]["program_cache"]["max"] == 128
 
     def test_batch(self, server):
         body = {"requests": [_request(0).to_json(), _request(1).to_json(),

@@ -345,6 +345,15 @@ class TestRouter:
                 s["cache"]["stores"] for s in doc["shards"].values()
             )
             assert doc["cache"]["hits"] == 8
+            # the kernel caches are per process: the rollup is their sum
+            assert set(doc["kernel"]) == {"plan_cache", "program_cache"}
+            for name, total in doc["kernel"].items():
+                for field in ("size", "max", "hits", "misses", "evictions"):
+                    assert total[field] == sum(
+                        s["kernel"][name][field]
+                        for s in doc["shards"].values()
+                    ), (name, field)
+            assert doc["kernel"]["program_cache"]["max"] == 2 * 128
 
     def test_router_requires_a_shard(self):
         with pytest.raises(ValueError):
