@@ -117,10 +117,9 @@ def _build_program(name: str, v: int, mu: int):
 
 
 def _engine_opts(engine: str, args) -> dict:
-    opts: dict = {}
-    if engine == "brent":
-        opts["v_host"] = args.v_host or max(1, args.v // 4)
-    return opts
+    """``--v-host`` for brent, as given (``None`` takes the engine's
+    ``max(1, v // 4)`` default)."""
+    return {"v_host": args.v_host} if engine == "brent" else {}
 
 
 def _dump_json(doc) -> None:
@@ -170,16 +169,23 @@ def _engine_extra(res) -> str:
     return ""
 
 
-def cmd_run(args) -> int:
-    f = args.f
-    program = _build_program(args.program, args.v, args.mu)
+def _run_engines(program, f, args) -> tuple:
+    """Run ``direct`` and the ``--engine`` selection on ``program``.
+
+    Returns ``(direct, results)``: each result carries its slowdown
+    over the direct run.
+    """
     if args.engine == "direct":
         engines: list[str] = []
     elif args.engine == "all":
         engines = ["hmm", "vec", "bt", "brent"]
-    else:
+    elif args.engine in ENGINES:
         engines = [args.engine]
-
+    else:
+        raise SystemExit(
+            f"unknown engine {args.engine!r}; try: "
+            f"{', '.join(sorted(ENGINES))} or all"
+        )
     direct = ENGINES["direct"].run(program, f)
     results = []
     for engine in engines:
@@ -187,7 +193,31 @@ def cmd_run(args) -> int:
         res.baseline_time = direct.time
         res.slowdown = res.time / direct.time if direct.time > 0 else None
         results.append(res)
+    return direct, results
 
+
+def _engines_json(direct, results) -> dict:
+    return {
+        "direct": direct.to_json(include_trace=False),
+        "engines": {
+            res.engine: res.to_json(include_trace=False) for res in results
+        },
+    }
+
+
+def _print_engines(direct, results) -> None:
+    print(f"{'direct D-BSP':14s} T = {direct.time:14.1f}")
+    for res in results:
+        slowdown = (f"{res.slowdown:10.1f}" if res.slowdown is not None
+                    else f"{'n/a':>10s}")
+        print(f"{res.engine:14s} T = {res.time:14.1f}  "
+              f"slowdown = {slowdown}  ({_engine_extra(res)})")
+
+
+def cmd_run(args) -> int:
+    f = args.f
+    program = _build_program(args.program, args.v, args.mu)
+    direct, results = _run_engines(program, f, args)
     if args.json:
         _dump_json({
             "program": program.name,
@@ -195,23 +225,14 @@ def cmd_run(args) -> int:
             "mu": args.mu,
             "f": f.name,
             "supersteps": len(program),
-            "direct": direct.to_json(include_trace=False),
-            "engines": {
-                res.engine: res.to_json(include_trace=False)
-                for res in results
-            },
+            **_engines_json(direct, results),
         })
         return 0
 
     print(f"program: {program.name}  (v={args.v}, mu={args.mu}, "
           f"{len(program)} supersteps)")
     print(f"access/bandwidth function: {f.name}\n")
-    print(f"{'direct D-BSP':14s} T = {direct.time:14.1f}")
-    for res in results:
-        slowdown = (f"{res.slowdown:10.1f}" if res.slowdown is not None
-                    else f"{'n/a':>10s}")
-        print(f"{res.engine:14s} T = {res.time:14.1f}  "
-              f"slowdown = {slowdown}  ({_engine_extra(res)})")
+    _print_engines(direct, results)
     return 0
 
 
@@ -482,9 +503,7 @@ def cmd_serve(args) -> int:
         if "tenant_refill" in budgets:
             budgets["tenant_refill_per_s"] = budgets.pop("tenant_refill")
         try:
-            planner = planner_from_profile(
-                args.calibration, service_jobs=args.jobs, **budgets
-            )
+            planner = planner_from_profile(args.calibration, **budgets)
         except ValueError as exc:
             raise SystemExit(str(exc))
     ledger = _open_ledger(args)
@@ -681,24 +700,7 @@ def cmd_dag(args) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     program = compile_schedule(spec, sched, mu=args.mu)
-    if args.engine == "direct":
-        engines: list[str] = []
-    elif args.engine == "all":
-        engines = ["hmm", "vec", "bt", "brent"]
-    elif args.engine in ENGINES:
-        engines = [args.engine]
-    else:
-        raise SystemExit(
-            f"unknown engine {args.engine!r}; try: "
-            f"{', '.join(sorted(ENGINES))} or all"
-        )
-    direct = ENGINES["direct"].run(program, f)
-    results = []
-    for engine in engines:
-        res = ENGINES[engine].run(program, f, **_engine_opts(engine, args))
-        res.baseline_time = direct.time
-        res.slowdown = res.time / direct.time if direct.time > 0 else None
-        results.append(res)
+    direct, results = _run_engines(program, f, args)
     expected = reference_values(spec)
     computed: dict[str, int] = {}
     for ctx in direct.contexts:
@@ -716,11 +718,7 @@ def cmd_dag(args) -> int:
             "n_steps": sched.n_steps,
             "cross_volume": sched.cross_volume(spec),
             "values_ok": values_ok,
-            "direct": direct.to_json(include_trace=False),
-            "engines": {
-                res.engine: res.to_json(include_trace=False)
-                for res in results
-            },
+            **_engines_json(direct, results),
         })
         return 0 if values_ok else 1
     print(f"dag: {spec.name}  scheduled {args.heuristic} onto v={args.v} "
@@ -729,12 +727,7 @@ def cmd_dag(args) -> int:
     check = "values match the sequential reference" if values_ok else \
         "VALUES DIVERGE from the sequential reference"
     print(f"{check}\n")
-    print(f"{'direct D-BSP':14s} T = {direct.time:14.1f}")
-    for res in results:
-        slowdown = (f"{res.slowdown:10.1f}" if res.slowdown is not None
-                    else f"{'n/a':>10s}")
-        print(f"{res.engine:14s} T = {res.time:14.1f}  "
-              f"slowdown = {slowdown}  ({_engine_extra(res)})")
+    _print_engines(direct, results)
     return 0 if values_ok else 1
 
 

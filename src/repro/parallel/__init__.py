@@ -1,12 +1,20 @@
-"""Host-parallel execution: worker pool and sweep runner.
+"""Host-parallel execution: worker pool and task runner.
 
 This package runs independent cells — bench workloads, Fact 1/2 touch
-cells, served ``run-cell``/``run-dag`` requests — in multiple worker
-processes on the machine running the simulators, without ever changing
-*model* results: every task is a pure function of its payload, so a
-cell's charged costs, counters and phase breakdown are the same
-wherever it runs (see ``DESIGN.md: Host parallelism vs. model
-parallelism``).  A single simulation always runs in one process.
+cells, served ``run-cell``/``run-dag`` requests, service job cells — in
+multiple worker processes on the machine running the simulators,
+without ever changing *model* results: every task is a pure function of
+its payload, so a cell's charged costs, counters and phase breakdown
+are the same wherever it runs (see ``DESIGN.md: Host parallelism vs.
+model parallelism``).  A single simulation always runs in one process.
+
+:func:`~repro.parallel.sweep.parallel_map` is the one task runner: the
+only code that chooses between the pool and the inline path, retries
+through the pool, checkpoints to and replays from an optional
+:class:`~repro.resilience.ledger.SweepLedger`, and finishes inline
+what an unusable pool left undone.  It imports ``repro.resilience``
+for the ledger, the recovery counters and the fault hooks; that
+package never imports this one, so the edge stays one-way.
 
 Entry points:
 

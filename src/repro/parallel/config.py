@@ -8,9 +8,10 @@ computed — charged model costs are bit-identical with any ``jobs`` value
 ``jobs <= 1`` disables fan-out entirely.
 
 Degradation is always graceful: when the pool cannot be used (process
-start failure, unpicklable payloads, a worker lost mid-flight) the
-caller falls back to the serial path — same results, one
-:class:`ParallelFallbackWarning` per process per reason.
+start failure, unpicklable payloads, a worker lost past its retries)
+the task runner (:func:`repro.parallel.sweep.parallel_map`) finishes
+inline — same results, one :class:`ParallelFallbackWarning` per process
+per reason.
 """
 
 from __future__ import annotations
@@ -40,16 +41,12 @@ class ParallelFallbackWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """How much host parallelism to use, and when to fall back.
+    """How much host parallelism to use, and how to retry the pool.
 
     Parameters
     ----------
     jobs:
         Worker-process count; ``<= 1`` means serial (no pool is touched).
-    fallback:
-        When ``True`` (default), pool or pickling failures degrade to the
-        serial path with a one-shot :class:`ParallelFallbackWarning`;
-        when ``False`` they raise — for tests and debugging.
     retry:
         :class:`~repro.resilience.retry.RetryPolicy` for infrastructure
         failures (worker death, per-task deadline overrun).  ``None``
@@ -65,13 +62,12 @@ class ParallelConfig:
     >>> SERIAL.enabled
     False
     >>> resolve_parallel(2)
-    ParallelConfig(jobs=2, fallback=True, retry=None)
+    ParallelConfig(jobs=2, retry=None)
     >>> resolve_parallel(1) is SERIAL
     True
     """
 
     jobs: int = 1
-    fallback: bool = True
     retry: "RetryPolicy | None" = None
 
     @property

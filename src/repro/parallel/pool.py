@@ -4,15 +4,19 @@
 lazily: no process is started until the first dispatch, and the pool then
 persists for the life of the interpreter (one warm-up per process, not
 per simulation).  Pools are shared per job count through
-:func:`shared_pool` so every consumer (sweep runner, service scheduler,
-jobs manager) reuses the same workers.
+:func:`shared_pool` so every consumer (sweeps, service scheduler, jobs
+manager) reuses the same workers.  :meth:`WorkerPool.run_ordered` is the
+one dispatch path, and the task runner
+(:func:`repro.parallel.sweep.parallel_map`) is its only caller in the
+package.
 
 Failure taxonomy — the part that matters for bit-identical fallback:
 
 * **Infrastructure failures** (executor cannot start, a worker process
-  died, a task result could not be pickled) raise
-  :class:`PoolUnavailable`.  Callers treat it as "parallelism is not
-  available here" and rerun the work serially — results are unaffected.
+  died past its retries, a task result could not be pickled) raise
+  :class:`PoolUnavailable`.  The task runner treats it as "parallelism
+  is not available here" and finishes the work inline — results are
+  unaffected.
 * **Task failures** (the simulated program itself raised) propagate the
   original exception unchanged, exactly as the serial path would — a
   genuine ``ValueError`` from an engine must never be eaten by the
@@ -25,10 +29,11 @@ import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any, Iterator
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.resilience.retry import RetryPolicy
+from repro.parallel.workers import TASKS
+from repro.resilience import faults, recovery
+from repro.resilience.retry import DEFAULT_RETRY, RetryPolicy
 
 __all__ = [
     "PoolUnavailable",
@@ -39,7 +44,7 @@ __all__ = [
 
 
 class PoolUnavailable(RuntimeError):
-    """The worker pool cannot run tasks; callers fall back to serial."""
+    """The worker pool cannot run tasks; the runner finishes inline."""
 
 
 class _ResultUnpicklable(Exception):
@@ -55,8 +60,8 @@ def dumps_payload(obj: Any) -> bytes:
 
     Pre-pickling in the parent keeps the failure mode clean: an
     unpicklable payload surfaces here, before any process is
-    touched, and the caller degrades to serial — instead of surfacing as
-    an opaque executor error after dispatch.
+    touched, and the task runner finishes inline — instead of surfacing
+    as an opaque executor error after dispatch.
     """
     try:
         return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -72,12 +77,9 @@ def _run_payload(blob: bytes) -> bytes:
     wrapped, so the parent can tell "your result cannot cross the
     boundary" (infrastructure) from "your program crashed" (genuine).
     """
-    from repro.parallel import workers
-    from repro.resilience import faults
-
     faults.maybe_inject_task_fault(blob)
     kind, args = pickle.loads(blob)
-    result = workers.TASKS[kind](args)
+    result = TASKS[kind](args)
     try:
         return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
@@ -116,42 +118,27 @@ class WorkerPool:
             self._executor = None
 
     # ------------------------------------------------------------ dispatch
-    def submit_many(self, kind: str, payloads: list[bytes]) -> list[Future]:
-        """Submit pre-pickled payloads; ``PoolUnavailable`` on failure.
+    def _submit(self, blob: bytes) -> Future:
+        """Submit one pre-pickled payload; ``PoolUnavailable`` on failure.
 
-        An executor found broken at submit time (a worker died *after*
-        the previous gather finished) is rebuilt once — the break
-        belongs to the previous batch, so this one deserves a fresh
-        pool before any failure is reported.
+        An executor found broken at submit time (a worker died after
+        its last result was collected) is rebuilt once: the break
+        belongs to earlier work, so this payload deserves a fresh pool
+        before any failure is reported.
         """
-        for rebuild in (False, True):
+        for last in (False, True):
             executor = self._ensure_executor()
-            futures: list[Future] = []
             try:
-                for blob in payloads:
-                    futures.append(executor.submit(_run_payload, blob))
-            except Exception as exc:
-                for fut in futures:
-                    fut.cancel()
-                if isinstance(exc, BrokenProcessPool):
-                    self._discard_broken()
-                    if not rebuild:
-                        continue
-                raise PoolUnavailable(
-                    f"cannot submit to pool: {exc!r}"
-                ) from exc
-            return futures
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _resubmit_one(self, blob: bytes) -> Future:
-        """Submit one payload to a (possibly freshly rebuilt) executor."""
-        executor = self._ensure_executor()
-        try:
-            return executor.submit(_run_payload, blob)
-        except Exception as exc:
-            if isinstance(exc, BrokenProcessPool):
+                return executor.submit(_run_payload, blob)
+            except BrokenProcessPool as exc:
                 self._discard_broken()
-            raise PoolUnavailable(f"cannot resubmit to pool: {exc!r}") from exc
+                if last:
+                    raise PoolUnavailable(
+                        f"cannot submit to pool: {exc!r}"
+                    ) from exc
+            except Exception as exc:
+                raise PoolUnavailable(f"cannot submit to pool: {exc!r}") from exc
+        raise AssertionError("unreachable")  # pragma: no cover
 
     @staticmethod
     def _needs_resubmit(fut: Future) -> bool:
@@ -161,48 +148,58 @@ class WorkerPool:
         exc = fut.exception()
         return exc is not None and isinstance(exc, BrokenProcessPool)
 
-    def gather_ordered(
+    def run_ordered(
         self,
-        futures: list[Future],
-        kind: str | None = None,
-        payloads: list[bytes] | None = None,
-        policy: "RetryPolicy | None" = None,
+        kind: str,
+        args_list: list[Any],
+        policy: RetryPolicy | None = None,
     ) -> Iterator[Any]:
-        """Yield task results in submission order.
+        """Run ``kind`` over ``args_list``; yield results in order.
 
-        Infrastructure failures become :class:`PoolUnavailable` (and the
-        broken executor is discarded so a later run can rebuild it); task
-        exceptions re-raise unchanged on first occurrence.  Remaining
-        futures are cancelled when the consumer stops early.
-
-        When ``payloads`` is supplied, infrastructure failures are
-        retried per :class:`~repro.resilience.retry.RetryPolicy`
-        (``policy``; the package default when omitted): a worker death
-        rebuilds the executor and resubmits every attempt it took down,
-        and a task that exceeds ``policy.timeout_s`` is resubmitted with
+        Payloads are pickled and submitted eagerly, so an unpicklable
+        payload raises :class:`PoolUnavailable` before anything is
+        submitted.  Infrastructure failures are retried per
+        :class:`~repro.resilience.retry.RetryPolicy` (``policy``; the
+        package default when omitted): a worker death rebuilds the
+        executor and resubmits every attempt it took down, and a task
+        that exceeds ``policy.timeout_s`` is resubmitted with
         exponential backoff.  Tasks are pure functions of their
         payloads, so a retried attempt yields the identical result; only
         after a task exhausts ``policy.max_retries`` does the failure
-        surface as :class:`PoolUnavailable`.  Retry activity is recorded
-        on the :mod:`repro.resilience.recovery` side channel, never on
-        any charged clock.
+        surface as :class:`PoolUnavailable` (and the broken executor is
+        discarded so a later run can rebuild it).  Task exceptions
+        re-raise unchanged on first occurrence.  Retry activity is
+        recorded on the :mod:`repro.resilience.recovery` side channel,
+        never on any charged clock.  Unfinished futures are cancelled
+        when the consumer stops early.
         """
-        from repro.resilience import recovery
-        from repro.resilience.retry import DEFAULT_RETRY
+        payloads = [dumps_payload((kind, args)) for args in args_list]
+        futures: list[Future] = []
+        try:
+            for blob in payloads:
+                futures.append(self._submit(blob))
+        except PoolUnavailable:
+            for fut in futures:
+                fut.cancel()
+            raise
+        return self._gather(kind, payloads, futures, policy)
 
-        can_retry = payloads is not None and len(payloads) == len(futures)
+    def _gather(
+        self,
+        kind: str,
+        payloads: list[bytes],
+        futures: list[Future],
+        policy: RetryPolicy | None,
+    ) -> Iterator[Any]:
         if policy is None:
             policy = DEFAULT_RETRY
         attempts = [0] * len(futures)
-        futures = list(futures)
         try:
             index = 0
             while index < len(futures):
                 fut = futures[index]
                 try:
-                    blob = fut.result(
-                        timeout=policy.timeout_s if can_retry else None
-                    )
+                    blob = fut.result(timeout=policy.timeout_s)
                 except (FuturesTimeout, TimeoutError) as exc:
                     if fut.done():
                         raise  # the task itself raised TimeoutError
@@ -223,14 +220,10 @@ class WorkerPool:
                         "pool_retries", kind=kind, index=index, cause="timeout"
                     )
                     policy.sleep(attempts[index])
-                    futures[index] = self._resubmit_one(payloads[index])
+                    futures[index] = self._submit(payloads[index])
                     continue
                 except BrokenProcessPool as exc:
                     self._discard_broken()
-                    if not can_retry:
-                        raise PoolUnavailable(
-                            f"worker pool broke mid-run: {exc!r}"
-                        ) from exc
                     attempts[index] += 1
                     recovery.record(
                         "worker_deaths",
@@ -252,7 +245,7 @@ class WorkerPool:
                     # resubmit all of them to the rebuilt executor.
                     for j in range(index, len(futures)):
                         if self._needs_resubmit(futures[j]):
-                            futures[j] = self._resubmit_one(payloads[j])
+                            futures[j] = self._submit(payloads[j])
                     continue
                 except _ResultUnpicklable as exc:
                     raise PoolUnavailable(str(exc)) from exc
@@ -261,22 +254,6 @@ class WorkerPool:
         finally:
             for fut in futures:
                 fut.cancel()
-
-    def run_ordered(
-        self,
-        kind: str,
-        args_list: list[Any],
-        policy: "RetryPolicy | None" = None,
-    ) -> Iterator[Any]:
-        """Pickle, submit and gather in one call (payloads built eagerly,
-        so pickling failures raise before any dispatch)."""
-        payloads = [dumps_payload((kind, args)) for args in args_list]
-        return self.gather_ordered(
-            self.submit_many(kind, payloads),
-            kind=kind,
-            payloads=payloads,
-            policy=policy,
-        )
 
 
 _shared: dict[int, WorkerPool] = {}

@@ -1,12 +1,27 @@
-"""Parallel sweep runner: fan independent cells across the worker pool.
+"""The task runner: every pool-or-inline decision in the package.
 
-Three consumers, all built on :func:`parallel_map`:
+:func:`parallel_map` is the one place that chooses between the worker
+pool and the inline path.  It runs one registered task
+(:data:`~repro.parallel.workers.TASKS`) per argument tuple, in order:
+
+* cells already in an optional
+  :class:`~repro.resilience.ledger.SweepLedger` are replayed, not
+  recomputed;
+* the other cells stream from the shared pool under the configured
+  :class:`~repro.resilience.retry.RetryPolicy`, and with a ledger each
+  is checkpointed the moment it finishes;
+* when the pool cannot run (no workers, unpicklable payloads, a worker
+  lost past its retries) the cells it has not finished run inline,
+  with one :class:`~repro.parallel.config.ParallelFallbackWarning`.
+  Every task is a pure function of its payload, so the results are
+  identical wherever each cell ran.
+
+Its consumers:
 
 * :func:`touch_sweep` — the Fact 1 / Fact 2 validation sweep (charged
   touching costs vs. their closed-form bounds over a size ladder).
-  Charged costs are deterministic and cells are independent, so this
-  parallelizes freely; per-cell event counters are merged back
-  **in cell order** (integer counters make the merge exact).
+  Per-cell event counters are merged back **in cell order** (integer
+  counters make the merge exact).
 * :func:`run_matrix_distributed` — the bench matrix with one worker task
   per workload.  Wall clock is measured *inside* each worker, serially
   per cell, so distribution shortens the overall run without distorting
@@ -14,16 +29,15 @@ Three consumers, all built on :func:`parallel_map`:
 * :func:`run_cells` — ad-hoc (engine, program, f, v) cells, with
   recorded spans tagged per task and merged into one forest
   (:func:`repro.obs.trace.tag_spans` / ``merge_span_lists``).
-
-Degradation policy: when the pool cannot run (no workers, unpicklable
-payloads, a worker lost mid-flight) the whole map reruns serially — every
-task body is also callable in-process, and all tasks are deterministic,
-so the fallback returns identical results with one
-:class:`~repro.parallel.config.ParallelFallbackWarning`.
+* the service: :class:`~repro.service.scheduler.Scheduler` runs each
+  computed request as a one-cell map, and
+  :class:`~repro.service.jobs.JobManager` each batch cell as a one-cell
+  map against the job's ledger.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Sequence
 
 from repro.parallel.config import (
@@ -32,6 +46,9 @@ from repro.parallel.config import (
     warn_fallback_once,
 )
 from repro.parallel.pool import PoolUnavailable, shared_pool
+from repro.parallel.workers import TASKS
+from repro.resilience import faults, recovery
+from repro.resilience.ledger import MISSING, SweepLedger, cell_key
 
 __all__ = [
     "parallel_map",
@@ -45,30 +62,77 @@ def parallel_map(
     kind: str,
     args_list: Sequence[Any],
     parallel: "ParallelConfig | int | None" = None,
+    ledger: "SweepLedger | None" = None,
+    context: dict[str, Any] | None = None,
 ) -> list[Any]:
     """Run one registered task per element, results in element order.
 
-    The serial path calls the identical task body in-process, so results
-    never depend on whether the pool was used.
+    ``parallel`` says whether the pool is used (``None`` defers to
+    ``REPRO_JOBS``).  The inline path calls the identical task body
+    in-process, so results never depend on where a cell ran.
+
+    With a ``ledger``, cells already recorded under
+    :func:`~repro.resilience.ledger.cell_key` over ``kind``, the cell's
+    args and ``context`` are replayed without recomputation.  Every
+    other cell takes one JSON round-trip (so a computed cell looks like
+    a replayed one: floats survive exactly, tuples become lists) and is
+    recorded the moment it finishes, so a run killed mid-sweep resumes
+    from the last finished cell:
+
+    >>> import os, shutil, tempfile
+    >>> tmp = tempfile.mkdtemp()
+    >>> cells = [(256, "log")]
+    >>> with SweepLedger.create(os.path.join(tmp, "touch.ledger")) as ledger:
+    ...     first = parallel_map("touch-cost", cells, 1, ledger)
+    ...     again = parallel_map("touch-cost", cells, 1, ledger)
+    >>> again == first, ledger.cells_recorded, ledger.hits
+    (True, 1, 1)
+    >>> shutil.rmtree(tmp)
+
+    Without a ledger there is no round-trip: ``run-cell`` documents
+    keep their :class:`~repro.obs.trace.SpanRecord` spans.
     """
     cfg = resolve_parallel(parallel)
-    if cfg.enabled and args_list:
-        pool = shared_pool(cfg.jobs)
-        try:
-            return list(
-                pool.run_ordered(kind, list(args_list), policy=cfg.retry)
-            )
-        except PoolUnavailable as exc:
-            if not cfg.fallback:
-                raise
-            warn_fallback_once(
-                f"worker pool unavailable for {kind!r} sweep ({exc}); "
-                f"running serially"
-            )
-    from repro.parallel import workers
+    results: list[Any] = [MISSING] * len(args_list)
+    if ledger is None:
+        pending = list(range(len(args_list)))
+        finish = results.__setitem__
+    else:
+        keys = [cell_key(kind, args, context) for args in args_list]
+        pending = []
+        for i, key in enumerate(keys):
+            recorded = ledger.get(key)
+            if recorded is MISSING:
+                pending.append(i)
+            else:
+                results[i] = recorded
+                recovery.record("cells_resumed", kind=kind, index=i)
 
-    task = workers.TASKS[kind]
-    return [task(args) for args in args_list]
+        def finish(index: int, result: Any) -> None:
+            result = json.loads(json.dumps(result))
+            ledger.record(keys[index], kind, result)
+            results[index] = result
+            recovery.record("cells_recomputed", kind=kind, index=index)
+            faults.check_abort(ledger.cells_recorded)
+
+    done = 0
+    if cfg.enabled and pending:
+        try:
+            stream = shared_pool(cfg.jobs).run_ordered(
+                kind, [args_list[i] for i in pending], policy=cfg.retry
+            )
+            for result in stream:
+                finish(pending[done], result)
+                done += 1
+        except PoolUnavailable as exc:
+            warn_fallback_once(
+                f"worker pool unavailable for {kind!r} tasks ({exc}); "
+                f"finishing inline"
+            )
+    task = TASKS[kind]
+    for i in pending[done:]:
+        finish(i, task(args_list[i]))
+    return results
 
 
 def touch_sweep(
@@ -92,13 +156,9 @@ def touch_sweep(
     """
     from repro.obs.counters import Counters
 
-    args_list = [(n, f) for n in sizes]
-    if ledger is not None:
-        from repro.resilience.checkpoint import resume_map
-
-        cells = resume_map("touch-cost", args_list, ledger, parallel)
-    else:
-        cells = parallel_map("touch-cost", args_list, parallel)
+    cells = parallel_map(
+        "touch-cost", [(n, f) for n in sizes], parallel, ledger
+    )
     merged = Counters()
     for cell in cells:
         merged.merge(cell["counters"])
@@ -154,22 +214,13 @@ def run_matrix_distributed(
     args_list = [
         (dataclasses.asdict(w), budget_s, smoke) for w in workloads
     ]
-    if ledger is not None:
-        from repro.resilience.checkpoint import resume_map
-
-        # Wall clock is measured serially inside each worker, so a
-        # distributed cell is interchangeable with a serial one: the
-        # context pins schema and a nominal jobs=1, letting serial and
-        # distributed runs share a ledger.
-        results = resume_map(
-            "bench-workload",
-            args_list,
-            ledger,
-            cfg,
-            context=WORKLOAD_CELL_CONTEXT,
-        )
-    else:
-        results = parallel_map("bench-workload", args_list, cfg)
+    # Wall clock is measured serially inside each worker, so a
+    # distributed cell is interchangeable with a serial one: the ledger
+    # context pins schema and a nominal jobs=1, letting serial and
+    # distributed runs share a ledger.
+    results = parallel_map(
+        "bench-workload", args_list, cfg, ledger, WORKLOAD_CELL_CONTEXT
+    )
     for name, wl_doc in results:
         doc["workloads"][name] = wl_doc
         if echo:
@@ -206,23 +257,16 @@ def run_cells(
 
     With a :class:`~repro.resilience.ledger.SweepLedger` (and the
     ``context`` that qualifies the cell keys), cells are checkpointed
-    and replayed through :func:`~repro.resilience.checkpoint.resume_map`
-    exactly like the bench and touch sweeps; replayed documents are
-    JSON round-trips of the computed ones, so the fold is identical
-    either way.
+    and replayed by :func:`parallel_map` exactly like the bench and
+    touch sweeps; replayed documents are JSON round-trips of the
+    computed ones, so the fold is identical either way.
     """
     from repro.obs.trace import merge_span_lists, tag_spans
 
     args_list = [
         tuple(cell) if len(cell) == 6 else (*cell, trace) for cell in cells
     ]
-    if ledger is not None:
-        from repro.resilience.checkpoint import resume_map
-
-        docs = resume_map("run-cell", args_list, ledger, parallel,
-                          context=context)
-    else:
-        docs = parallel_map("run-cell", args_list, parallel)
+    docs = parallel_map("run-cell", args_list, parallel, ledger, context)
     span_lists = []
     for i, doc in enumerate(docs):
         span_lists.append(tag_spans(doc.pop("spans", []), worker=i))

@@ -1,23 +1,23 @@
 """Checkpoint/resume and fault tolerance for long sweeps.
 
-The package is a *leaf* of the import graph: nothing here imports
-``repro.parallel`` at module level (``checkpoint`` defers it into the
-function body), so ``repro.parallel.config`` can reference
-:class:`RetryPolicy` without a cycle.
+The package is a *leaf* of the import graph: no module here imports
+``repro.parallel`` (the only other package it uses is ``repro.obs``).
+That is what lets ``repro.parallel`` import it: the task runner,
+:func:`repro.parallel.sweep.parallel_map`, takes the ledger, the
+recovery counters and the abort hook from here to checkpoint and
+resume sweeps, and the pool takes its :class:`RetryPolicy` and the
+worker-side fault hooks.  An edge back would close a cycle.
 
 * :mod:`repro.resilience.retry` — per-task deadlines, bounded retries,
   exponential backoff (:class:`RetryPolicy`).
 * :mod:`repro.resilience.ledger` — append-only JSON-lines checkpoint of
   completed sweep cells (:class:`SweepLedger`, :func:`cell_key`).
-* :mod:`repro.resilience.checkpoint` — :func:`resume_map`, the
-  checkpointed counterpart of ``parallel_map``.
 * :mod:`repro.resilience.recovery` — process-global recovery counters
   and event log (never on a charged clock).
 * :mod:`repro.resilience.faults` — deterministic fault injection via
   ``REPRO_FAULTS`` for the chaos test suite.
 """
 
-from repro.resilience.checkpoint import resume_map
 from repro.resilience.faults import FaultAbort, FaultPlan, corrupt_ledger
 from repro.resilience.ledger import (
     LEDGER_SCHEMA,
@@ -37,7 +37,6 @@ __all__ = [
     "LEDGER_SCHEMA",
     "LedgerWarning",
     "MISSING",
-    "resume_map",
     "FaultAbort",
     "FaultPlan",
     "corrupt_ledger",

@@ -16,7 +16,7 @@ task and injects nothing.  The spec is a comma-separated list of
   given seed always faults the same tasks; a marker file under ``dir``
   makes each fault fire exactly once, so the retry path can be proven to
   recover.  Injection happens only in the worker-side trampoline — the
-  serial fallback path never sees it.
+  inline path never sees it.
 * ``abort`` — parent-side: raise :class:`FaultAbort` once that many
   cells have been checkpointed to the active ledger, simulating a crash
   or Ctrl-C at a cell boundary (the ledger keeps its completed prefix).

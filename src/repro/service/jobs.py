@@ -2,14 +2,16 @@
 
 A *job* is a named sweep — the bench matrix, a Fact 1/2 touch sweep, or
 an ad-hoc cell list — enqueued over HTTP (``POST /v1/jobs``) and
-executed in the background by a :class:`JobRunner` thread, cell by cell,
-on the same shared worker pool the interactive ``/v1/run`` traffic
-uses.  Three properties make jobs more than a thread wrapper:
+executed in the background by the :class:`JobManager`'s runner thread,
+cell by cell, on the same shared worker pool the interactive
+``/v1/run`` traffic uses.  Three properties make jobs more than a
+thread wrapper:
 
-* **Checkpointed.**  Every cell is run through
-  :func:`~repro.resilience.checkpoint.resume_map` against the job's own
-  :class:`~repro.resilience.ledger.SweepLedger`, so completed cells are
-  flushed + fsynced the moment they finish.  The final document is
+* **Checkpointed.**  Every cell is run as a one-cell
+  :func:`~repro.parallel.sweep.parallel_map` against the job's own
+  :class:`~repro.resilience.ledger.SweepLedger`, so a recorded cell is
+  replayed, not recomputed, and a computed cell is flushed + fsynced
+  the moment it finishes.  The final document is
   produced by the *same fold* the CLI sweeps use
   (:func:`~repro.parallel.sweep.touch_sweep`,
   :func:`~repro.parallel.sweep.run_matrix_distributed`,
@@ -47,7 +49,12 @@ from typing import Any, Iterator
 
 from repro.engines import resolve_access_function
 from repro.parallel.config import SERIAL, resolve_parallel
-from repro.resilience.checkpoint import resume_map
+from repro.parallel.sweep import (
+    parallel_map,
+    run_cells,
+    run_matrix_distributed,
+    touch_sweep,
+)
 from repro.resilience.faults import FaultAbort
 from repro.resilience.ledger import SweepLedger, cell_key
 from repro.service.errors import ApiError
@@ -244,20 +251,14 @@ class JobSpec:
         document is identical to an uninterrupted run's.
         """
         if self.kind == "touch":
-            from repro.parallel.sweep import touch_sweep
-
             return touch_sweep(
                 list(self.sizes), f=self.f, parallel=SERIAL, ledger=ledger
             )
         if self.kind == "bench":
-            from repro.parallel.sweep import run_matrix_distributed
-
             return run_matrix_distributed(
                 budget_s=self.budget_s, smoke=self.smoke,
                 parallel=SERIAL, ledger=ledger,
             )
-        from repro.parallel.sweep import run_cells
-
         docs, _spans = run_cells(
             [request.args for request in self.cells],
             parallel=SERIAL, ledger=ledger,
@@ -641,12 +642,10 @@ class JobManager:
             replayed = keys[index] in ledger
             if not replayed and self.gate is not None:
                 self.gate.batch_turn()  # interactive traffic goes first
-            # one-cell resume_map: ledger lookup, JSON normalization,
-            # checkpoint append and fault hooks, all in one place
-            resume_map(
-                job.task_kind, [args], ledger,
-                SERIAL if replayed else self.parallel,
-                context=job.context,
+            # one-cell map: ledger replay or pool/inline run, JSON
+            # normalization, checkpoint append and fault hooks
+            parallel_map(
+                job.task_kind, [args], self.parallel, ledger, job.context
             )
             if replayed:
                 job.emit({

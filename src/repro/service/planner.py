@@ -9,9 +9,7 @@ calibration profile):
 
 * **Plan** — :meth:`Planner.plan` turns a validated request into a
   :class:`PlanDecision`: the chosen ``engine`` (auto-selected by
-  predicted wall time when the request left it unset), an advisory
-  ``jobs`` / ``min_work_per_task`` parallel config (nothing in the
-  service reads it; a single run is never split across processes), the
+  predicted wall time when the request left it unset), the
   cache policy (``"bypass"`` for huge ``trace="full"`` results that
   would churn the LRU), and the full
   :class:`~repro.analysis.predict.Prediction`.
@@ -80,14 +78,6 @@ DEFAULT_TENANT_REFILL_PER_S = 10e6
 #: global ceiling on the summed predicted cost of in-flight computations
 DEFAULT_COST_CEILING = 50e6
 
-#: predicted wall seconds below which fan-out costs more than it saves
-PARALLEL_WORTH_S = 0.05
-
-#: the advisory ``min_work_per_task`` of a :class:`PlanDecision`: the
-#: (processor, superstep) body executions a fanned-out task should
-#: simulate to amortize dispatch
-DEFAULT_MIN_WORK_PER_TASK = 4096
-
 #: predicted charged words above which a ``trace="full"`` result is too
 #: large to be worth an LRU slot (cache policy becomes ``"bypass"``)
 CACHE_BYPASS_WORDS = 5e6
@@ -105,7 +95,6 @@ def planner_from_profile(
     tenant_capacity: float = DEFAULT_TENANT_CAPACITY,
     tenant_refill_per_s: float = DEFAULT_TENANT_REFILL_PER_S,
     cost_ceiling: float = DEFAULT_COST_CEILING,
-    service_jobs: int = 1,
 ) -> "Planner":
     """Load a calibration profile file into a ready planner.
 
@@ -119,7 +108,6 @@ def planner_from_profile(
         tenant_capacity=tenant_capacity,
         tenant_refill_per_s=tenant_refill_per_s,
         cost_ceiling=cost_ceiling,
-        service_jobs=service_jobs,
     )
 
 
@@ -216,8 +204,6 @@ class PlanDecision:
 
     engine: str
     engine_chosen: bool
-    jobs: int
-    min_work_per_task: int
     cache: str
     prediction: Prediction
     admitted_at: float = field(default=0.0, compare=False)
@@ -226,8 +212,6 @@ class PlanDecision:
         return {
             "engine": self.engine,
             "engine_chosen": self.engine_chosen,
-            "jobs": self.jobs,
-            "min_work_per_task": self.min_work_per_task,
             "cache": self.cache,
             "prediction": self.prediction.to_json(),
         }
@@ -242,7 +226,6 @@ class Planner:
         tenant_capacity: float = DEFAULT_TENANT_CAPACITY,
         tenant_refill_per_s: float = DEFAULT_TENANT_REFILL_PER_S,
         cost_ceiling: float = DEFAULT_COST_CEILING,
-        service_jobs: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ):
         if cost_ceiling <= 0:
@@ -251,7 +234,6 @@ class Planner:
         self.tenant_capacity = float(tenant_capacity)
         self.tenant_refill_per_s = float(tenant_refill_per_s)
         self.cost_ceiling = float(cost_ceiling)
-        self.service_jobs = max(1, service_jobs)
         self._clock = clock
         self._lock = threading.Lock()
         self._tenants: dict[str, CostBudget] = {}
@@ -291,7 +273,6 @@ class Planner:
         self.counters.add("planned")
         if chosen:
             self.counters.add("auto_engine")
-        jobs, min_work = self._parallel_plan(prediction)
         cache = (
             "bypass"
             if request.trace == "full"
@@ -301,8 +282,6 @@ class Planner:
         return PlanDecision(
             engine=engine,
             engine_chosen=chosen,
-            jobs=jobs,
-            min_work_per_task=min_work,
             cache=cache,
             prediction=prediction,
         )
@@ -330,20 +309,6 @@ class Planner:
             if p.trusted and p.wall_s < best_wall:
                 best, best_wall = engine, p.wall_s
         return best
-
-    def _parallel_plan(self, prediction: Prediction) -> tuple[int, int]:
-        if (
-            self.service_jobs <= 1
-            or prediction.wall_s < PARALLEL_WORTH_S
-        ):
-            return 1, DEFAULT_MIN_WORK_PER_TASK
-        # enough predicted work per worker task to amortize dispatch:
-        # at least the library default, at most an even split
-        min_work = max(
-            DEFAULT_MIN_WORK_PER_TASK,
-            int(prediction.charged_words // (self.service_jobs * 8)) or 1,
-        )
-        return self.service_jobs, min_work
 
     # ------------------------------------------------------------ admission
     def admit(self, tenant: str, decision: PlanDecision) -> None:

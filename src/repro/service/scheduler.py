@@ -15,10 +15,12 @@ One request flows through four stages::
   wait on the leader's flight and receive the same document
   (single-flight, N identical requests -> exactly 1 engine invocation).
 * **Cache** — see :class:`~repro.service.cache.ResultCache`.
-* **Schedule** — the computation itself is the registered ``run-cell``
-  worker task (a pure function of the request args).  With ``jobs > 1``
-  it is dispatched onto the shared
-  :class:`~repro.parallel.pool.WorkerPool` under the configured
+* **Schedule** — the computation itself is the request's registered
+  worker task, ``request.task_kind``: ``run-cell`` for a
+  :class:`SimRequest`, ``run-dag`` for a DAG request (both pure
+  functions of the request args).  It runs as a one-cell
+  :func:`~repro.parallel.sweep.parallel_map`: with ``jobs > 1`` on the
+  shared :class:`~repro.parallel.pool.WorkerPool` under the configured
   :class:`~repro.resilience.retry.RetryPolicy`, so a worker death or a
   per-task deadline overrun is retried instead of failing the request;
   an unusable pool degrades to the inline path with one
@@ -48,12 +50,8 @@ from typing import Any
 from repro.engines import ENGINES, PROGRAMS, resolve_access_function
 from repro.obs.counters import Counters
 from repro.obs.trace import SpanRecord
-from repro.parallel.config import (
-    ParallelConfig,
-    resolve_parallel,
-    warn_fallback_once,
-)
-from repro.parallel.pool import PoolUnavailable, shared_pool
+from repro.parallel.config import ParallelConfig, resolve_parallel
+from repro.parallel.sweep import parallel_map
 from repro.resilience.ledger import MISSING, cell_key
 
 __all__ = [
@@ -74,8 +72,9 @@ __all__ = [
 #: bumping it invalidates every cached/persisted result at once
 SERVICE_SCHEMA = 1
 
-#: worker-task kind every service computation runs as (and the ledger
-#: kind persisted entries are recorded under)
+#: worker-task kind a :class:`SimRequest`'s computation runs as (and the
+#: ledger kind its persisted entries are recorded under); DAG requests
+#: carry ``run-dag``
 TASK_KIND = "run-cell"
 
 TRACE_LEVELS = ("off", "counters", "phases", "full")
@@ -392,33 +391,14 @@ class Scheduler:
 
     # ------------------------------------------------------------ computing
     def _compute(self, request: SimRequest) -> Any:
-        """Run the engine, preferring the worker pool when configured.
+        """Run the request's task as a one-cell :func:`parallel_map`.
 
-        The pool path survives worker deaths and deadline overruns via
-        the retry policy; any :class:`PoolUnavailable` that escapes it
-        (with ``fallback=True``) degrades to the inline path.  Both
-        paths execute the identical pure ``run-cell`` task body, so the
-        served document does not depend on where it ran.
+        The runner picks the pool or the inline path; both execute the
+        identical pure task body, so the served document does not
+        depend on where it ran.
         """
-        cfg = self.parallel
-        kind = request.task_kind
-        if cfg.enabled:
-            pool = shared_pool(cfg.jobs)
-            try:
-                docs = list(
-                    pool.run_ordered(kind, [request.args], policy=cfg.retry)
-                )
-                return _normalize(docs[0])
-            except PoolUnavailable as exc:
-                if not cfg.fallback:
-                    raise
-                warn_fallback_once(
-                    f"worker pool unavailable for service requests ({exc}); "
-                    f"computing inline"
-                )
-        from repro.parallel import workers
-
-        return _normalize(workers.TASKS[kind](request.args))
+        [doc] = parallel_map(request.task_kind, [request.args], self.parallel)
+        return _normalize(doc)
 
     # ------------------------------------------------------------- metrics
     def gauges(self) -> dict[str, Any]:
@@ -539,7 +519,7 @@ def parse_cache_info() -> dict[str, int]:
 
 
 def _normalize(doc: dict[str, Any]) -> dict[str, Any]:
-    """Canonicalize a fresh ``run-cell`` document for serving.
+    """Canonicalize a fresh ``run-cell``/``run-dag`` document for serving.
 
     Recorded spans (``trace="full"`` runs) are rendered to their JSON
     form under ``"trace"``, then the whole document takes the same JSON

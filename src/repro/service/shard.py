@@ -186,7 +186,6 @@ def main(argv: list[str] | None = None) -> int:
             tenant_capacity=args.tenant_capacity,
             tenant_refill_per_s=args.tenant_refill,
             cost_ceiling=args.cost_ceiling,
-            service_jobs=args.jobs,
         )
     service = SimService(
         cache_capacity=args.cache_capacity,

@@ -2,22 +2,27 @@
 
 A cell run across the pool returns exactly what the serial path
 returns — ``==`` on the hmm and brent result documents, floats
-included.  Infrastructure failures fall back to serial with a one-shot
-warning, or raise with ``fallback=False``; a genuine task error
-propagates unchanged.  ``import repro`` loads none of the pool
-machinery: a single simulation always runs in one process.
+included.  Infrastructure failures finish inline with a one-shot
+warning; a genuine task error propagates unchanged.  ``import repro``
+loads none of the pool machinery: a single simulation always runs in
+one process.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.bench import (
@@ -37,8 +42,13 @@ from repro.parallel import (
     reset_fallback_warnings,
     run_cells,
     touch_sweep,
+    workers,
 )
 from repro.parallel.config import SERIAL, resolve_parallel
+from repro.resilience import SweepLedger, cell_key
+from repro.service.jobs import JobManager
+from repro.service.scheduler import _normalize
+from repro.service.server import SimService
 
 #: two workers: enough to dispatch, small enough for a shared host
 EAGER = ParallelConfig(jobs=2)
@@ -155,11 +165,162 @@ def test_brent_failing_pool_falls_back_serial(monkeypatch):
     assert par == serial
 
 
-def test_fallback_false_raises(monkeypatch):
+class _PartialPool:
+    """A pool that finishes its first ``k`` tasks, then fails as
+    infrastructure (``k=None``: it finishes every task)."""
+
+    def __init__(self, k, task):
+        self.k = k
+        self.task = task
+        self.dispatched: list = []
+
+    def run_ordered(self, kind, args_list, policy=None):
+        self.dispatched.append(list(args_list))
+        k = len(args_list) if self.k is None else self.k
+
+        def stream():
+            for args in args_list[:k]:
+                yield self.task(args)
+            if k < len(args_list):
+                raise PoolUnavailable(f"injected after {k} task(s)")
+
+        return stream()
+
+
+#: small Fact 1/2 cells: two access functions over three sizes
+TOUCH_CELLS = [(n, f) for n in (64, 128, 256) for f in ("x^0.5", "log")]
+
+_SERIAL_TOUCH = {
+    args: workers.TASKS["touch-cost"](args) for args in TOUCH_CELLS
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cells=st.lists(st.sampled_from(TOUCH_CELLS), unique=True, max_size=5),
+    k=st.integers(min_value=0, max_value=6),
+    recorded=st.sets(st.integers(min_value=0, max_value=4)),
+    use_ledger=st.booleans(),
+)
+def test_runner_finishes_inline_only_what_the_pool_left(
+    cells, k, recorded, use_ledger
+):
+    # the pool finishes k cells and breaks; the runner must return the
+    # serial result, running inline only the cells the pool left, and
+    # record every missing cell in the ledger exactly once
+    kind = "touch-cost"
+    task = workers.TASKS[kind]
+    serial = [_SERIAL_TOUCH[args] for args in cells]
+    recorded = {i for i in recorded if i < len(cells)} if use_ledger else set()
+    missing = [i for i in range(len(cells)) if i not in recorded]
+    pool = _PartialPool(k, task)
+    inline_calls: list = []
+
+    def counted(args):
+        inline_calls.append(args)
+        return task(args)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.parallel.sweep.shared_pool", lambda jobs: pool)
+        mp.setitem(workers.TASKS, kind, counted)
+        ledger = None
+        appended: list = []
+        if use_ledger:
+            ledger = SweepLedger.create(os.path.join(tmp, "cells.ledger"))
+            for i in recorded:
+                key = cell_key(kind, cells[i], None)
+                ledger.record(key, kind, _SERIAL_TOUCH[cells[i]])
+            ledger.subscribe(lambda key, kind, result: appended.append(key))
+        reset_fallback_warnings()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = parallel_map(kind, cells, EAGER, ledger)
+        assert result == serial
+        assert pool.dispatched == ([[cells[i] for i in missing]]
+                                   if missing else [])
+        assert inline_calls == [cells[i] for i in missing[k:]]
+        fallbacks = [w for w in caught
+                     if issubclass(w.category, ParallelFallbackWarning)]
+        assert len(fallbacks) == (1 if k < len(missing) else 0)
+        if use_ledger:
+            assert appended == [cell_key(kind, cells[i], None)
+                                for i in missing]
+            # a repeat call replays every cell: nothing runs or records
+            del inline_calls[:]
+            assert parallel_map(kind, cells, EAGER, ledger) == serial
+            assert appended == [cell_key(kind, cells[i], None)
+                                for i in missing]
+            assert inline_calls == []
+            assert len(pool.dispatched) == (1 if missing else 0)
+            ledger.close()
+
+
+@pytest.mark.parametrize("k", [None, 0])
+def test_full_trace_cell_keeps_span_records_without_ledger(monkeypatch, k):
+    # no ledger, no JSON round-trip: pooled and inline documents alike
+    # still carry SpanRecord objects for run_cells to tag
+    cell = _cell("hmm", "sort", "x^0.5", trace="full")
+    monkeypatch.setattr(
+        "repro.parallel.sweep.shared_pool",
+        lambda jobs: _PartialPool(k, workers.TASKS["run-cell"]),
+    )
+    reset_fallback_warnings()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParallelFallbackWarning)
+        [doc] = parallel_map("run-cell", [cell], EAGER)
+    assert doc["spans"]
+    assert all(isinstance(span, SpanRecord) for span in doc["spans"])
+
+
+def test_service_on_failing_pool_serves_inline_results(monkeypatch, tmp_path):
+    # a service whose pool cannot run still computes every request and
+    # finishes every job inline, with results equal to a serial service
+    body = {"program": "sort", "engine": "hmm", "v": 16, "mu": 4,
+            "f": "x^0.5", "trace": "counters"}
+    reference = SimService(jobs=1).handle_run(dict(body))
     _fail_pool(monkeypatch)
-    cfg = ParallelConfig(jobs=2, fallback=False)
-    with pytest.raises(PoolUnavailable):
-        parallel_map("touch-cost", ARGS, parallel=cfg)
+    service = SimService(jobs=2, jobs_dir=str(tmp_path / "jobs"))
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            served = service.handle_run(dict(body))
+        fallbacks = [w for w in caught
+                     if issubclass(w.category, ParallelFallbackWarning)]
+        assert len(fallbacks) == 1
+        assert served["served"] == "computed"
+        assert served["result"] == reference["result"]
+
+        cells = [
+            {**body, "v": 8},
+            {**body, "engine": "brent", "program": "fft-rec"},
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParallelFallbackWarning)
+            job = service.job_manager.submit_json(
+                {"kind": "cells", "cells": cells}
+            )
+            _wait_job(service.job_manager, job.id)
+        assert job.state == "done"
+        docs, _ = run_cells(
+            [tuple(c[name] for name in
+                   ("engine", "program", "v", "mu", "f", "trace"))
+             for c in cells],
+            parallel=1,
+        )
+        folded = json.loads(json.dumps(
+            {"cells": [_normalize(doc) for doc in docs]}
+        ))
+        assert service.job_manager.result(job.id) == folded
+    finally:
+        service.close()
+
+
+def _wait_job(manager: JobManager, job_id: str, timeout_s: float = 120.0):
+    deadline = time.monotonic() + timeout_s
+    while not manager.get(job_id).terminal:
+        assert time.monotonic() < deadline, manager.get(job_id).state
+        time.sleep(0.01)
 
 
 def test_unpicklable_payload_falls_back_serial():

@@ -32,7 +32,6 @@ from repro.parallel.config import reset_fallback_warnings
 from repro.parallel.pool import shared_pool
 from repro.resilience import recovery
 from repro.service.planner import (
-    DEFAULT_MIN_WORK_PER_TASK,
     DEFAULT_TENANT,
     MAX_RETRY_AFTER_S,
     BudgetExceeded,
@@ -261,16 +260,6 @@ class TestPlannerDecisions:
         )
         assert huge.prediction.charged_words > 5e6
         assert huge.cache == "bypass"
-
-    def test_parallel_plan_scales_with_service_jobs(self, model):
-        serial = Planner(model).plan(SimRequest(**_request()))
-        assert serial.jobs == 1
-        planner = Planner(model, service_jobs=4)
-        cheap = planner.plan(SimRequest(**_request(v=8)))
-        assert cheap.jobs == 1  # predicted wall too short to fan out
-        big = planner.plan(SimRequest(**_request(engine="bt", v=2048)))
-        assert big.jobs == 4
-        assert big.min_work_per_task >= DEFAULT_MIN_WORK_PER_TASK
 
 
 class TestPlannerAdmission:

@@ -34,7 +34,11 @@ from repro.parallel.config import (
     reset_fallback_warnings,
 )
 from repro.parallel.pool import PoolUnavailable, WorkerPool, shared_pool
-from repro.parallel.sweep import run_matrix_distributed, touch_sweep
+from repro.parallel.sweep import (
+    parallel_map,
+    run_matrix_distributed,
+    touch_sweep,
+)
 from repro.resilience import (
     MISSING,
     FaultAbort,
@@ -44,7 +48,6 @@ from repro.resilience import (
     SweepLedger,
     cell_key,
     corrupt_ledger,
-    resume_map,
 )
 from repro.resilience import faults, recovery
 from repro.resilience.retry import DEFAULT_RETRY, NO_RETRY
@@ -176,15 +179,15 @@ def test_corrupt_ledger_is_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
 
 
-# ----------------------------------------------------------- resume_map
+# ------------------------------------------------- parallel_map + ledger
 def test_resume_map_serial_checkpoints_every_cell(tmp_path):
     path = str(tmp_path / "cells.ledger")
     args = [(n, "x^0.5") for n in SIZES]
     with SweepLedger.create(path) as ledger:
-        first = resume_map("touch-cost", args, ledger)
+        first = parallel_map("touch-cost", args, ledger=ledger)
         assert ledger.cells_recorded == len(SIZES)
     with SweepLedger.resume(path) as ledger:
-        again = resume_map("touch-cost", args, ledger)
+        again = parallel_map("touch-cost", args, ledger=ledger)
         assert ledger.hits == len(SIZES)
         assert ledger.cells_recorded == 0
     assert again == first
@@ -195,9 +198,11 @@ def test_resume_map_computes_only_missing_cells(tmp_path):
     path = str(tmp_path / "cells.ledger")
     args = [(n, "x^0.5") for n in SIZES]
     with SweepLedger.create(path) as ledger:
-        full = resume_map("touch-cost", args, ledger)
+        full = parallel_map("touch-cost", args, ledger=ledger)
     with SweepLedger.resume(path) as ledger:
-        extended = resume_map("touch-cost", args + [(2048, "x^0.5")], ledger)
+        extended = parallel_map(
+            "touch-cost", args + [(2048, "x^0.5")], ledger=ledger
+        )
         assert ledger.hits == len(SIZES)
         assert ledger.cells_recorded == 1
     assert extended[: len(SIZES)] == full
