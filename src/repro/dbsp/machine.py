@@ -79,7 +79,19 @@ class DBSPRunResult:
 
 
 class DBSPMachine:
-    """A ``D-BSP(v, mu, g(x))`` executing programs at full parallelism."""
+    """A ``D-BSP(v, mu, g(x))`` executing programs at full parallelism.
+
+    A simulation's ``baseline_time`` is this machine's time for the
+    program, padded to end in a global sync — folded from the
+    simulation's own body pass, not run again:
+
+    >>> from repro.engines import build_program, resolve_access_function, run
+    >>> f = resolve_access_function("x^0.5")
+    >>> p = build_program("sort", 16)
+    >>> sim = run(p, "vec", f)
+    >>> sim.baseline_time == DBSPMachine(f).run(p.with_global_sync()).total_time
+    True
+    """
 
     def __init__(self, g: AccessFunction, validate: bool = True):
         self.g = g
@@ -131,40 +143,43 @@ class DBSPMachine:
     def _fold(
         self, program: Program, bodies: BodyPass, sends: "_SendSide"
     ) -> DBSPRunResult:
-        v, mu = program.v, program.mu
         steps = program.supersteps
         n = len(steps)
-        body, h = sends.body, sends.h
+        tau, cost = self._costs(program, bodies, sends)
+        records = [
+            SuperstepRecord(index, step.label, step.name, t, hs, c)
+            for index, (step, t, hs, c) in enumerate(
+                zip(steps, tau.tolist(), sends.h.tolist(), cost.tolist())
+            )
+        ]
+        return DBSPRunResult(
+            contexts=[],
+            total_time=_total(cost),
+            records=records,
+            breakdown={
+                "compute": _total(tau), "communication": _total(cost - tau),
+            },
+            counters={
+                "supersteps": n,
+                "dummy_supersteps": int(n - sends.body.sum()),
+                "messages": sends.messages,
+                "max_h": int(sends.h.max()) if n else 0,
+            },
+        )
+
+    def _costs(
+        self, program: Program, bodies: BodyPass, sends: "_SendSide"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per superstep: ``tau`` and the cost ``tau + h * g(mu |C|)``."""
+        v, mu = program.v, program.mu
+        n = len(program.supersteps)
+        body = sends.body
         tau = np.ones(n)
         if body.any():
             top = bodies.local.reshape(n, v)[body].max(axis=1)
             tau[body] = np.where(top > 1.0, top, 1.0)
         prices = [self.g(mu * cluster_size(v, lab)) for lab in sends.levels]
-        cost = tau + h * np.array(prices)[sends.level_of]
-        records = [
-            SuperstepRecord(index, step.label, step.name, t, hs, c)
-            for index, (step, t, hs, c) in enumerate(
-                zip(steps, tau.tolist(), h.tolist(), cost.tolist())
-            )
-        ]
-
-        def total(x: np.ndarray) -> float:
-            return float(np.cumsum(x)[-1]) if n else 0.0
-
-        return DBSPRunResult(
-            contexts=[],
-            total_time=total(cost),
-            records=records,
-            breakdown={
-                "compute": total(tau), "communication": total(cost - tau),
-            },
-            counters={
-                "supersteps": n,
-                "dummy_supersteps": int(n - body.sum()),
-                "messages": sends.messages,
-                "max_h": int(h.max()) if n else 0,
-            },
-        )
+        return tau, tau + sends.h * np.array(prices)[sends.level_of]
 
     def reproduces(self, program: Program, bodies: BodyPass) -> bool:
         """Whether :meth:`run` would have run ``program`` to this pass.
@@ -181,15 +196,15 @@ class DBSPMachine:
         """
         return self._admits(program, _send_side(program, bodies))
 
-    def fold_reproduced(
-        self, program: Program, bodies: BodyPass
-    ) -> DBSPRunResult | None:
-        """:meth:`fold` of a pass that :meth:`reproduces` ``program``,
-        else ``None``; both from one look-up of the pass's pattern."""
+    def fold_time(self, program: Program, bodies: BodyPass) -> float | None:
+        """``fold(program, bodies).total_time`` of a pass that
+        :meth:`reproduces` ``program``, else ``None``: all a simulation's
+        ``baseline_time`` needs, without the records, breakdown and
+        counters a full result builds."""
         sends = _send_side(program, bodies)
         if not self._admits(program, sends):
             return None
-        return self._fold(program, bodies, sends)
+        return _total(self._costs(program, bodies, sends)[1])
 
     def _admits(self, program: Program, sends: "_SendSide") -> bool:
         if not sends.in_cluster:
@@ -208,6 +223,12 @@ class DBSPMachine:
                 f"{worst} messages > mu = {mu} (buffers are part of the "
                 f"context, so h cannot exceed mu)"
             )
+
+
+def _total(x: np.ndarray) -> float:
+    """The sum of ``x`` added one at a time, in order (``np.cumsum``),
+    like the ``+=`` loop over supersteps; 0.0 for no supersteps."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
 class _SendSide(NamedTuple):

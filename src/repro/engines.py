@@ -490,16 +490,31 @@ ENGINES: dict[str, Engine] = {
 def _direct_baseline(
     program: Program, f: AccessFunction, bodies: BodyPass | None
 ) -> DBSPRunResult:
-    """The direct run of ``program``: folded from a simulation's body
-    pass when it stands for one, run separately when the engine made no
-    pass or the pass breaks a rule of the direct run (see :func:`run`)."""
+    """The full direct run of ``program`` whose total
+    :func:`_baseline_time` gives: folded from ``bodies`` when the pass
+    stands for one, else run separately."""
+    normalized = program.with_global_sync()
+    machine = DBSPMachine(f)
+    if bodies is not None and machine.reproduces(normalized, bodies):
+        return machine.fold(normalized, bodies)
+    return machine.run(normalized)
+
+
+def _baseline_time(
+    program: Program, f: AccessFunction, bodies: BodyPass | None
+) -> float:
+    """The direct run's total time, the baseline :func:`run` keeps:
+    folded from a simulation's body pass when it stands for one
+    (:meth:`DBSPMachine.fold_time`, no per-superstep records), run
+    separately when the engine made no pass or the pass breaks a rule
+    of the direct run (see :func:`run`)."""
     normalized = program.with_global_sync()
     machine = DBSPMachine(f)
     if bodies is not None:
-        folded = machine.fold_reproduced(normalized, bodies)
-        if folded is not None:
-            return folded
-    return machine.run(normalized)
+        total = machine.fold_time(normalized, bodies)
+        if total is not None:
+            return total
+    return machine.run(normalized).total_time
 
 
 def run(
@@ -539,7 +554,8 @@ def run(
         ``vec``, ``bt`` and ``brent`` run every body once, in one
         superstep-major pass that a direct run would make too, so the
         baseline is folded from that pass
-        (:meth:`DBSPMachine.fold <repro.dbsp.machine.DBSPMachine.fold>`)
+        (:meth:`DBSPMachine.fold_time
+        <repro.dbsp.machine.DBSPMachine.fold_time>`)
         without running a body again.  The direct run is made
         separately when the engine made no such pass (scalar ``hmm``,
         the ``bt`` ablations, ``brent`` at ``v' = v``) or when the pass
@@ -572,11 +588,9 @@ def run(
         program = cached_program(program, v, mu)
     result = ENGINES[engine].run(program, f, trace=trace, **opts)
     if baseline and engine != "direct":
-        guest = _direct_baseline(
+        guest_time = _baseline_time(
             program, f, getattr(result.native, "body_pass", None)
         )
-        result.baseline_time = guest.total_time
-        result.slowdown = (
-            result.time / guest.total_time if guest.total_time > 0 else None
-        )
+        result.baseline_time = guest_time
+        result.slowdown = result.time / guest_time if guest_time > 0 else None
     return result

@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 from typing import Any, Sequence
 
+from repro.obs.trace import SpanRecord, merge_span_lists, tag_spans
 from repro.parallel.config import (
     ParallelConfig,
     resolve_parallel,
@@ -90,7 +91,8 @@ def parallel_map(
     >>> shutil.rmtree(tmp)
 
     Without a ledger there is no round-trip: ``run-cell`` documents
-    keep their :class:`~repro.obs.trace.SpanRecord` spans.
+    keep their :class:`~repro.obs.trace.SpanRecord` spans, which the
+    round-trip turns into their JSON form.
     """
     cfg = resolve_parallel(parallel)
     results: list[Any] = [MISSING] * len(args_list)
@@ -109,7 +111,7 @@ def parallel_map(
                 recovery.record("cells_resumed", kind=kind, index=i)
 
         def finish(index: int, result: Any) -> None:
-            result = json.loads(json.dumps(result))
+            result = json.loads(json.dumps(result, default=_span_json))
             ledger.record(keys[index], kind, result)
             results[index] = result
             recovery.record("cells_recomputed", kind=kind, index=index)
@@ -133,6 +135,13 @@ def parallel_map(
     for i in pending[done:]:
         finish(i, task(args_list[i]))
     return results
+
+
+def _span_json(obj: Any) -> dict:
+    """The JSON form of a ``run-cell`` document's recorded spans."""
+    if isinstance(obj, SpanRecord):
+        return obj.to_json()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def touch_sweep(
@@ -259,15 +268,19 @@ def run_cells(
     ``context`` that qualifies the cell keys), cells are checkpointed
     and replayed by :func:`parallel_map` exactly like the bench and
     touch sweeps; replayed documents are JSON round-trips of the
-    computed ones, so the fold is identical either way.
+    computed ones, so the fold is identical either way; their spans
+    come back as :class:`~repro.obs.trace.SpanRecord` objects, ``==``
+    to a run without a ledger.
     """
-    from repro.obs.trace import merge_span_lists, tag_spans
-
     args_list = [
         tuple(cell) if len(cell) == 6 else (*cell, trace) for cell in cells
     ]
     docs = parallel_map("run-cell", args_list, parallel, ledger, context)
     span_lists = []
     for i, doc in enumerate(docs):
-        span_lists.append(tag_spans(doc.pop("spans", []), worker=i))
+        spans = [
+            span if isinstance(span, SpanRecord) else SpanRecord.from_json(span)
+            for span in doc.pop("spans", [])
+        ]
+        span_lists.append(tag_spans(spans, worker=i))
     return docs, merge_span_lists(span_lists)

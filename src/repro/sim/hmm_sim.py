@@ -257,25 +257,9 @@ class _HMMSimRun:
             if initial_pending is not None
             else [[] for _ in range(self.v)]
         )
-        # per-slot context-block cost, reused every cycling charge instead
-        # of re-deriving it from the prefix table (same floats, same order
-        # of addition — charged time is bit-identical)
-        mu = self.mu
-        cached = sim._run_artifacts.get((self.v, mu))
-        if cached is None:
-            table = self.machine.table
-            cached = (
-                [table.range_cost(k * mu, (k + 1) * mu) for k in range(self.v)],
-                # cost of touching the first word of each slot's block —
-                # the message-endpoint charge of the delivery scan (same
-                # float the prefix fold would gather for address k * mu)
-                [table.access(k * mu) for k in range(self.v)],
-            )
-            sim._run_artifacts[(self.v, mu)] = cached
-        self._block_cost, self._slot_word_cost = cached
         # recycled per-body view (see _simulate_superstep); pid/ctx/inbox/
         # label/local_time are reset before every body call
-        self._view = ProcView(0, self.v, mu, 0, {}, [])
+        self._view = ProcView(0, self.v, self.mu, 0, {}, [])
         self.next_step = [0] * self.v
         self.round_index = 0
         self.trace: list[RoundSnapshot] = []
@@ -283,6 +267,25 @@ class _HMMSimRun:
         self.body_pass: BodyPass | None = None
 
     # ------------------------------------------------------------- helpers
+    def _slot_costs(self) -> tuple[list, list]:
+        """Per slot: the cost of its context block, reused by every
+        cycling charge instead of re-deriving it from the prefix table,
+        and the cost of touching its first word, the message-endpoint
+        charge of the delivery scan (the float the prefix fold would
+        gather for address ``k * mu``).  Same floats, same order of
+        addition: charged time is bit-identical.  Built when the scalar
+        loop or a price miss of the ``vec`` kernel first needs them,
+        and kept on the simulator per ``(v, mu)``."""
+        key = (self.v, self.mu)
+        costs = self.sim._run_artifacts.get(key)
+        if costs is None:
+            table, mu = self.machine.table, self.mu
+            costs = self.sim._run_artifacts[key] = (
+                [table.range_cost(k * mu, (k + 1) * mu) for k in range(self.v)],
+                [table.access(k * mu) for k in range(self.v)],
+            )
+        return costs
+
     def _swap_slot_ranges(self, a: int, b: int, length: int) -> None:
         """Swap the contents of block slots [a, a+length) and [b, b+length)."""
         t0 = self.machine.time
@@ -397,7 +400,7 @@ class _HMMSimRun:
             return
 
         outgoing: list[tuple[int, Message]] = []
-        block_cost = self._block_cost
+        block_cost, word_cost = self._slot_costs()
         top_cost = block_cost[0]
         counters = self.counters
         tracing = tracer.enabled
@@ -460,7 +463,6 @@ class _HMMSimRun:
         # interleaved src/dst addresses).
         t0 = t
         pid_to_slot = self.pid_to_slot
-        word_cost = self._slot_word_cost
         for dest, msg in outgoing:
             insort(pending[dest], msg)
             t += word_cost[pid_to_slot[msg.src]]

@@ -325,9 +325,7 @@ def _plan_for(run) -> tuple[ChargePlan, Prices]:
     except TypeError:  # a custom access function without value equality
         prices, hashable = None, False
     if prices is None:
-        prices = _price(
-            plan, run._block_cost, run._slot_word_cost, run.machine.table
-        )
+        prices = _price(plan, *run._slot_costs(), run.machine.table)
         if hashable:
             kept = list(plan.prices.items())[: _PRICES_KEPT - 1]
             plan.prices = dict([(f, prices), *kept])

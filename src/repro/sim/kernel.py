@@ -11,7 +11,11 @@ holds what they share:
 
 * :class:`ArrayView` — the whole-machine counterpart of
   :class:`~repro.dbsp.program.ProcView`, handed to
-  ``Superstep.array_body`` over column-store contexts;
+  ``Superstep.array_body`` over column-store contexts: one view per
+  pass, reset for every step.  A step whose messages are delivered
+  sent one permutation of the pids, so the next step's inbox is one
+  scatter of the payloads, and ``inbox_src`` is built only when a body
+  reads it;
 * :func:`ranges_concat` — concatenated ``arange`` ranges (the
   gather/scatter index builder for assembling charge streams);
 * :func:`interleave2` — pairwise interleaving of two equal-length
@@ -78,22 +82,29 @@ _DELIVER_BATCH_MIN = 16
 class ArrayView:
     """The resources a whole cluster sees during one superstep.
 
-    The array counterpart of :class:`~repro.dbsp.program.ProcView`: one
-    view per superstep execution, covering every processor at once.
-    ``ctx`` maps context field names to length-``n`` column arrays
-    (``n == len(pids)``); ``inbox_src`` / ``inbox_payload`` are aligned
-    per-processor arrays (position ``k`` holds the message received by
-    ``pids[k]``, ``inbox_src[k] == -1`` when it received none), or
-    ``None`` when no messages were delivered.
+    The array counterpart of :class:`~repro.dbsp.program.ProcView`,
+    covering every processor at once.  ``ctx`` maps context field names
+    to length-``n`` column arrays (``n == len(pids)``);
+    ``inbox_payload`` and ``inbox_src`` are aligned per-processor arrays
+    (position ``k`` holds the payload and the sender of the message
+    ``pids[k]`` received), or ``None`` when no messages were delivered.
+    :func:`run_bodies` makes one view per pass and resets it for every
+    step; charges go straight into the step's row of
+    :attr:`BodyPass.local`.
 
     Contract for ``array_body`` authors: the body must be semantically
     identical to running the scalar ``body`` once per processor — same
     context updates, same messages, same ``charge`` calls.  Sends are
     full-width: every processor sends in each :meth:`send` call (partial
     sends need the scalar body), and each processor receives at most one
-    message per superstep (the aligned inbox arrays hold one).  The
-    equivalence suites enforce the contract for the built-in algorithm
-    library.
+    message per superstep.  So a step whose messages are delivered made
+    exactly one ``send``, and its destinations are a permutation of the
+    pids: every processor gets exactly one message.  ``inbox_src`` is
+    then the inverse permutation, built the first time a body reads it
+    (sort and FFT read only the payloads).  ``v`` is the machine width,
+    a power of two, as for every :class:`~repro.dbsp.program.Program`.
+    The equivalence suites enforce the contract for the built-in
+    algorithm library.
     """
 
     __slots__ = (
@@ -102,9 +113,11 @@ class ArrayView:
         "mu",
         "label",
         "ctx",
-        "inbox_src",
         "inbox_payload",
-        "local_time",
+        "_inbox_src",
+        "_dest",
+        "_local",
+        "_acc",
         "_sends",
     )
 
@@ -123,43 +136,75 @@ class ArrayView:
         self.mu = mu
         self.label = label
         self.ctx = ctx
-        self.inbox_src = inbox_src
         self.inbox_payload = inbox_payload
-        #: per-processor local computation time; every superstep costs >= 1
-        self.local_time = np.ones(len(pids), dtype=np.float64)
+        self._inbox_src = inbox_src
+        #: destinations of the delivered step, while ``inbox_src`` is unbuilt
+        self._dest: np.ndarray | None = None
+        #: the local times, once a charge or a read needs them per processor
+        self._local = np.empty(len(pids), dtype=np.float64)
+        #: every processor's local time while all charges were plain
+        #: scalars (``None`` once ``_local`` holds them); a superstep
+        #: costs at least 1
+        self._acc: float | None = 1.0
         self._sends: list[tuple[np.ndarray, np.ndarray]] = []
 
+    @property
+    def inbox_src(self) -> np.ndarray | None:
+        """The sender of each processor's message (see the class notes)."""
+        if self._inbox_src is None and self._dest is not None:
+            src = self._inbox_src = np.empty_like(self.pids)
+            src[self._dest] = self.pids
+        return self._inbox_src
+
+    @property
+    def local_time(self) -> np.ndarray:
+        """Per-processor local computation time of the superstep."""
+        acc = self._acc
+        if acc is not None:
+            self._local.fill(acc)
+            self._acc = None
+        return self._local
+
     def send(self, dest: np.ndarray, payload: np.ndarray) -> None:
-        """Post one message per processor (``dest[k]`` from ``pids[k]``)."""
-        dest = np.asarray(dest)
+        """Post one message per processor (``dest[k]`` from ``pids[k]``).
+
+        Both arrays are copied, so each message is what it was at the
+        call, as with :meth:`ProcView.send
+        <repro.dbsp.program.ProcView.send>`: a body may go on to change
+        a context column it sent, in place, in this step or a later one.
+        """
+        dest = np.array(dest)
         if dest.shape != self.pids.shape:
             raise ValueError(
                 f"send is full-width: expected {self.pids.shape} "
                 f"destinations, got {dest.shape}"
             )
-        # ndarray methods, not the np.any/np.min module wrappers: this
-        # runs once per superstep, where their dispatch cost shows
-        if dest.size and (dest.min() < 0 or dest.max() >= self.v):
-            raise ValueError(f"destination outside [0, {self.v})")
-        # same aligned-cluster check as ProcView.send, over the whole batch
-        if ((self.pids ^ dest) >= (self.v >> self.label)).any():
-            raise ValueError(
-                f"send crosses a {self.label}-cluster boundary"
-            )
+        # one test for all three rules: ``pid ^ dest`` shifted right by
+        # log2 of the cluster size is nonzero exactly where ``dest`` is
+        # negative (the sign bit), at least ``v`` (a power of two) or in
+        # another ``label``-cluster (ProcView.send's check); which one
+        # failed is worked out only then
+        shift = int(self.v).bit_length() - 1 - self.label
+        if np.count_nonzero((self.pids ^ dest) >> shift):
+            if dest.min() < 0 or dest.max() >= self.v:
+                raise ValueError(f"destination outside [0, {self.v})")
+            raise ValueError(f"send crosses a {self.label}-cluster boundary")
         if len(self._sends) >= self.mu:
             raise ValueError(
                 f"exceeded the mu={self.mu} outgoing message buffer "
                 f"in one superstep"
             )
-        self._sends.append((dest, np.asarray(payload)))
+        self._sends.append((dest, np.array(payload)))
 
     def charge(self, t: Any) -> None:
         """Account ``t`` additional units of local computation.
 
         ``t`` may be a scalar (uniform across the cluster) or a
         per-processor array.  A plain ``int`` or ``float`` (what the
-        algorithm library passes) is compared with 0 directly; anything
-        else is checked as an array.
+        algorithm library passes) is compared with 0 directly and, while
+        every charge so far was one, added to one Python float: the same
+        IEEE additions, in the same order, as adding it to every
+        processor's time.  Anything else is checked as an array.
 
         >>> view = ArrayView(np.arange(2), 2, 1, 0, {}, None, None)
         >>> view.charge(1)
@@ -176,9 +221,13 @@ class ArrayView:
         if kind is int or kind is float:
             if t < 0:
                 raise ValueError(f"cannot charge negative time {t!r}")
+            if self._acc is not None:
+                self._acc += t
+                return
         elif (np.asarray(t) < 0).any():
             raise ValueError(f"cannot charge negative time {t!r}")
-        self.local_time += t
+        local = self.local_time
+        local += t
 
 
 def ranges_concat(starts, lengths) -> np.ndarray:
@@ -264,7 +313,7 @@ def deliver_sorted(
             pending[dest] = batch
 
 
-class BodyPass(NamedTuple):
+class BodyPass:
     """What one superstep-major body pass produced.
 
     ``local[s * v + pid]`` is the local time processor ``pid`` charged
@@ -274,9 +323,14 @@ class BodyPass(NamedTuple):
     ``None`` when the step sent none.
     """
 
-    local: np.ndarray
-    src: list
-    dest: list
+    __slots__ = ("local", "src", "dest", "_pattern")
+
+    def __init__(self, local: np.ndarray, src: list, dest: list) -> None:
+        self.local = local
+        self.src = src
+        self.dest = dest
+        #: ``(pid_type, pattern)`` of the last :meth:`pattern` call
+        self._pattern: tuple[np.dtype, bytes] | None = None
 
     def select(self, steps) -> "BodyPass":
         """The pass restricted to ``steps`` (ascending step indices),
@@ -297,15 +351,21 @@ class BodyPass(NamedTuple):
         that holds a pid; both send paths keep pids in ``[0, v)``).  The
         counts fix the length, so equal strings mean equal messages —
         what the brent layouts and the direct baseline's send side are
-        memoized by."""
+        memoized by.  Kept for the last ``pid_type``, so brent's fold
+        and the baseline fold of one pass build it once."""
+        memo = self._pattern
+        if memo is not None and memo[0] == pid_type:
+            return memo[1]
         counts = np.array([-1 if src is None else len(src) for src in self.src])
         ends = [
             end for src, dest in zip(self.src, self.dest) if src is not None
             for end in (src, dest)
         ]
-        if not ends:
-            return counts.tobytes()
-        return counts.tobytes() + np.concatenate(ends).astype(pid_type).tobytes()
+        pattern = counts.tobytes()
+        if ends:
+            pattern += np.concatenate(ends).astype(pid_type).tobytes()
+        self._pattern = (pid_type, pattern)
+        return pattern
 
 
 def run_bodies(
@@ -327,7 +387,8 @@ def run_bodies(
     Array mode — the program declares an ``array_schema``, every
     non-dummy step carries an ``array_body`` and no message is in
     flight at the start — runs each step as one whole-machine numpy
-    call; otherwise the scalar bodies run per processor.
+    call on one reused :class:`ArrayView`; otherwise the scalar bodies
+    run per processor.
 
     ``check_sends(s, dest)``, when given, sees the destinations of each
     step that sent messages right after the step ran, and may raise
@@ -358,54 +419,60 @@ def _array_mode_ok(program: Program, pending: list[list[Message]]) -> bool:
 
 
 def _run_bodies_array(program, contexts, pending, out, check_sends):
-    """Array mode: column contexts, one ``array_body`` call per step."""
+    """Array mode: column contexts, one ``array_body`` call per step.
+
+    A step that sent made one full-width ``send`` whose destinations
+    are a permutation of the pids (see :class:`ArrayView`), so its
+    messages reach the next body step as one scatter of the payloads,
+    with nothing to fill.
+    """
     v = program.v
-    mu = program.mu
-    local_flat, step_src, step_dest = out
     cols = {
         name: np.array([ctx[name] for ctx in contexts], dtype=dt)
         for name, dt in program.array_schema.items()
     }
     pids = np.arange(v, dtype=np.int64)
-    unconsumed = None  # (src, dest, payload) sent but not yet delivered
+    local = out.local.reshape(-1, v)
+    view = ArrayView(pids, v, program.mu, 0, cols, None, None)
+    sends = view._sends
+    sent = None  # (dest, payload) sent but not yet delivered
     for s, st in enumerate(program.supersteps):
         if st.body is None:
             continue
-        if unconsumed is not None:
-            u_src, u_dest, u_payload = unconsumed
-            in_src = np.full(v, -1, dtype=np.int64)
-            in_src[u_dest] = u_src
-            in_payload = np.zeros(v, dtype=u_payload.dtype)
-            in_payload[u_dest] = u_payload
-            unconsumed = None
+        view.label = st.label
+        view._local = local[s]
+        view._acc = 1.0
+        view._inbox_src = None
+        if sent is not None:
+            view._dest, payload = sent
+            view.inbox_payload = np.empty(v, dtype=payload.dtype)
+            view.inbox_payload[view._dest] = payload
+            sent = None
         else:
-            in_src = in_payload = None
-        view = ArrayView(pids, v, mu, st.label, cols, in_src, in_payload)
+            view._dest = view.inbox_payload = None
+        sends.clear()
         st.array_body(view)
-        local_flat[s * v : (s + 1) * v] = view.local_time
-        sends = view._sends
+        if view._acc is not None:
+            view._local.fill(view._acc)
         if not sends:
             continue
-        if len(sends) == 1:
-            dest, payload = sends[0]
-            src = pids
-        else:
-            # pid-major interleave: processor k's sends in call order,
-            # then processor k+1's — the scalar outbox order
-            dest = np.stack([d for d, _ in sends], axis=1).ravel()
-            payload = np.stack([p for _, p in sends], axis=1).ravel()
-            src = np.repeat(pids, len(sends))
+        if len(sends) > 1:
+            # v messages per send into v inboxes: some processor gets
+            # two.  The direct run's degree check sees them first,
+            # pid-major: processor k's sends in call order, then k+1's
+            if check_sends is not None:
+                check_sends(s, np.stack([d for d, _ in sends], axis=1).ravel())
+            raise _multiple_messages(st)
+        dest, payload = sends[0]
         if check_sends is not None:
             check_sends(s, dest)
-        if np.bincount(dest, minlength=v).max() > 1:
-            raise RuntimeError(
-                f"array step {st.name!r} delivered multiple messages to "
-                f"one processor — aligned array inboxes require at most "
-                f"one; use the scalar body for this program"
-            )
-        step_src[s] = src
-        step_dest[s] = dest
-        unconsumed = (src, dest, payload)
+        # v messages reach every one of the v processors only as a
+        # permutation
+        if np.count_nonzero(np.bincount(dest, minlength=v)) != v:
+            raise _multiple_messages(st)
+        out.src[s] = pids
+        out.dest[s] = dest
+        sent = (dest, payload)
 
     # write columns back into the per-processor dicts (native scalars,
     # exactly what the scalar bodies would have stored)
@@ -413,27 +480,28 @@ def _run_bodies_array(program, contexts, pending, out, check_sends):
         values = col.tolist()
         for pid in range(v):
             contexts[pid][name] = values[pid]
-    if unconsumed is not None:
+    if sent is not None:
         # the program ended with undelivered-to-a-body messages (its
-        # trailing steps were dummies): group them into sorted inboxes
-        src, dest, payload = unconsumed
-        order = np.argsort(dest, kind="stable")
-        d_sorted = dest[order].tolist()
-        s_sorted = src[order].tolist()
-        p_sorted = payload[order].tolist()
-        box: list[Message] = []
-        prev = None
-        for d, sp, pp in zip(d_sorted, s_sorted, p_sorted):
-            if d != prev:
-                box = pending[d] = []
-                prev = d
-            box.append(Message(sp, pp))
+        # trailing steps were dummies): one per processor, in its inbox
+        # (a uniform payload was sent as one scalar)
+        dest, payload = sent
+        payloads = np.broadcast_to(payload, dest.shape).tolist()
+        for d, sp, pp in zip(dest.tolist(), pids.tolist(), payloads):
+            pending[d] = [Message(sp, pp)]
+
+
+def _multiple_messages(st) -> RuntimeError:
+    return RuntimeError(
+        f"array step {st.name!r} delivered multiple messages to "
+        f"one processor — aligned array inboxes require at most "
+        f"one; use the scalar body for this program"
+    )
 
 
 def _run_bodies_scalar(program, contexts, pending, out, check_sends):
     """Per-processor mode: scalar bodies, step-major, batched delivery."""
     v = program.v
-    local_flat, step_src, step_dest = out
+    local_flat, step_src, step_dest = out.local, out.src, out.dest
     # one recycled view: pid/ctx/inbox/label/local_time are reset before
     # every body call
     view = ProcView(0, v, program.mu, 0, {}, [])

@@ -273,6 +273,31 @@ def test_full_trace_cell_keeps_span_records_without_ledger(monkeypatch, k):
     assert all(isinstance(span, SpanRecord) for span in doc["spans"])
 
 
+def test_checkpointed_full_trace_sweep_equals_an_unledgered_one(tmp_path):
+    # the ledger's JSON round-trip takes the spans' JSON form; run_cells
+    # rebuilds the records, so computing and replaying cells both return
+    # what a run without a ledger returns
+    cells = [("hmm", "sort", 8, 8, "x^0.5"), ("vec", "fft-rec", 8, 4, "log")]
+    context = {"suite": "full-trace"}
+    want = run_cells(cells, trace="full", parallel=SERIAL, context=context)
+    assert want[1] and all(isinstance(s, SpanRecord) for s in want[1])
+    path = str(tmp_path / "cells.ledger")
+    with SweepLedger.create(path) as ledger:
+        computed = run_cells(
+            cells, trace="full", parallel=SERIAL, ledger=ledger,
+            context=context,
+        )
+        assert ledger.cells_recorded == len(cells) and ledger.hits == 0
+    with SweepLedger.resume(path) as ledger:
+        replayed = run_cells(
+            cells, trace="full", parallel=SERIAL, ledger=ledger,
+            context=context,
+        )
+        assert ledger.hits == len(cells)
+    assert computed == want
+    assert replayed == want
+
+
 def test_service_on_failing_pool_serves_inline_results(monkeypatch, tmp_path):
     # a service whose pool cannot run still computes every request and
     # finishes every job inline, with results equal to a serial service
