@@ -142,7 +142,7 @@ def maybe_inject_task_fault(blob: bytes) -> None:
     if _decide(plan, "kill", blob) < plan.kill:
         with open(marker, "w") as fh:
             fh.write("kill\n")
-        os._exit(23)  # hard worker death: parent sees BrokenProcessPool
+        os._exit(23)  # hard worker death: the parent sees its sentinel fire
     if _decide(plan, "delay", blob) < plan.delay:
         with open(marker, "w") as fh:
             fh.write("delay\n")

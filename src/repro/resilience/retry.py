@@ -2,7 +2,7 @@
 
 A :class:`RetryPolicy` governs how :class:`~repro.parallel.pool.WorkerPool`
 reacts to *infrastructure* failures — a worker process dying mid-task
-(``BrokenProcessPool``) or a task blowing past its per-task deadline.
+or a task blowing past its per-task deadline.
 Genuine task exceptions (the simulated program raised) are **never**
 retried: the strict failure taxonomy of ``repro.parallel.pool`` is
 preserved, and a real ``ValueError`` from an engine propagates unchanged
@@ -35,10 +35,11 @@ class RetryPolicy:
         raises :class:`~repro.parallel.pool.PoolUnavailable` immediately.
     timeout_s:
         Per-task deadline in seconds, measured from the moment the
-        parent starts waiting on that task's result.  ``None`` (default)
-        waits forever.  A task that exceeds the deadline counts as an
-        infrastructure failure: it is resubmitted (the original attempt
-        keeps running in its worker, but its result is discarded — tasks
+        parent starts waiting on that task's result (waiting for an
+        idle worker included).  ``None`` (default) waits forever.  A
+        task that exceeds the deadline counts as an infrastructure
+        failure: it is resent (the original attempt keeps its worker
+        busy until it answers, and that late reply is discarded — tasks
         are deterministic, so whichever attempt is consumed yields the
         same charges).
     backoff_s:

@@ -168,16 +168,24 @@ class ArrayView:
     def send(self, dest: np.ndarray, payload: np.ndarray) -> None:
         """Post one message per processor (``dest[k]`` from ``pids[k]``).
 
-        Both arrays are copied, so each message is what it was at the
-        call, as with :meth:`ProcView.send
-        <repro.dbsp.program.ProcView.send>`: a body may go on to change
-        a context column it sent, in place, in this step or a later one.
+        ``payload`` holds one value per processor (leading axis), or is
+        one scalar that every processor sends.  Both arrays are copied,
+        so each message is what it was at the call, as with
+        :meth:`ProcView.send <repro.dbsp.program.ProcView.send>`: a body
+        may go on to change a context column it sent, in place, in this
+        step or a later one.
         """
         dest = np.array(dest)
         if dest.shape != self.pids.shape:
             raise ValueError(
                 f"send is full-width: expected {self.pids.shape} "
                 f"destinations, got {dest.shape}"
+            )
+        payload = np.array(payload)
+        if payload.ndim and payload.shape[:1] != self.pids.shape:
+            raise ValueError(
+                f"send is full-width: expected {self.pids.shape} payloads "
+                f"or one scalar, got {payload.shape}"
             )
         # one test for all three rules: ``pid ^ dest`` shifted right by
         # log2 of the cluster size is nonzero exactly where ``dest`` is
@@ -194,7 +202,7 @@ class ArrayView:
                 f"exceeded the mu={self.mu} outgoing message buffer "
                 f"in one superstep"
             )
-        self._sends.append((dest, np.array(payload)))
+        self._sends.append((dest, payload))
 
     def charge(self, t: Any) -> None:
         """Account ``t`` additional units of local computation.

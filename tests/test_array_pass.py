@@ -364,3 +364,30 @@ def test_broken_array_steps_raise_todays_errors(case):
     g = resolve_access_function("x^0.5")
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         DBSPMachine(g).run(program.with_global_sync())
+
+
+def test_a_short_payload_fails_at_the_send():
+    # a payload must be full-width (or one scalar): a short one is
+    # refused by the send that posts it, not one step later by delivery
+    def scalar_send(view):
+        view.send(view.pid ^ 1, view.pid)
+
+    def array_send(view):
+        view.send(view.pids ^ 1, view.pids[:-1])
+
+    def array_read(view):
+        view.ctx["x"] = view.ctx["x"] + view.inbox_payload
+
+    program = Program(4, 1, [
+        Superstep(0, scalar_send, name="short", array_body=array_send),
+        Superstep(0, lambda view: None, name="read", array_body=array_read),
+    ], make_context=lambda pid: {"x": pid}, array_schema={"x": "i8"})
+    message = (
+        "send is full-width: expected (4,) payloads or one scalar, got (3,)"
+    )
+    for engine in ENGINES:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            repro.run(program, engine, "x^0.5")
+    g = resolve_access_function("x^0.5")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DBSPMachine(g).run(program.with_global_sync())

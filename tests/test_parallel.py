@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tempfile
@@ -369,6 +370,61 @@ def test_genuine_task_error_propagates_unchanged():
     # infrastructure failure
     with pytest.raises(ValueError, match="power of 4"):
         _pooled([("hmm", "matmul", 8, 4, "x^0.5", "phases")])
+
+
+def _alive(pid: int) -> bool:
+    """Is ``pid`` a live process (a zombie, left unreaped by whatever
+    adopted it, counts as gone)?"""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+#: a child that runs one pooled task on two workers, prints their pids
+#: and then exits (``exit``) or waits to be killed (``wait``)
+_POOL_CHILD = """
+import multiprocessing, sys, time
+from repro.parallel.pool import shared_pool
+list(shared_pool(2).run_ordered("touch-cost", [(256, "log")]))
+print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+@pytest.mark.parametrize("end", ["exit", "wait"])
+def test_no_worker_outlives_its_parent(end):
+    # whether the parent exits without shutdown() or is SIGKILLed, its
+    # workers go with it: a worker that outlived it would hold the
+    # parent's inherited resources (a server's port) for good
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("REPRO_FAULTS", None)
+    child = subprocess.Popen(
+        [sys.executable, "-c", _POOL_CHILD, end],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    pids = []
+    try:
+        pids = [int(pid) for pid in child.stdout.readline().split()]
+        assert len(pids) == 2
+        if end == "wait":
+            child.kill()
+        child.wait(timeout=30)
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert [pid for pid in pids if _alive(pid)] == []
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+        child.stdout.close()
+        for pid in pids:  # leave nothing behind if the check failed
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ------------------------------------------------------- config layer

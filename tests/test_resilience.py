@@ -22,6 +22,7 @@ resume boundaries must be invisible in every charged number.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 
@@ -33,7 +34,12 @@ from repro.parallel.config import (
     ParallelConfig,
     reset_fallback_warnings,
 )
-from repro.parallel.pool import PoolUnavailable, WorkerPool, shared_pool
+from repro.parallel.pool import (
+    PoolUnavailable,
+    WorkerPool,
+    dumps_payload,
+    shared_pool,
+)
 from repro.parallel.sweep import (
     parallel_map,
     run_matrix_distributed,
@@ -235,6 +241,36 @@ def test_worker_kill_exhausts_into_fallback_when_no_retry(tmp_path):
             degraded = touch_sweep(SIZES, parallel=cfg)
     # even with retries off, the serial fallback keeps results identical
     assert degraded == clean
+
+
+def test_a_worker_death_costs_only_its_own_task(tmp_path):
+    # seed 3 at kill=0.5 kills the first attempt of tasks 1 and 3 only;
+    # each death must be charged to the task that died, and retry it
+    # alone, while the slower task 0 in flight beside it finishes
+    sizes = [16384, *SIZES]
+    clean = touch_sweep(sizes, parallel=None)
+    shared_pool(2).shutdown()
+    markers = tmp_path / "m"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_FAULTS", f"seed=3,kill=0.5,dir={markers}")
+        chaotic = touch_sweep(sizes, parallel=eager())
+    assert chaotic == clean
+    # a kill marker is named by its task's payload digest
+    digests = [
+        hashlib.sha256(dumps_payload(("touch-cost", (n, "x^0.5")))).hexdigest()
+        for n in sizes
+    ]
+    killed = [i for i, d in enumerate(digests) if (markers / d[:24]).exists()]
+    assert killed == [1, 3]
+    events = recovery.events()
+    deaths = [e["index"] for e in events if e["event"] == "worker_deaths"]
+    retried = [
+        e["index"]
+        for e in events
+        if e["event"] == "pool_retries" and e["cause"] == "death"
+    ]
+    assert sorted(deaths) == killed  # one death per kill marker
+    assert sorted(retried) == killed
 
 
 # ---------------------------------------------------- chaos: task timeout
