@@ -405,11 +405,9 @@ class Workload:
 #: engines (delivery-heavy — the tentpole targets), the direct executor
 #: as the guest-side reference, and the two touching kernels
 WORKLOADS: tuple[Workload, ...] = (
-    Workload("sort/hmm", "hmm", "sort", delivery_heavy=True),
     Workload("sort/vec", "vec", "sort", delivery_heavy=True),
     Workload("sort/bt", "bt", "sort", delivery_heavy=True),
     Workload("sort/brent", "brent", "sort", delivery_heavy=True),
-    Workload("fft-rec/hmm", "hmm", "fft-rec", delivery_heavy=True),
     Workload("fft-rec/vec", "vec", "fft-rec", delivery_heavy=True),
     Workload("fft-rec/bt", "bt", "fft-rec", delivery_heavy=True),
     Workload("sort/direct", "direct", "sort"),
@@ -473,9 +471,6 @@ def _run_engine_workload(
     return {
         "v": v,
         "engine": w.engine,
-        # which execution kernel actually ran (hmm-family engines report
-        # it in meta; REPRO_ENGINE=vec flips it even for the hmm row)
-        "kernel": res.meta.get("kernel"),
         "wall_s": wall,
         "wall_s_total": total,
         "model_time": res.time,
@@ -509,7 +504,6 @@ def _run_touch_workload(kind: str, n: int) -> dict[str, Any]:
     return {
         "v": n,
         "engine": kind,
-        "kernel": None,
         "wall_s": wall,
         "model_time": cost,
         "rounds": 0,

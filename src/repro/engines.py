@@ -1,10 +1,11 @@
 """Unified engine API: one protocol, one result type, one registry.
 
-The package has five execution engines — direct D-BSP, the D-BSP->HMM
-simulation (Thm 5) on the scalar round loop (``hmm``) and on the
-vectorized kernel (``vec``), the D-BSP->BT simulation (Thm 12) and the
-Brent-style self-simulation (Thm 10).  Each keeps its native, fully-detailed result
-object, but they all speak one public surface here:
+The package has four execution engines under five names — direct
+D-BSP, the D-BSP->HMM simulation (Thm 5; ``hmm``, also registered as
+``vec``, the name the service defaults to), the D-BSP->BT simulation
+(Thm 12) and the Brent-style self-simulation (Thm 10).  Each keeps its
+native, fully-detailed result object, but they all speak one public
+surface here:
 
 * :class:`Engine` — the protocol: ``engine.run(program, f, trace=...)``;
 * :class:`EngineResult` — the shared result: ``time``, ``slowdown``,
@@ -373,8 +374,7 @@ class HMMEngine:
         trace: str = "phases",
         **opts: Any,
     ) -> EngineResult:
-        sim = HMMSimulator(f, trace=trace, **opts)
-        res = sim.simulate(program)
+        res = HMMSimulator(f, trace=trace, **opts).simulate(program)
         return EngineResult(
             engine=self.name,
             time=res.time,
@@ -385,35 +385,20 @@ class HMMEngine:
             meta={"program": program.name, "f": f.name,
                   "v": program.v, "mu": program.mu,
                   "rounds": res.rounds,
-                  "kernel": sim.kernel,
+                  # the compiled schedule is the one execution path;
+                  # the key stays, as pinned result documents hold it
+                  "kernel": "vec",
                   "label_set": list(res.smoothed.label_set)},
             native=res,
         )
 
 
 class VecEngine(HMMEngine):
-    """The HMM simulation on the array-native superstep kernel.
-
-    Charged-model semantics are identical to ``hmm`` (same Fig. 1
-    schedule, bit-identical clocks, counters and spans — enforced by the
-    equivalence suites); only the wall-clock execution strategy differs:
-    the schedule is compiled once into a charge plan and bodies, message
-    delivery and charging run as whole-machine array operations
-    (:mod:`repro.sim.hmm_vec`).
-    """
+    """``hmm`` under the name the service defaults to: the same
+    simulator, schedule and results (:mod:`repro.sim.hmm_vec`)."""
 
     name = "vec"
     description = "D-BSP -> HMM simulation, vectorized kernel (Thm 5)"
-
-    def run(
-        self,
-        program: Program,
-        f: AccessFunction,
-        trace: str = "phases",
-        **opts: Any,
-    ) -> EngineResult:
-        opts.setdefault("kernel", "vec")
-        return super().run(program, f, trace=trace, **opts)
 
 
 class BTEngine:
@@ -540,8 +525,8 @@ def run(
         normalized form the program keeps on itself.
     engine:
         Registry key: ``direct`` | ``hmm`` | ``vec`` | ``bt`` |
-        ``brent`` (``vec`` is the ``hmm`` simulation on the vectorized
-        kernel — same charged results, much faster wall clock).
+        ``brent`` (``vec`` is another name for the ``hmm`` simulation,
+        the name the service defaults to).
     f:
         Access/bandwidth function, as an object or a spec string
         (``x^0.5``, ``log``, ``const``, ``linear``, ``staircase``).
@@ -551,14 +536,14 @@ def run(
     baseline:
         For simulation engines, also charge the direct D-BSP execution
         and attach ``baseline_time`` and the measured ``slowdown``.
-        ``vec``, ``bt`` and ``brent`` run every body once, in one
-        superstep-major pass that a direct run would make too, so the
+        ``hmm``, ``vec``, ``bt`` and ``brent`` run every body once, in
+        one superstep-major pass that a direct run would make too, so the
         baseline is folded from that pass
         (:meth:`DBSPMachine.fold_time
         <repro.dbsp.machine.DBSPMachine.fold_time>`)
         without running a body again.  The direct run is made
-        separately when the engine made no such pass (scalar ``hmm``,
-        the ``bt`` ablations, ``brent`` at ``v' = v``) or when the pass
+        separately when the engine made no such pass (the ``bt``
+        ablations, ``brent`` at ``v' = v``) or when the pass
         breaks a rule of the direct run that the simulation does not
         check — a send leaving its original label's cluster, or more
         than ``mu`` messages to one processor — so that run raises the
@@ -570,8 +555,8 @@ def run(
         counted and checked in full.
     opts:
         Passed through to the engine (e.g. ``sort="mergesort"`` for
-        ``bt``, ``v_host=16`` for ``brent``, ``kernel="scalar"`` for
-        ``vec``).
+        ``bt``, ``v_host=16`` for ``brent``, ``record_trace=True`` for
+        ``hmm``).
 
     >>> from repro import run
     >>> result = run("sort", engine="bt", f="x^0.5", v=16)

@@ -256,7 +256,7 @@ class _FineRun:
     __slots__ = ("op", "plan", "prices", "hole_src", "guest_step")
 
     def __init__(self, op: int, first: int, labels, v_host: int, v: int,
-                 mu: int, g: AccessFunction, c2: float, costs) -> None:
+                 mu: int, g: AccessFunction, c2: float, table) -> None:
         self.op = op
         per_host = v // v_host
         local = Program(
@@ -270,7 +270,7 @@ class _FineRun:
         plan = self.plan = _schedule_for(
             per_host, mu, smoothed.program.supersteps
         )
-        self.prices = _price(plan, *costs)
+        self.prices = _price(plan, table)
         # local step -> guest step; the closing global sync smoothing may
         # append is a dummy, so it never reaches a hole or a send
         guest_step = np.array(
@@ -366,7 +366,7 @@ class _BrentPlan:
                 self.fine.append(_FineRun(
                     start, pos,
                     [(label - log_vh, dummy) for label, dummy in steps[pos:end]],
-                    v_host, v, mu, g, c2, (block_cost, word_cost, table),
+                    v_host, v, mu, g, c2, table,
                 ))
                 ops.append(0.0)
                 spans.open("fine-run", "fine",

@@ -1,11 +1,13 @@
-"""Vectorized execution of the HMM round scheduler (the ``vec`` kernel).
+"""The Figure 1 round scheduler, compiled: how every HMM simulation runs.
 
 The key observation: for a fixed machine shape, the Figure 1 schedule
 — which cluster runs in which round, which context every cycling and
 swap charge touches, the *order* of every elementary ``time +=`` —
 depends only on the smoothed label sequence, never on what the
 superstep bodies compute; the access function only sets the price of
-each charge.  So the schedule is compiled once into a
+each charge.  So the scheduler's round loop runs once per shape, as a
+walk of its bookkeeping (:func:`_build_schedule`, which asserts
+Theorem 4's invariants on every round), compiled into a
 :class:`ChargePlan` (cached per ``(v, mu, labels, dummy flags)``, with
 its charges as codes into a small value table and its swaps as slot
 ranges, in the kernel's one plan cache), priced per access function by
@@ -17,21 +19,25 @@ the fold of a :class:`~repro.sim.kernel.Tape` per delivery pattern: one
 gather of the priced charge templates, the bodies' local times and the
 batched delivery charges, then a single ``np.cumsum``
 (:func:`~repro.sim.kernel.fold`), which reproduces the serial
-``t += c`` sequence bit-for-bit, including every intermediate clock
-value.  Brent's fine runs assemble their per-host tapes here too.
+``t += c`` sequence of a simulator charging one access at a time
+bit-for-bit, including every intermediate clock value.  Brent's fine
+runs assemble their per-host tapes here too.  The walk takes an
+optional per-round hook, which an uncached walk gives the simulator's
+Figure 2 snapshots and its full contiguity check.
 
-Observability is preserved exactly: counters replicate the scalar
-``add`` calls (amounts *and* key-creation).  The span structure of a
-run — which open/leaf/close calls the scalar engine makes, at which
-stream positions — is fixed by the plan and the per-round message
-counts, so it is compiled into the tape's span table on the pattern's
-first traced run.  At ``phases`` the breakdown is two ``np.bincount``
-folds over the clock (:func:`~repro.sim.kernel.fold_phases`), with no
-tracer call per span; at ``full``, which records every span, the table
-drives the real :class:`~repro.obs.trace.Tracer` against the folded
-clock (:func:`~repro.sim.kernel.replay`).  Either way: same breakdowns,
-same span records, same ±ulp self-cost attribution as the scalar
-engine.
+Observability is exact in the same sense: the counters are the totals
+of a per-charge run's ``add`` calls (amounts *and* key-creation order).
+The span structure of a run — which open/leaf/close calls a per-charge
+round loop makes, at which stream positions — is fixed by the plan and
+the per-round message counts, so it is compiled into the tape's span
+table on the pattern's first traced run.  At ``phases`` the breakdown
+is two ``np.bincount`` folds over the clock
+(:func:`~repro.sim.kernel.fold_phases`), with no tracer call per span;
+at ``full``, which records every span, the table drives the real
+:class:`~repro.obs.trace.Tracer` against the folded clock
+(:func:`~repro.sim.kernel.replay`).  The per-charge loop itself is kept
+under ``tests/`` as the oracle these results are compared ``==``
+against.
 
 Bodies run in the shared superstep-major pass
 (:func:`repro.sim.kernel.run_bodies`), in one of its two modes:
@@ -39,7 +45,7 @@ Bodies run in the shared superstep-major pass
 * **array mode** — every non-dummy superstep carries an ``array_body``
   and the program declares an ``array_schema``: contexts become column
   arrays, bodies run as whole-machine numpy programs, and message
-  delivery is an aligned scatter.  This is the ≥10x path.
+  delivery is an aligned scatter.  This is the fast path.
 * **per-processor mode** — scalar bodies are executed step-major with
   the ordinary :class:`~repro.dbsp.program.ProcView`; charging and
   delivery batching are still vectorized.  Any program runs this way
@@ -57,6 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.functions import CostTable
 from repro.sim.kernel import (
     CLOSE,
     LEAF,
@@ -71,7 +78,7 @@ from repro.sim.kernel import (
     run_bodies,
 )
 
-__all__ = ["ChargePlan", "execute_vec", "plan_cache_info"]
+__all__ = ["ChargePlan", "execute", "plan_cache_info"]
 
 #: prices a schedule keeps, for its most recent access functions: a
 #: repeated call finds its prices, and a fresh f on a known shape (a
@@ -126,13 +133,48 @@ def _index_array(values, bound: int) -> np.ndarray:
     return np.asarray(values, dtype=np.min_scalar_type(bound))
 
 
-def _build_schedule(v, mu, steps) -> ChargePlan:
-    """Replay the Figure 1 scheduler bookkeeping (no bodies, no clock,
-    no access function).
+def _step4_swaps(labels, s, first, csize) -> list:
+    """The Step 4 swaps after the round that simulated step ``s`` for the
+    cluster ``C = [first, first + csize)``, when step ``s + 1`` is
+    coarser, as slot triples ``(a, b, length)``: ``C`` (on top) with
+    ``C_0``, parked at ``C``'s home, unless ``C`` is ``C_0``; then
+    ``C_0`` with ``C_{j+1}``, at its home, unless ``C`` closes the
+    cycle."""
+    b = 1 << (labels[s] - labels[s + 1])
+    j = first // csize & (b - 1)  # C's place in its parent cluster
+    return [(0, at * csize, csize) for at in (j, j + 1) if 0 < at < b]
 
-    This is a faithful replication of ``_HMMSimRun.execute``'s control
-    flow; the Theorem 4 invariants are asserted while building, so every
-    run on the schedule inherits the ``check_invariants="top"`` guarantee.
+
+def _end_round(slot_to_pid, next_step, labels, s, first, csize) -> list:
+    """Steps 3-4 of the round that simulated step ``s`` for the cluster
+    ``[first, first + csize)`` on top: the cluster moves past ``s``, and
+    when the next step is coarser, the swaps of :func:`_step4_swaps`
+    are made on ``slot_to_pid``.  Returns the swaps."""
+    next_step[first : first + csize] = [s + 1] * csize
+    if s + 1 == len(labels) or labels[s + 1] >= labels[s]:
+        return []
+    swaps = _step4_swaps(labels, s, first, csize)
+    for _, at, _ in swaps:
+        top = slot_to_pid[:csize]
+        slot_to_pid[:csize] = slot_to_pid[at : at + csize]
+        slot_to_pid[at : at + csize] = top
+    return swaps
+
+
+def _build_schedule(v, mu, steps, on_round=None) -> ChargePlan:
+    """Walk the Figure 1 scheduler's bookkeeping (no bodies, no clock,
+    no access function) into the run's :class:`ChargePlan`.
+
+    Round by round: the top processor's next step ``s`` names the
+    cluster to simulate; Theorem 4's invariants are asserted for it
+    (Invariant 1, the cluster is ``s``-ready; Invariant 2, it fills the
+    top slots sorted by pid), so every run on a cached schedule inherits
+    the check; then :func:`_end_round` advances the cluster and makes
+    the Step 4 swaps.  ``on_round(r, s, label, slot_to_pid, next_step)``,
+    when given, sees the state at the start of every round ``r`` after
+    the assertions (the simulator's Figure 2 snapshots and its
+    ``check_invariants="full"`` contiguity check); such a walk is never
+    cached.
     """
     n_steps = len(steps)
     labels = [s.label for s in steps]
@@ -165,12 +207,6 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
             tpl[5 * k - 2] = tpl[5 * k - 1] = 0
         return tpl
 
-    def do_swap(a: int, b: int, length: int) -> None:
-        swaps.append((a, b, length))
-        pids_a = slot_to_pid[a : a + length]
-        slot_to_pid[a : a + length] = slot_to_pid[b : b + length]
-        slot_to_pid[b : b + length] = pids_a
-
     while True:
         top_pid = slot_to_pid[0]
         s = next_step[top_pid]
@@ -179,7 +215,6 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
         label = labels[s]
         csize = v >> label
         first = top_pid & -csize
-        # Theorem 4 invariants, asserted once per (v, mu, labels)
         if slot_to_pid[:csize] != list(range(first, first + csize)):
             raise AssertionError(
                 f"Invariant 2 violated at round {len(r_step)}: top slots "
@@ -190,6 +225,8 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
                 f"Invariant 1 violated at round {len(r_step)}: cluster "
                 f"[{first}, {first + csize}) not {s}-ready"
             )
+        if on_round is not None:
+            on_round(len(r_step), s, label, slot_to_pid, next_step)
         r_step.append(s)
         r_first.append(first)
         r_csize.append(csize)
@@ -200,25 +237,9 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
         else:
             a_parts.append(template_for(csize))
         a_len.append(len(a_parts[-1]))
-        for pid in range(first, first + csize):
-            next_step[pid] += 1
-
-        n_swaps_before = len(swaps)
-        done = next_step[slot_to_pid[0]] >= n_steps
-        if not done and s + 1 < n_steps:
-            next_label = labels[s + 1]
-            if next_label < label:
-                b = 1 << (label - next_label)
-                parent_size = v >> next_label
-                parent_first = first & -parent_size
-                j = (first - parent_first) // csize
-                if j > 0:
-                    do_swap(0, j * csize, csize)
-                if j < b - 1:
-                    do_swap(0, (j + 1) * csize, csize)
-        c_len.append(len(swaps) - n_swaps_before)
-        if done:
-            break
+        made = _end_round(slot_to_pid, next_step, labels, s, first, csize)
+        swaps += made
+        c_len.append(len(made))
 
     plan = ChargePlan()
     plan.v = v
@@ -248,7 +269,7 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
         np.repeat(np.arange(plan.R), plan.csize)
     )
     plan.slot_mask = _index_array([(v >> lb) - 1 for lb in labels], v - 1)
-    # the scalar adds' totals, in their key-creation order: delivery
+    # a per-charge run's add totals, in their key-creation order: delivery
     # creates words_touched/messages on every normal round (the run adds
     # its message counts), swaps create their keys whenever one happens
     normal = ~plan.dummy
@@ -287,22 +308,25 @@ def _build_schedule(v, mu, steps) -> ChargePlan:
     return plan
 
 
-def _price(plan: ChargePlan, block_cost, word_cost, table) -> Prices:
+def _price(plan: ChargePlan, table) -> Prices:
     """``plan``'s charges under the access function of ``table``.
 
-    ``block_cost[k]`` is what touching slot ``k``'s context block costs
-    and ``word_cost[k]`` its first word.  A swap of slots ``[a, a+n)``
-    and ``[b, b+n)`` costs ``2.0 * (range_cost(a) + range_cost(b))``
-    over the table's prefix sums: the floats and the order of addition
-    of :meth:`~repro.hmm.machine.HMMMachine.swap_ranges`, so the charges
-    are those of the scalar engine bit for bit.
+    Touching slot ``k``'s context block costs ``range_cost(k mu,
+    (k + 1) mu)`` and its first word ``access(k mu)``; a swap of slots
+    ``[a, a+n)`` and ``[b, b+n)`` costs ``2.0 * (range_cost(a) +
+    range_cost(b))``, in the order of addition of
+    :meth:`~repro.hmm.machine.HMMMachine.swap_ranges`.  Each range cost
+    is a difference of the table's prefix sums, as the table's own
+    methods compute it, so the charges are those of an HMM machine
+    charging one access at a time, bit for bit.
     """
     prefix = table._prefix
+    at = np.arange(plan.v + 1) * plan.mu
     a, b, n = plan.swaps.astype(np.intp) * plan.mu
     return Prices(
-        np.concatenate((block_cost, plan.fixed_values)),
+        np.concatenate((prefix[at[1:]] - prefix[at[:-1]], plan.fixed_values)),
         2.0 * ((prefix[a + n] - prefix[a]) + (prefix[b + n] - prefix[b])),
-        np.array(word_cost, dtype=np.float64),
+        prefix[at[:-1] + 1] - prefix[at[:-1]],
     )
 
 
@@ -313,23 +337,20 @@ def _schedule_for(v: int, mu: int, steps) -> ChargePlan:
     return cached_plan("vec", sig, lambda: _build_schedule(v, mu, steps))
 
 
-def _plan_for(run) -> tuple[ChargePlan, Prices]:
-    """The run's schedule and its prices under the run's access
-    function, from the schedule's memo of recent ones when the function
-    can be hashed."""
-    plan = _schedule_for(run.v, run.mu, run.steps)
-    f = run.sim.f
+def _prices_for(plan: ChargePlan, f) -> Prices:
+    """``plan``'s prices under ``f``, from the schedule's memo of recent
+    functions when ``f`` can be hashed."""
     try:
         prices = plan.prices.get(f)
         hashable = True
     except TypeError:  # a custom access function without value equality
         prices, hashable = None, False
     if prices is None:
-        prices = _price(plan, *run._slot_costs(), run.machine.table)
+        prices = _price(plan, CostTable.shared(f, plan.v * plan.mu))
         if hashable:
             kept = list(plan.prices.items())[: _PRICES_KEPT - 1]
             plan.prices = dict([(f, prices), *kept])
-    return plan, prices
+    return prices
 
 
 # ------------------------------------------------------------- assembly
@@ -341,7 +362,7 @@ def _delivery_stream(plan, wc, step_src, step_dest, rows: int = 1):
     ``None``).  One pass over all the messages, in step order and
     pid-major within a step: each is looked up in the round table, a
     stable sort by round brings them into round order (a round's
-    messages are one step's, so they stay pid-major, the scalar order),
+    messages are one step's, so they stay pid-major, the serial order),
     and each contributes ``wc`` of its source slot, then of its
     destination slot.  A delivering round has its cluster on top sorted
     by pid, so an endpoint's slot is its offset in the cluster.
@@ -419,7 +440,7 @@ def _assemble(plan, prices, step_src, step_dest, rows: int = 1):
 
 # ----------------------------------------------------------- observability
 #: the Fig. 1 scheme's span names by code: ``(name, category, attribute
-#: keys)`` of its opens and leaves, as the scalar engine passes them
+#: keys)`` of its opens and leaves, as a per-charge round loop passes them
 _SPAN_NAMES = (
     ("round", None, ("superstep", "label", "cluster")),
     ("dummy", "dummies", ()),
@@ -432,8 +453,8 @@ _SPAN_NAMES = (
 
 
 def _spans(plan: ChargePlan, b_len) -> Spans:
-    """The scalar engine's span calls at ``b_len``'s stream positions,
-    compiled on the pattern's first traced run.
+    """A per-charge round loop's span calls at ``b_len``'s stream
+    positions, compiled on the pattern's first traced run.
 
     Each kind of row is laid out for every round at once — the round's
     open; a dummy's leaf, or the template's ``local`` leaves at ``5k``
@@ -479,24 +500,29 @@ def _spans(plan: ChargePlan, b_len) -> Spans:
 
 
 # ------------------------------------------------------------------ entry
-def execute_vec(run) -> None:
-    """Vectorized replacement for ``_HMMSimRun._execute_scalar()``:
-    runs the whole program, from the run's initial state."""
-    assert run.round_index == 0, "vec kernel only executes full runs"
-    plan, prices = _plan_for(run)
-    bodies = run_bodies(run.program, run.contexts, run.pending)
-    run.body_pass = bodies.select(run.smoothed.original_steps)
+def execute(program, f, contexts, pending, counters, tracer, on_round=None):
+    """Simulate the smoothed ``program`` from ``contexts`` and
+    ``pending`` (both advanced in place) on its Figure 1 schedule priced
+    under ``f``: the cached schedule, or a fresh walk that calls
+    ``on_round`` (see :func:`_build_schedule`).  Adds the run's counts
+    to ``counters`` and leaves its spans in ``tracer``; returns the
+    charged time, the number of rounds and the body pass."""
+    v, mu, steps = program.v, program.mu, program.supersteps
+    if on_round is None:
+        plan = _schedule_for(v, mu, steps)
+    else:
+        plan = _build_schedule(v, mu, steps, on_round)
+    prices = _prices_for(plan, f)
+    bodies = run_bodies(program, contexts, pending)
     tape, B, b_len = _assemble(plan, prices, bodies.src, bodies.dest)
     pool = np.concatenate(
         (prices.values, bodies.local[plan.local_src], B, prices.C_all)
     )
-    clk = fold(tape.gather, pool, run.machine.time)[0]
-    # same totals and key creation as the scalar adds: two words
-    # touched per message
-    tape.add_counts(run.counters, words_touched=len(B), messages=len(B) // 2)
-    if run.tracer.enabled:
+    clk = fold(tape.gather, pool)[0]
+    # two words touched per message
+    tape.add_counts(counters, words_touched=len(B), messages=len(B) // 2)
+    if tracer.enabled:
         if tape.spans is None:
             tape.spans = _spans(plan, b_len)
-        tape.trace(clk, run.tracer)
-    run.machine.time = float(clk[-1])
-    run.round_index = plan.R
+        tape.trace(clk, tracer)
+    return float(clk[-1]), plan.R, bodies

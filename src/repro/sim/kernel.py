@@ -1,9 +1,9 @@
 """Array primitives and the charge tape shared by the simulation kernels.
 
-The scalar engines interleave *scheduling* (which cluster runs when,
-what every elementary ``time +=`` charges) with *execution* (running
-superstep bodies, moving messages).  The ``vec``, ``bt`` and ``brent``
-simulations split the two: Theorems 5, 12 and 10 all charge a run as a
+A round loop that charges as it goes interleaves *scheduling* (which
+cluster runs when, what every elementary ``time +=`` charges) with
+*execution* (running superstep bodies, moving messages).  The HMM
+(``hmm``/``vec``), ``bt`` and ``brent`` simulations split the two: Theorems 5, 12 and 10 all charge a run as a
 sequence of per-round charges fixed by the schedule, with holes for the
 guest's local times, so each engine compiles its figure into a
 body-independent :class:`Tape` once and folds it per run.  This module

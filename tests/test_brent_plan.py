@@ -32,7 +32,7 @@ from repro.functions import CostTable, LogarithmicAccess, PolynomialAccess
 from repro.obs.counters import Counters
 from repro.obs.trace import Tracer
 from repro.sim.brent import BRENT_PHASES, BrentSimulator
-from repro.sim.hmm_sim import HMMSimulator
+from tests.hmm_oracle import HMMOracle
 
 FUNCTIONS = [PolynomialAccess(0.3), PolynomialAccess(0.5), LogarithmicAccess()]
 _MOD = (1 << 31) - 1
@@ -166,7 +166,7 @@ def _host_by_host(g, v_host: int, program: Program, trace: str):
                     Superstep(s.label - log_vh, s.body and _OffsetBody(s.body, off, v))
                     for s in steps[pos:end]
                 ])
-                res = HMMSimulator(g, trace="counters", kernel="scalar").simulate(
+                res = HMMOracle(g, trace="counters").simulate(
                     local,
                     initial_contexts=contexts[off:off + per_host],
                     initial_pending=[
@@ -261,7 +261,7 @@ def test_plan_matches_host_by_host_scheme(program, g, data, trace):
 @settings(max_examples=40, deadline=None)
 def test_one_host_is_the_hmm_simulation(program, g):
     brent = BrentSimulator(g, v_host=1, trace="counters").simulate(program)
-    hmm = HMMSimulator(g, trace="counters", kernel="scalar").simulate(program)
+    hmm = HMMOracle(g, trace="counters").simulate(program)
     assert brent.time.hex() == hmm.time.hex()
     assert brent.counters == hmm.counters
     assert brent.contexts == hmm.contexts

@@ -35,6 +35,7 @@ from repro.sim.bt_sim import BTSimulator, _BTSimRun
 from repro.sim.hmm_sim import HMMSimulator
 from repro.sim.kernel import PlanCache, plan_cache_info
 from repro.testing import random_program
+from tests.hmm_oracle import HMMOracle
 
 FUNCTIONS = [
     PolynomialAccess(0.3),
@@ -106,8 +107,8 @@ class TestPlanMatchesInline:
         want = _fields(_inline(sim, prog))
         assert _fields(sim.simulate(prog)) == want
         assert _fields(sim.simulate(prog)) == want
-        vec = HMMSimulator(Unhashable(0.5), kernel="vec").simulate(prog)
-        scalar = HMMSimulator(Unhashable(0.5), kernel="scalar").simulate(prog)
+        vec = HMMSimulator(Unhashable(0.5)).simulate(prog)
+        scalar = HMMOracle(Unhashable(0.5)).simulate(prog)
         assert vec.time.hex() == scalar.time.hex()
 
     def test_ablations_run_inline(self):

@@ -121,8 +121,7 @@ class TestRun:
         # a zero-time guest must not fabricate a 0.0 slowdown (the old
         # CLI printed "slowdown = 0.0"); no real program reaches this --
         # even an empty one is padded to a costed global sync -- so fake
-        # the baseline machine.  The scalar kernel pins the separate
-        # direct run (the vec kernel folds the baseline from its own pass)
+        # the baseline machine, on the folded path and the separate run
         import repro.engines as engines_module
 
         class ZeroGuest:
@@ -132,11 +131,14 @@ class TestRun:
             def __init__(self, f, **kwargs):
                 pass
 
+            def fold_time(self, program, bodies):
+                return 0.0
+
             def run(self, program):
                 return ZeroGuest()
 
         monkeypatch.setattr(engines_module, "DBSPMachine", ZeroMachine)
-        res = run("broadcast", engine="hmm", v=8, kernel="scalar")
+        res = run("broadcast", engine="hmm", v=8)
         assert res.baseline_time == 0.0
         assert res.slowdown is None
 

@@ -153,8 +153,6 @@ def counting_program(v: int = 16) -> tuple[Program, list[int]]:
 
 
 FALLBACKS = {
-    "hmm": ("hmm", {"kernel": "scalar"}),
-    "vec-kernel-scalar": ("vec", {"kernel": "scalar"}),
     "bt-mergesort": ("bt", {"sort": "mergesort"}),
     "bt-unchunked": ("bt", {"chunked_compute": False}),
     "brent-vh-v": ("brent", {"v_host": 16}),

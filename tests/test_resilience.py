@@ -6,7 +6,8 @@ seed and the task payload), mid-sweep crashes through the parent-side
 abort hook, ledger damage through :func:`~repro.resilience.faults.
 corrupt_ledger` — so each recovery path is exercised reproducibly:
 
-* worker death → pool rebuild + bounded resubmission (retry policy);
+* worker death → that one worker replaced + bounded resubmission of its
+  task (retry policy);
 * task past its deadline → resubmission with backoff;
 * genuine task exceptions → propagate unchanged on first occurrence,
   never retried;
@@ -92,7 +93,7 @@ def _clean_slate(monkeypatch):
     reset_fallback_warnings()
     yield
     # a chaos test can leave the shared pool with a kill still landing;
-    # shut it down so the next test starts from a fresh executor
+    # shut it down so the next test starts on freshly forked workers
     shared_pool(2).shutdown()
     recovery.reset()
     reset_fallback_warnings()

@@ -1,12 +1,13 @@
-"""The vectorized superstep kernel: bit-identity, composition, contract.
+"""The compiled Fig. 1 scheduler: bit-identity, composition, contract.
 
-The ``vec`` engine's whole claim is *exact* equivalence — ``==`` on
-charged time, counters, breakdowns, contexts, and span tapes, not
-``approx``.  These tests pin that claim against every scalar engine,
-across trace levels, inside Brent fine runs,
-and with fault injection armed; they also exercise the array-kernel
-contract errors and the primitives (`deliver_sorted`, the plan cache,
-the access-function ufunc cache) the kernel is built from.
+The HMM simulation's whole claim is *exact* equivalence with the round
+loop that charges one access at a time (``tests/hmm_oracle.py``) —
+``==`` on charged time, counters, breakdowns, contexts, spans and
+round snapshots, not ``approx``.  These tests pin that claim across
+trace levels, inside Brent fine runs, and with fault injection armed;
+they also exercise the array-kernel contract errors and the primitives
+(`deliver_sorted`, the plan cache, the access-function ufunc cache) the
+kernel is built from.
 """
 
 from __future__ import annotations
@@ -34,23 +35,26 @@ from repro.sim.hmm_vec import plan_cache_info
 from repro.sim.kernel import ArrayView, deliver_sorted, interleave2, ranges_concat
 from repro.testing import random_program
 from tests.conftest import ACCESS_FUNCTIONS, program_zoo
+from tests.hmm_oracle import HMMOracle
 
 F = PolynomialAccess(0.5)
 
 
 def scalar_vs_vec(prog, f=F, trace="counters", **opts):
-    """Run one program under both kernels with identical options."""
-    s = HMMSimulator(f, kernel="scalar", trace=trace, **opts).simulate(prog)
-    v = HMMSimulator(f, kernel="vec", trace=trace, **opts).simulate(prog)
+    """Run one program on the oracle and the simulator, same options."""
+    s = HMMOracle(f, trace=trace, **opts).simulate(prog)
+    v = HMMSimulator(f, trace=trace, **opts).simulate(prog)
     return s, v
 
 
 def assert_identical(s, v):
-    """``==`` everywhere — the vec kernel promises bit-identity."""
+    """``==`` everywhere — the simulator promises bit-identity."""
     assert v.time == s.time
+    assert v.rounds == s.rounds
     assert v.contexts == s.contexts
     assert v.counters == s.counters
     assert v.breakdown == s.breakdown
+    assert v.spans == s.spans
     assert v.trace == s.trace
 
 
@@ -58,10 +62,15 @@ def assert_identical(s, v):
 class TestZooEquivalence:
     """Every library program, every trace level, several access functions."""
 
-    @pytest.mark.parametrize("trace", ["counters", "phases", "full"])
-    def test_zoo_bit_identical(self, trace):
+    @pytest.mark.parametrize("opts", [
+        {"trace": "off"}, {"trace": "counters"}, {"trace": "phases"},
+        {"trace": "full"},
+        # Figure 2's data, with the contiguity check on every round
+        {"record_trace": True, "check_invariants": "full"},
+    ], ids=["off", "counters", "phases", "full", "snapshots"])
+    def test_zoo_bit_identical(self, opts):
         for prog, _ in program_zoo(16):
-            s, v = scalar_vs_vec(prog, trace=trace)
+            s, v = scalar_vs_vec(prog, **opts)
             assert_identical(s, v)
 
     @pytest.mark.parametrize("f", ACCESS_FUNCTIONS, ids=lambda f: f.name)
@@ -84,13 +93,6 @@ class TestZooEquivalence:
             res = run(name, engine=other, v=16, baseline=False)
             assert vec.contexts == res.contexts, other
 
-    def test_vec_engine_reports_kernel_in_meta(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        res = run("sort", engine="vec", v=16, baseline=False)
-        assert res.meta["kernel"] == "vec"
-        scalar = run("sort", engine="hmm", v=16, baseline=False)
-        assert scalar.meta["kernel"] == "scalar"
-
 
 class TestPropertyEquivalence:
     """Seeded random programs (scalar bodies → the per-pid vec path)."""
@@ -110,7 +112,7 @@ class TestPropertyEquivalence:
     def test_random_programs_match_direct(self, seed):
         prog = random_program(16, n_steps=4, seed=seed)
         want = [c["w"] for c in DBSPMachine(F).run(prog.with_global_sync()).contexts]
-        v = HMMSimulator(F, kernel="vec").simulate(prog)
+        v = HMMSimulator(F).simulate(prog)
         assert [c["w"] for c in v.contexts] == want
 
 
@@ -120,10 +122,10 @@ class TestComposition:
     @pytest.mark.parametrize("name", ["sort", "fft-rec", "matmul"])
     def test_one_host_brent_is_the_scalar_hmm_simulation(self, name):
         """At ``v' = 1`` the whole program is one fine run, folded from
-        vec's tape: it must charge what the scalar engine charges."""
+        vec's tape: it must charge what the oracle charges."""
         prog = build_program(name, 16)
         brent = BrentSimulator(F, v_host=1).simulate(prog)
-        hmm = HMMSimulator(F, kernel="scalar").simulate(prog)
+        hmm = HMMOracle(F).simulate(prog)
         assert brent.time.hex() == hmm.time.hex()
         assert brent.counters == hmm.counters
         assert brent.contexts == hmm.contexts
@@ -134,39 +136,27 @@ class TestComposition:
 
 
 class TestKernelSelection:
-    def test_default_is_scalar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert HMMSimulator(F).kernel == "scalar"
+    """One simulator under two engine names, and its option checks."""
 
-    def test_env_var_selects_vec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vec")
-        assert HMMSimulator(F).kernel == "vec"
-        # an explicit kernel= wins over the environment
-        assert HMMSimulator(F, kernel="scalar").kernel == "scalar"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            HMMSimulator(F, kernel="simd")
+    @pytest.mark.parametrize("opts,fragment", [
+        ({"trace": "count"}, "trace level"),
+        ({"check_invariants": "ful"}, "check_invariants"),
+    ], ids=["trace", "check_invariants"])
+    def test_unknown_option_values_rejected(self, opts, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            HMMSimulator(F, **opts)
 
     def test_vec_engine_registered(self):
         assert "vec" in ENGINES
         assert "vec" in ENGINES["vec"].description.lower()
 
-    def test_scalar_fallback_modes_stay_identical(self):
-        """Modes execute_vec does not cover (full invariant checks)
-        silently fall back to scalar — results must be unchanged."""
-        prog = build_program("sort", 16)
-        s = HMMSimulator(F, kernel="scalar", check_invariants="full").simulate(prog)
-        v = HMMSimulator(F, kernel="vec", check_invariants="full").simulate(prog)
-        assert_identical(s, v)
-
 
 class TestPlanCache:
     def test_plan_is_reused_and_bounded(self):
         prog = build_program("sort", 16)
-        HMMSimulator(F, kernel="vec").simulate(prog)
+        HMMSimulator(F).simulate(prog)
         size_after_first = plan_cache_info()["size"]
-        HMMSimulator(F, kernel="vec").simulate(prog)
+        HMMSimulator(F).simulate(prog)
         info = plan_cache_info()
         assert info["size"] == size_after_first  # second run hit the cache
         assert info["size"] <= info["max"]
@@ -175,15 +165,15 @@ class TestPlanCache:
         for v in (4, 8, 16, 32):
             for seed in (1, 2, 3):
                 prog = random_program(v, n_steps=2, seed=seed)
-                HMMSimulator(F, kernel="vec").simulate(prog)
+                HMMSimulator(F).simulate(prog)
         info = plan_cache_info()
         assert info["size"] <= info["max"]
 
 
 # ----------------------------------------------------------------- chaos
 class TestChaosCleanRuns:
-    """REPRO_FAULTS armed: the vec kernel keeps its bit-identity promise
-    (mirrors TestGuardsStayQuietOnCorrectEngine for the scalar engines)."""
+    """REPRO_FAULTS armed: the simulator keeps its bit-identity promise
+    (mirrors TestGuardsStayQuietOnCorrectEngine)."""
 
     @pytest.mark.parametrize("seed", [1, 3, 5, 7])
     def test_faults_env_does_not_perturb_results(

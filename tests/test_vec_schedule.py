@@ -1,4 +1,4 @@
-"""The ``vec`` kernel's schedule, compiled once and priced per function.
+"""The HMM simulation's schedule, compiled once and priced per function.
 
 The Fig. 1 round schedule depends only on ``(v, mu)`` and the smoothed
 label and dummy sequence; the access function only prices its charges.
@@ -7,7 +7,7 @@ So one cached schedule serves every function:
 * generated programs (widths 2 to 64, several ``mu``, dummy steps,
   data-dependent local times and message counts), smoothed alike, run
   under ``f1``, ``f2`` and ``f1`` again on one schedule, each run ``==``
-  the scalar kernel on time, contexts, counters and breakdown;
+  the per-charge oracle on time, contexts, counters and breakdown;
 * a second function on a cached shape is one cache hit and builds no
   schedule;
 * a function that cannot be hashed still reuses the cached schedule
@@ -31,6 +31,7 @@ from repro.sim.hmm_vec import plan_cache_info
 from repro.sim.kernel import interleave2, ranges_concat
 from repro.sim.smoothing import smooth_program
 from repro.testing import random_program
+from tests.hmm_oracle import HMMOracle
 
 FUNCTIONS = [PolynomialAccess(0.3), PolynomialAccess(0.5), LogarithmicAccess()]
 _MOD = (1 << 31) - 1
@@ -75,13 +76,11 @@ def programs(draw) -> Program:
     )
 
 
-def _simulate(f, kernel, prog, trace):
+def _simulate(f, sim, prog, trace):
     # every label kept: the smoothed program, and so the schedule, is
     # the same under every access function
     label_set = list(range(prog.v.bit_length()))
-    return HMMSimulator(f, kernel=kernel, trace=trace).simulate(
-        prog, label_set=label_set
-    )
+    return sim(f, trace=trace).simulate(prog, label_set=label_set)
 
 
 @given(
@@ -94,8 +93,8 @@ def test_one_schedule_priced_under_each_function(prog, pair, trace):
     f1, f2 = pair
     misses = []
     for f in (f1, f2, f1):
-        scalar = _simulate(f, "scalar", prog, trace)
-        vec = _simulate(f, "vec", prog, trace)
+        scalar = _simulate(f, HMMOracle, prog, trace)
+        vec = _simulate(f, HMMSimulator, prog, trace)
         misses.append(plan_cache_info()["misses"])
         assert vec.time == scalar.time
         assert vec.contexts == scalar.contexts
@@ -124,15 +123,15 @@ def _schedule_builds(monkeypatch) -> list:
 
 def test_a_second_function_is_one_hit_and_no_build(monkeypatch):
     prog = _shape(901)
-    _simulate(FUNCTIONS[0], "vec", prog, "counters")
+    _simulate(FUNCTIONS[0], HMMSimulator, prog, "counters")
     builds = _schedule_builds(monkeypatch)
     before = plan_cache_info()
-    vec = _simulate(FUNCTIONS[1], "vec", prog, "counters")
+    vec = _simulate(FUNCTIONS[1], HMMSimulator, prog, "counters")
     after = plan_cache_info()
     assert after["hits"] == before["hits"] + 1
     assert after["misses"] == before["misses"]
     assert builds == []
-    assert vec.time == _simulate(FUNCTIONS[1], "scalar", prog, "counters").time
+    assert vec.time == _simulate(FUNCTIONS[1], HMMOracle, prog, "counters").time
 
 
 def test_an_unhashable_function_reuses_the_schedule(monkeypatch):
@@ -140,13 +139,13 @@ def test_an_unhashable_function_reuses_the_schedule(monkeypatch):
         __hash__ = None
 
     prog = _shape(902)
-    _simulate(FUNCTIONS[0], "vec", prog, "phases")
+    _simulate(FUNCTIONS[0], HMMSimulator, prog, "phases")
     builds = _schedule_builds(monkeypatch)
     f = Unhashable(0.4)
-    want = _simulate(f, "scalar", prog, "phases")
+    want = _simulate(f, HMMOracle, prog, "phases")
     for _ in range(2):
         before = plan_cache_info()
-        vec = _simulate(f, "vec", prog, "phases")
+        vec = _simulate(f, HMMSimulator, prog, "phases")
         assert plan_cache_info()["hits"] == before["hits"] + 1
         assert vec.time.hex() == want.time.hex()
         assert vec.breakdown == want.breakdown
