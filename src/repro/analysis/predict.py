@@ -94,10 +94,14 @@ PROFILE_SCHEMA = 1
 
 #: the default calibration matrix: every engine family over the two
 #: workloads the bench matrix is built on
-CALIBRATION_ENGINES = ("vec", "hmm", "bt", "brent", "direct")
+CALIBRATION_ENGINES = ("vec", "bt", "brent", "direct")
 CALIBRATION_PROGRAMS = ("sort", "fft-rec")
 CALIBRATION_V_GRID = (8, 16, 32, 64)
 CALIBRATION_V_GRID_SMOKE = (8, 16, 32)
+
+#: engines priced with another engine's models: ``hmm`` is ``vec``
+#: under another name (one engine class, :class:`repro.engines.VecEngine`)
+_CALIBRATED_AS = {"hmm": "vec"}
 
 #: band half-width (multiplicative) of a bounds-only prediction — no
 #: calibration evidence for the pair, so the bars are this wide
@@ -282,6 +286,7 @@ class CalibrationProfile:
         self.default_ratio = float(glob.get("default_ratio") or 1.0)
 
     def pair(self, engine: str, program: str) -> "_PairModel | None":
+        engine = _CALIBRATED_AS.get(engine, engine)
         return self.models.get(f"{engine}/{program}")
 
     def to_json(self) -> dict[str, Any]:

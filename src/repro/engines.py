@@ -472,19 +472,6 @@ ENGINES: dict[str, Engine] = {
 }
 
 
-def _direct_baseline(
-    program: Program, f: AccessFunction, bodies: BodyPass | None
-) -> DBSPRunResult:
-    """The full direct run of ``program`` whose total
-    :func:`_baseline_time` gives: folded from ``bodies`` when the pass
-    stands for one, else run separately."""
-    normalized = program.with_global_sync()
-    machine = DBSPMachine(f)
-    if bodies is not None and machine.reproduces(normalized, bodies):
-        return machine.fold(normalized, bodies)
-    return machine.run(normalized)
-
-
 def _baseline_time(
     program: Program, f: AccessFunction, bodies: BodyPass | None
 ) -> float:

@@ -5,13 +5,15 @@ D-BSP superstep costs) to a clock; :mod:`repro.obs` makes those charges
 *inspectable*:
 
 * :class:`~repro.obs.trace.Tracer` — nested spans over an engine's cost
-  clock.  Each span measures the charged-cost delta between open and
-  close and attributes its *self cost* (cost minus children) to a phase
-  category.  Two operating levels: ``phases`` aggregates per-category
-  totals only (cheap, the default — this is what the engines' public
-  ``breakdown`` dicts are views of), ``full`` additionally records every
-  span for export and profiling.  :data:`~repro.obs.trace.NULL_TRACER`
-  turns the whole layer into no-ops.
+  clock, kept as one span table (:class:`~repro.obs.trace.Spans`) that
+  the simulators' compiled charge tapes record too.  Each span measures
+  the charged-cost delta between open and close and attributes its
+  *self cost* (cost minus children) to a phase category.  Two operating
+  levels: ``phases`` reads per-category totals only (cheap, the default
+  — this is what the engines' public ``breakdown`` dicts are views of),
+  ``full`` also reads every span for export and profiling.
+  :data:`~repro.obs.trace.NULL_TRACER` turns the whole layer into
+  no-ops.
 * :class:`~repro.obs.counters.Counters` — a registry of event counters
   (ops, words moved, block transfers, messages, context swaps) updated
   by the machines and simulators through cheap hooks;

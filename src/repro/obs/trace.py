@@ -1,47 +1,68 @@
-"""Nested cost spans over an engine's charged-time clock.
+"""Nested cost spans over a charged-cost clock, kept as one span table.
 
-A :class:`Tracer` is bound to a *clock* — a zero-argument callable
-returning the engine's accumulated charged cost (e.g. ``machine.time``).
-Engines open a span around each scheduler phase (a round, a PACK, a
-delivery sort, ...); the span's **cost** is the clock delta between open
-and close, and its **self cost** is that delta minus the cost of its
-child spans.  Self costs are attributed to *phase categories* (a span
-without a category inherits its parent's), so summing the per-category
-totals partitions the engine's total charged time — this is the
-invariant the breakdown tests pin down.
+A *span walk* is the sequence of ``open``/``add_leaf``/``close`` calls
+an engine makes around its scheduler phases (a round, a PACK, a
+delivery sort, ...).  It is stored as one table (:class:`Spans`): a row
+per call, holding the *positions* in a clock array where the call reads
+the clock.  Both clocks of the package write that table:
 
-Design constraints, in order:
+* a :class:`Tracer` is bound to a live *clock*, a zero-argument
+  callable returning the engine's accumulated charged cost (e.g.
+  ``machine.time``); every call appends the clock values it reads to
+  the tracer's own value array, and its row points into that array;
+* an :class:`EventRecorder`, the tracer's base class, records positions
+  in a clock that does not exist yet: the compiled charge tapes of
+  :mod:`repro.sim.kernel` record their walk once and fold their clock
+  once per run.
 
-1. Opening/closing a span in ``phases`` mode must cost a handful of
-   Python operations — the engines open spans inside their innermost
-   scheduler loops, and the charged-cost accounting must not slow down
-   measurably when profiling is off.  Hot paths therefore use the
-   explicit :meth:`Tracer.open` / :meth:`Tracer.close` pair; the
-   :meth:`Tracer.span` context manager is sugar over them.
-2. ``full`` mode records a :class:`SpanRecord` per span (bounded by
-   ``max_spans``) carrying enough structure (index/parent/depth) to
-   rebuild the tree for export and profiling.
-3. :data:`NULL_TRACER` must make the entire layer disappear: every
-   method is a no-op and no state is kept.
+A span's **cost** is the clock delta between open and close; its
+**self cost** is that delta minus the cost of its child spans.  Self
+costs are attributed to *phase categories* (a span without a category
+inherits its parent's; a root span without one counts as ``"other"``),
+so the per-category totals partition the traced time — the invariant
+the breakdown tests pin down.  What a caller reads is a view of the
+table over a clock array: the totals are :func:`fold_phases` over the
+walk compiled by :func:`phase_events` (two ``np.bincount`` calls), the
+spans the :class:`SpanRecord` list of :func:`span_records`, which
+results and exports carry.  Opening and closing a span appends one row
+and a clock value, so engines can trace inside their scheduler loops;
+:data:`NULL_TRACER` makes the whole layer disappear (every method is a
+no-op and no state is kept).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "SpanRecord",
+    "Spans",
+    "EventRecorder",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
     "OTHER",
+    "PhaseEvents",
+    "phase_events",
+    "fold_phases",
+    "span_records",
     "tag_spans",
     "merge_span_lists",
 ]
 
 #: category that uncategorized root-level self cost is attributed to
 OTHER = "other"
+
+#: spans a walk's :class:`SpanRecord` list keeps at most, bounding trace
+#: memory on huge runs (the phase totals still count every span)
+MAX_SPANS = 1 << 20
+
+#: span table row kinds
+LEAF, OPEN, CLOSE = range(3)
 
 
 @dataclass
@@ -134,6 +155,282 @@ def merge_span_lists(lists: list[list[SpanRecord]]) -> list[SpanRecord]:
     return merged
 
 
+# ---------------------------------------------------------------- table
+class Spans(NamedTuple):
+    """A span walk by clock position: the tracer calls, with the
+    positions in a clock array where each call reads the clock.
+
+    ``rows[k] = (kind, code, start, end)``: an ``OPEN`` or ``CLOSE``
+    at position ``start`` (the clock ``open``/``close`` reads is
+    ``clk[start]``), or a ``LEAF`` from ``start`` to ``end``.
+    ``names[code]`` is ``(name, category, attribute keys)`` (a close's
+    code is unused), and ``attrs`` holds the attribute values of every
+    open with keys, in row order.
+    """
+
+    rows: np.ndarray
+    names: tuple[tuple[str, str | None, tuple[str, ...]], ...]
+    attrs: tuple
+
+
+class EventRecorder:
+    """Records a span walk into a :class:`Spans` table.
+
+    ``open``/``add_leaf``/``close`` append one row each; ``clock`` and
+    the leaf bounds give *positions* (indices into the clock array the
+    walk will be read over, such as a tape's folded clock).  A compiler
+    that knows its positions passes them as ``at``.  :class:`Tracer`
+    is this recorder over a live clock.
+    """
+
+    enabled = True
+    #: whether callers pass ``open`` its span attributes (a live tracer
+    #: keeps them only in ``full`` mode)
+    record = True
+
+    def __init__(self, clock: Callable[[], Any] | None = None) -> None:
+        self.clock = clock
+        self._rows = array("q")
+        self._names: dict[tuple, int] = {}
+        self._attrs: list = []
+        self._open: list[str] = []  # names of the open spans, outermost first
+
+    def _code(self, name: str, category: str | None, keys=()) -> int:
+        return self._names.setdefault((name, category, keys), len(self._names))
+
+    def open(
+        self,
+        name: str,
+        category: str | None = None,
+        attrs: dict[str, Any] | None = None,
+        at: int | None = None,
+    ) -> None:
+        """Open a span (pair with :meth:`close`)."""
+        keys = ()
+        if attrs:
+            keys = tuple(attrs)
+            self._attrs.extend(attrs.values())
+        at = self.clock() if at is None else at
+        self._rows.extend((OPEN, self._code(name, category, keys), at, 0))
+        self._open.append(name)
+
+    def add_leaf(self, name: str, category: str, start: int, end: int) -> None:
+        """A childless span from ``start`` to ``end``, in one row."""
+        self._rows.extend((LEAF, self._code(name, category), start, end))
+
+    def close(self, at: int | None = None) -> None:
+        """Close the innermost open span."""
+        self._open.pop()
+        at = self.clock() if at is None else at
+        self._rows.extend((CLOSE, 0, at, 0))
+
+    def walk(self) -> Spans:
+        """The table recorded so far, its rows in their smallest type
+        (compiled tapes keep theirs cached)."""
+        rows = np.frombuffer(self._rows, dtype=np.int64).reshape(-1, 4)
+        return Spans(
+            rows.astype(np.min_scalar_type(rows.max(initial=0))),
+            tuple(self._names),
+            tuple(self._attrs),
+        )
+
+    def table(self) -> "PhaseEvents":
+        """The walk compiled for :func:`fold_phases`."""
+        return phase_events(self.walk())
+
+    def assert_closed(self) -> None:
+        """Raise if any span is still open (engine bookkeeping bug)."""
+        if self._open:
+            raise AssertionError(
+                f"unclosed spans at end of run: {' > '.join(self._open)}"
+            )
+
+
+class PhaseEvents(NamedTuple):
+    """A span walk compiled into rows, for :func:`fold_phases`.
+
+    One row per leaf and per close of the walk, in call order: row
+    ``k`` has category ``names[category[k]]``, covers the clock from
+    ``clk[start[k]]`` to ``clk[end[k]]`` and lies inside the span
+    closed at row ``parent[k]`` (``len(category)`` for a root row).
+    ``names`` is in order of first appearance.
+    """
+
+    names: tuple[str, ...]
+    category: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    parent: np.ndarray
+
+
+def phase_events(spans: Spans) -> PhaseEvents:
+    """Compile a closed span walk into its :class:`PhaseEvents` rows.
+
+    A span opened without a category inherits its parent's, and a root
+    span without one counts as ``"other"``.
+    """
+    names: dict[str, int] = {}
+    #: per row: category code, start, end, open index of the enclosing span
+    out: list[tuple[int, int, int, int]] = []
+    close_row: list[int] = []  # row of each open's close
+    stack: list[tuple[str | None, int, int]] = []
+    for kind, code, t0, t1 in spans.rows.tolist():
+        cat = spans.names[code][1]
+        if kind == OPEN:
+            if cat is None and stack:
+                cat = stack[-1][0]
+            stack.append((cat, t0, len(close_row)))
+            close_row.append(-1)
+            continue
+        if kind == CLOSE:  # from the open's position to the close's
+            t1 = t0
+            cat, t0, index = stack.pop()
+            close_row[index] = len(out)
+        key = names.setdefault(OTHER if cat is None else cat, len(names))
+        out.append((key, t0, t1, stack[-1][2] if stack else -1))
+    assert not stack, "unclosed spans in a span walk"
+    category, start, end, parent = np.array(out, dtype=np.int64).reshape(-1, 4).T
+    # root rows point one past the last row: a bin nobody reads
+    close_row.append(len(out))
+    pos_type = np.min_scalar_type(end.max(initial=0))
+    return PhaseEvents(
+        tuple(names),
+        category.astype(np.min_scalar_type(len(names))),
+        start.astype(pos_type),
+        end.astype(pos_type),
+        np.array(close_row)[parent].astype(np.min_scalar_type(len(out))),
+    )
+
+
+def fold_phases(events: PhaseEvents, clk) -> dict[str, float]:
+    """Per-category self-cost totals of a compiled walk over ``clk``.
+
+    The serial sums, bit for bit: a row's cost is ``clk[end] -
+    clk[start]``, a span's child cost is the sum of its child rows'
+    costs in call order (one ``bincount``), its self cost is cost minus
+    child cost (a leaf has no children), and each category's total is
+    the sum of its rows' self costs in call order (a second
+    ``bincount``), keyed in order of first appearance.  ``bincount``
+    adds its weights one at a time from ``0.0``, the order of a running
+    ``+=`` — unlike ``np.add.reduce``, which may add pairwise.
+
+    Two rounds, the first with a swap span inside it, walked once by a
+    tracer over the clock and once by a recorder over its positions:
+
+    >>> clk = [0.0, 0.1, 0.3, 0.7, 1.5, 3.1]
+    >>> pos = 0
+    >>> tracer = Tracer(clock=lambda: clk[pos])
+    >>> rec = EventRecorder(clock=lambda: pos)
+    >>> for walker, at in ((tracer, clk), (rec, range(len(clk)))):
+    ...     for first, last in ((0, 3), (3, 5)):
+    ...         pos = first
+    ...         walker.open("round")
+    ...         walker.add_leaf("local", "local", at[first], at[first + 1])
+    ...         if last - first == 3:
+    ...             pos = first + 1
+    ...             walker.open("cycle-swaps", "swaps")
+    ...             walker.add_leaf("swap", "swaps", at[first + 1], at[last])
+    ...             pos = last
+    ...             walker.close()
+    ...         pos = last
+    ...         walker.close()
+    >>> events = rec.table()
+    >>> events.names
+    ('local', 'swaps', 'other')
+    >>> totals = fold_phases(events, clk)
+    >>> list(totals) == list(tracer.totals)
+    True
+    >>> [x.hex() for x in totals.values()] == [
+    ...     x.hex() for x in tracer.totals.values()]
+    True
+    """
+    clk = np.asarray(clk, dtype=np.float64)
+    n = len(events.category)
+    cost = clk[events.end] - clk[events.start]
+    child = np.bincount(events.parent, weights=cost, minlength=n + 1)[:n]
+    totals = np.bincount(
+        events.category, weights=cost - child, minlength=len(events.names)
+    )
+    return dict(zip(events.names, totals.tolist()))
+
+
+def span_records(spans: Spans, clk, limit: int = MAX_SPANS) -> list[SpanRecord]:
+    """The first ``limit`` spans of a closed walk over ``clk``, in
+    open order.
+
+    A span starts and ends at ``clk`` of its positions; its cost is
+    ``end - start`` and its self cost the cost minus its children's
+    costs, added one at a time in call order, as :func:`fold_phases`
+    adds them.  A span without a category takes its parent's, and a
+    root span without one gets ``"other"``.  Spans past ``limit`` are
+    not kept but still count in their ancestors' self costs.
+
+    The two clocks make one table: a live tracer and a recorder over
+    positions, walked through the same calls, record the same rows but
+    for their positions, and give the same spans:
+
+    >>> clk = [0.0, 0.5, 2.0]
+    >>> pos = 0
+    >>> tracer = Tracer(clock=lambda: clk[pos], record=True)
+    >>> rec = EventRecorder(clock=lambda: pos)
+    >>> for walker, at in ((tracer, clk), (rec, range(3))):
+    ...     pos = 0
+    ...     walker.open("round", None, {"superstep": 4})
+    ...     walker.add_leaf("local", "local", at[0], at[1])
+    ...     pos = 2
+    ...     walker.close()
+    >>> live, compiled = tracer.walk(), rec.walk()
+    >>> live.names == compiled.names and live.attrs == compiled.attrs
+    True
+    >>> live.rows[:, :2].tolist() == compiled.rows[:, :2].tolist()
+    True
+    >>> span_records(compiled, clk) == tracer.spans
+    True
+    >>> [(s.name, s.category, s.cost, s.self_cost, s.attrs)
+    ...  for s in tracer.spans]
+    [('round', 'other', 2.0, 1.5, {'superstep': 4}), ('local', 'local', 0.5, 0.5, {})]
+    """
+    clk = np.asarray(clk, dtype=np.float64)
+    rows = spans.rows
+    attrs = iter(spans.attrs)
+    out: list[SpanRecord] = []
+    #: per open span: [start, child cost, category, its record or None]
+    stack: list[list] = []
+    for kind, code, now, end in zip(
+        rows[:, 0].tolist(),
+        rows[:, 1].tolist(),
+        clk[rows[:, 2]].tolist(),
+        clk[rows[:, 3]].tolist(),
+    ):
+        if kind == CLOSE:
+            start, child, _, rec = stack.pop()
+            cost = now - start
+            if rec is not None:
+                rec.end, rec.cost, rec.self_cost = now, cost, cost - child
+        else:
+            name, category, keys = spans.names[code]
+            if category is None:
+                category = stack[-1][2] if stack else OTHER
+            values = {key: next(attrs) for key in keys}
+            rec = None
+            if len(out) < limit:
+                parent = stack[-1][3].index if stack else -1
+                rec = SpanRecord(
+                    len(out), parent, len(stack), name, category, now, attrs=values
+                )
+                out.append(rec)
+            if kind == OPEN:
+                stack.append([now, 0.0, category, rec])
+                continue
+            cost = end - now
+            if rec is not None:
+                rec.end, rec.cost, rec.self_cost = end, cost, cost
+        if stack:
+            stack[-1][1] += cost
+    return out
+
+
+# ---------------------------------------------------------------- tracer
 class _SpanContext:
     """Context-manager sugar over ``Tracer.open``/``Tracer.close``."""
 
@@ -158,8 +455,13 @@ class _SpanContext:
         self.tracer.close()
 
 
-class Tracer:
-    """Span emitter bound to a charged-cost clock.
+class Tracer(EventRecorder):
+    """A span recorder bound to a live charged-cost clock.
+
+    Every call appends the clock values it reads (the clock at ``open``
+    and ``close``, a leaf's bounds) to the tracer's value array and a
+    row pointing at them to its table; :attr:`totals`, :attr:`counts`
+    and :attr:`spans` are views of the closed walk over those values.
 
     Parameters
     ----------
@@ -168,32 +470,23 @@ class Tracer:
         charged cost.  Spans measure deltas of this clock, so wall time
         never enters the picture — traces are deterministic.
     record:
-        Keep a :class:`SpanRecord` per span (``full`` mode).  Off by
-        default: only per-category totals are aggregated.
+        Keep span attributes and report :attr:`spans` (``full`` mode).
+        Off by default: only the per-category views are read.
     max_spans:
-        Recording stops (aggregation continues) once this many spans
-        have been stored, bounding trace memory on huge runs.
+        :attr:`spans` keeps at most this many (the totals still count
+        every span), bounding trace memory on huge runs.
     """
-
-    enabled = True
 
     def __init__(
         self,
         clock: Callable[[], float],
         record: bool = False,
-        max_spans: int = 1 << 20,
+        max_spans: int = MAX_SPANS,
     ):
-        self.clock = clock
+        super().__init__(clock)
         self.record = record
         self.max_spans = max_spans
-        self.spans: list[SpanRecord] = []
-        #: per-category self-cost totals (the breakdown substrate)
-        self.totals: dict[str, float] = {}
-        #: per-category span counts
-        self.counts: dict[str, int] = {}
-        # frame: [name, effective_category, start, child_cost, record_index]
-        self._stack: list[list] = []
-        self._truncated = 0
+        self._clk = array("d")
 
     # ----------------------------------------------------------- span API
     def span(
@@ -212,28 +505,8 @@ class Tracer:
         attrs: dict[str, Any] | None = None,
     ) -> None:
         """Open a span; hot-path form (pair with :meth:`close`)."""
-        stack = self._stack
-        if category is None and stack:
-            category = stack[-1][1]
-        now = self.clock()
-        index = -1
-        if self.record:
-            if len(self.spans) < self.max_spans:
-                index = len(self.spans)
-                self.spans.append(
-                    SpanRecord(
-                        index=index,
-                        parent=stack[-1][4] if stack else -1,
-                        depth=len(stack),
-                        name=name,
-                        category=category if category is not None else OTHER,
-                        start=now,
-                        attrs=attrs or {},
-                    )
-                )
-            else:
-                self._truncated += 1
-        stack.append([name, category, now, 0.0, index])
+        self._clk.append(self.clock())
+        super().open(name, category, attrs, len(self._clk) - 1)
 
     def add_leaf(self, name: str, category: str, start: float, end: float) -> None:
         """Record a childless span in one call — hottest-path form.
@@ -241,55 +514,47 @@ class Tracer:
         Exactly equivalent to ``open(name, category)`` with the clock at
         ``start`` followed by ``close()`` with the clock at ``end`` and no
         children opened in between: same totals, same counts, same parent
-        child-cost attribution, same recorded span (in ``full`` mode), all
-        computed with the identical float arithmetic.  Engines use it
-        around their innermost charging blocks, where the open/close pair
-        itself shows up in wall-clock profiles.
+        child-cost attribution, same recorded span, all computed with the
+        identical float arithmetic.  Engines use it around their
+        innermost charging blocks.
         """
-        cost = end - start
-        self.totals[category] = self.totals.get(category, 0.0) + cost
-        self.counts[category] = self.counts.get(category, 0) + 1
-        stack = self._stack
-        if stack:
-            stack[-1][3] += cost
-        if self.record:
-            if len(self.spans) < self.max_spans:
-                index = len(self.spans)
-                self.spans.append(
-                    SpanRecord(
-                        index=index,
-                        parent=stack[-1][4] if stack else -1,
-                        depth=len(stack),
-                        name=name,
-                        category=category,
-                        start=start,
-                        end=end,
-                        cost=cost,
-                        self_cost=cost,
-                    )
-                )
-            else:
-                self._truncated += 1
+        self._clk.extend((start, end))
+        super().add_leaf(name, category, len(self._clk) - 2, len(self._clk) - 1)
 
     def close(self) -> None:
-        """Close the innermost open span, attributing its self cost."""
-        frame = self._stack.pop()
-        category, start, child_cost, index = frame[1], frame[2], frame[3], frame[4]
-        now = self.clock()
-        cost = now - start
-        self_cost = cost - child_cost
-        key = category if category is not None else OTHER
-        self.totals[key] = self.totals.get(key, 0.0) + self_cost
-        self.counts[key] = self.counts.get(key, 0) + 1
-        if self._stack:
-            self._stack[-1][3] += cost
-        if index >= 0:
-            rec = self.spans[index]
-            rec.end = now
-            rec.cost = cost
-            rec.self_cost = self_cost
+        """Close the innermost open span."""
+        self._clk.append(self.clock())
+        super().close(len(self._clk) - 1)
 
-    # ------------------------------------------------------------ queries
+    # ------------------------------------------------------------- views
+    @property
+    def totals(self) -> dict[str, float]:
+        """Per-category self-cost totals (the breakdown substrate), in
+        order of first appearance."""
+        return fold_phases(self.table(), self._clk)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Per-category span counts."""
+        events = self.table()
+        counts = np.bincount(events.category, minlength=len(events.names))
+        return dict(zip(events.names, counts.tolist()))
+
+    @property
+    def spans(self) -> list[SpanRecord]:
+        """The recorded spans (``record`` only; at most ``max_spans``)."""
+        if not self.record:
+            return []
+        return span_records(self.walk(), self._clk, self.max_spans)
+
+    @property
+    def truncated_spans(self) -> int:
+        """Spans counted but not kept in :attr:`spans`."""
+        if not self.record:
+            return 0
+        opened = np.count_nonzero(self.walk().rows[:, 0] != CLOSE)
+        return max(0, int(opened) - self.max_spans)
+
     def phase_totals(self, drop_empty_other: bool = True) -> dict[str, float]:
         """Per-category self-cost totals; their sum is the traced time.
 
@@ -297,21 +562,10 @@ class Tracer:
         dropped when zero (engines that categorize every charge never
         show it).
         """
-        totals = dict(self.totals)
+        totals = self.totals
         if drop_empty_other and totals.get(OTHER) == 0.0:
             del totals[OTHER]
         return totals
-
-    @property
-    def truncated_spans(self) -> int:
-        """Spans aggregated but not recorded (``max_spans`` exceeded)."""
-        return self._truncated
-
-    def assert_closed(self) -> None:
-        """Raise if any span is still open (engine bookkeeping bug)."""
-        if self._stack:
-            names = " > ".join(frame[0] for frame in self._stack)
-            raise AssertionError(f"unclosed spans at end of run: {names}")
 
 
 class NullTracer:

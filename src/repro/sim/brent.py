@@ -52,8 +52,9 @@ program — taken from the same cache under ``"vec"`` and priced with
 3. folds each fine run's per-host Section 3 charge streams as the rows
    of one tape from the ``vec`` kernel's assembler (padding at a row's
    end adds 0.0, leaving its sum unchanged) and charges the largest row;
-4. folds the host clock's tape and, at ``phases``/``full``, folds the
-   breakdown from its span table or replays it into the tracer.
+4. folds the host clock's tape and, at ``phases``/``full``, reads the
+   breakdown (and at ``full`` the spans) from its span table over the
+   folded clock (:meth:`Tape.trace <repro.sim.kernel.Tape.trace>`).
 
 The pass indexes the original program's supersteps, so it is kept on
 the result (``BrentSimResult.body_pass``) and :func:`repro.run` folds
@@ -97,11 +98,10 @@ from repro.dbsp.cluster import cluster_size, log2_exact
 from repro.dbsp.program import Program, Superstep
 from repro.functions import AccessFunction, CostTable
 from repro.obs.counters import Counters
-from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
+from repro.obs.trace import EventRecorder, SpanRecord
 from repro.sim.hmm_vec import _assemble, _price, _schedule_for
 from repro.sim.kernel import (
     BodyPass,
-    EventRecorder,
     Tape,
     cached_plan,
     fold,
@@ -215,17 +215,14 @@ class BrentSimulator:
             for kind, first, n, start, end in plan.runs
         ]
 
-        tracer = NULL_TRACER
-        if self.trace in ("phases", "full"):
-            tracer = Tracer(clock=lambda: 0.0, record=(self.trace == "full"))
-            plan.tape.trace(clk, tracer)
+        totals, spans = plan.tape.trace(clk, self.trace)
         coarse_messages, fine_messages = messages
         registry = Counters()
         plan.tape.add_counts(
             registry, messages=coarse_messages + fine_messages,
             words_touched=2 * fine_messages,
         )
-        breakdown, counters = observed(self.trace, tracer, registry, BRENT_PHASES)
+        breakdown, counters = observed(self.trace, totals, registry, BRENT_PHASES)
         return BrentSimResult(
             contexts=contexts,
             time=float(clk[-1]),
@@ -233,7 +230,7 @@ class BrentSimulator:
             runs=runs,
             breakdown=breakdown,
             counters=counters,
-            spans=tracer.spans,
+            spans=spans,
             body_pass=bodies,
         )
 
@@ -395,7 +392,7 @@ class _BrentPlan:
         for fine in self.fine:
             for name, amount in [*fine.plan.counts.items(), ("rounds", fine.plan.R)]:
                 counts[name] = counts.get(name, 0) + v_host * amount
-        self.tape = Tape(gather, spans.spans(), counts)
+        self.tape = Tape(gather, spans.walk(), counts)
         #: every guest of every coarse body step, step-major
         self.body_guests = (
             np.array(body_steps, dtype=np.int64)[:, None] * v + np.arange(v)

@@ -42,18 +42,19 @@ then executes the bodies in the shared superstep-major pass
 (:func:`repro.sim.kernel.run_bodies`), lays their local times into the
 tape's pool and folds it with one ``np.cumsum``
 (:func:`~repro.sim.kernel.fold`) — the serial ``t += c`` sums bit for
-bit, intermediate clocks included.  At ``phases`` the recorded span
-table, compiled once per plan, folds to the breakdown with two
-``np.bincount`` calls (:func:`~repro.sim.kernel.fold_phases`); at
-``full``, which records every span, the tracer replays it against the
-folded clock (:func:`~repro.sim.kernel.replay`).  The pass, mapped
+bit, intermediate clocks included.  The recorded span table is the
+one a live :class:`~repro.obs.trace.Tracer` writes, read over the
+folded clock: at ``phases``, compiled once per plan, it folds to the
+breakdown with two ``np.bincount`` calls
+(:func:`~repro.obs.trace.fold_phases`); at ``full`` it also gives the
+spans (:func:`~repro.obs.trace.span_records`).  The pass, mapped
 back onto the original supersteps, is kept on the result
 (``BTSimResult.body_pass``) for :func:`repro.run` to fold the direct
 baseline from.  The two ablations run the same round loop *inline*:
-bodies at their round, charges straight onto the machine clock.
-``sort="mergesort"`` must, because its merge sort charges the machine
-directly, on the tags of the messages the bodies send;
-``chunked_compute=False`` charges fixed addresses, but through
+bodies at their round, charges straight onto the machine clock, spans
+into a live tracer.  ``sort="mergesort"`` must, because its merge sort
+charges the machine directly, on the tags of the messages the bodies
+send; ``chunked_compute=False`` charges fixed addresses, but through
 ``machine.touch_range``, past the recording sink.
 """
 
@@ -72,10 +73,9 @@ from repro.dbsp.cluster import cluster_of, cluster_size
 from repro.dbsp.program import Message, ProcView, Program
 from repro.functions import AccessFunction
 from repro.obs.counters import NULL_COUNTERS, Counters
-from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
+from repro.obs.trace import NULL_TRACER, EventRecorder, SpanRecord, Tracer
 from repro.sim.kernel import (
     BodyPass,
-    EventRecorder,
     Tape,
     cached_plan,
     deliver_sorted,
@@ -191,10 +191,9 @@ class BTSimulator:
             label_set = build_label_set_bt(self.f, program.v, program.mu, self.c2)
         smoothed = smooth_program(program, label_set)
         run = _BTSimRun(self, smoothed)
-        run.execute()
-        run.tracer.assert_closed()
+        totals, spans = run.execute()
         breakdown, counters = observed(
-            self.trace, run.tracer, run.counters, BT_PHASES, run.round_index
+            self.trace, totals, run.counters, BT_PHASES, run.round_index
         )
         return BTSimResult(
             contexts=run.contexts,
@@ -206,7 +205,7 @@ class BTSimulator:
             layout_trace=run.layout_trace,
             breakdown=breakdown,
             counters=counters,
-            spans=run.tracer.spans,
+            spans=spans,
             body_pass=run.body_pass,
         )
 
@@ -221,7 +220,7 @@ class _Recorder:
     """Writes the round loop's charges into a tape, by stream position.
 
     ``now()`` is the number of operands emitted so far: the spans go to
-    an :class:`~repro.sim.kernel.EventRecorder` over positions.  A round
+    an :class:`~repro.obs.trace.EventRecorder` over positions.  A round
     replays the same few dozen distinct charges, so the stream is kept
     as codes into its distinct values, and ``-1`` for a hole (the next
     local time of ``hole_src``).  Everything is appended to flat typed
@@ -297,7 +296,9 @@ class _BTSimRun:
         self.machine = BTMachine(
             sim.f, self.n_slots * self.mu, op_cost=0.0, counters=self.counters
         )
-        if sim.trace in ("off", "counters"):
+        # the live tracer serves the inline ablations; a planned run
+        # reads its spans from the plan's tape
+        if sim.trace in ("off", "counters") or self._plannable():
             self.tracer = NULL_TRACER
         else:
             machine = self.machine
@@ -454,11 +455,13 @@ class _BTSimRun:
         the schedule (not so for the two ablations)."""
         return self.sim.sort != "mergesort" and self.sim.chunked_compute
 
-    def execute(self) -> None:
+    def execute(self) -> tuple[dict[str, float], list[SpanRecord]]:
+        """Run the simulation; returns its phase totals and spans."""
         if not self._plannable():
             self._rounds()
-            return
-        self._run_plan(self._plan())
+            self.tracer.assert_closed()
+            return self.tracer.totals, self.tracer.spans
+        return self._run_plan(self._plan())
 
     def _plan(self) -> _BTPlan:
         """The cached plan of this run's key, recorded on a miss."""
@@ -488,7 +491,7 @@ class _BTSimRun:
         return _BTPlan(
             Tape(
                 gather.astype(np.min_scalar_type(n_pool)),
-                rec.tracer.spans(),
+                rec.tracer.walk(),
                 rec.counts.snapshot(),
             ),
             np.array(list(rec.values), dtype=np.float64),
@@ -498,8 +501,11 @@ class _BTSimRun:
             tuple(self.layout_trace),
         )
 
-    def _run_plan(self, plan: _BTPlan) -> None:
-        """Run the bodies in the shared pass and fold the plan's tape."""
+    def _run_plan(
+        self, plan: _BTPlan
+    ) -> tuple[dict[str, float], list[SpanRecord]]:
+        """Run the bodies in the shared pass and fold the plan's tape;
+        returns the phase totals and spans read from its span table."""
         bodies = run_bodies(self.program, self.contexts, self.pending)
         self.body_pass = bodies.select(self.smoothed.original_steps)
         machine = self.machine
@@ -512,8 +518,8 @@ class _BTSimRun:
             self.counters,
             messages=sum(len(s) for s in bodies.src if s is not None),
         )
-        plan.tape.trace(clk, self.tracer)
         machine.time = float(clk[-1])
+        return plan.tape.trace(clk, self.sim.trace)
 
     def _rounds(self) -> None:
         """The Fig. 5 round loop, reporting every charge to the sink."""

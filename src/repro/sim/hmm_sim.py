@@ -37,7 +37,7 @@ import numpy as np
 from repro.dbsp.program import Message, Program
 from repro.functions import AccessFunction
 from repro.obs.counters import NULL_COUNTERS, Counters
-from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
+from repro.obs.trace import SpanRecord
 from repro.sim.hmm_vec import execute
 from repro.sim.kernel import BodyPass, observed
 from repro.sim.smoothing import SmoothedProgram, build_label_set_hmm, smooth_program
@@ -193,11 +193,6 @@ class HMMSimulator:
         smoothed = smooth_program(program, label_set)
         prog = smoothed.program
         counters = NULL_COUNTERS if self.trace == "off" else Counters()
-        if self.trace in ("off", "counters"):
-            tracer = NULL_TRACER
-        else:
-            # the clock is the folded one, bound while spans replay
-            tracer = Tracer(clock=lambda: 0.0, record=(self.trace == "full"))
         contexts = (
             initial_contexts
             if initial_contexts is not None
@@ -210,13 +205,12 @@ class HMMSimulator:
             else [[] for _ in range(prog.v)]
         )
         snapshots: list[RoundSnapshot] = []
-        time, rounds, bodies = execute(
-            prog, self.f, contexts, pending, counters, tracer,
+        time, rounds, bodies, (totals, spans) = execute(
+            prog, self.f, contexts, pending, counters, self.trace,
             self._round_hook(smoothed.label_set, snapshots),
         )
-        tracer.assert_closed()
         breakdown, counters = observed(
-            self.trace, tracer, counters, HMM_PHASES, rounds
+            self.trace, totals, counters, HMM_PHASES, rounds
         )
         fresh = initial_contexts is None and initial_pending is None
         return HMMSimResult(
@@ -229,7 +223,7 @@ class HMMSimulator:
             pending=pending,
             breakdown=breakdown,
             counters=counters,
-            spans=tracer.spans,
+            spans=spans,
             body_pass=bodies.select(smoothed.original_steps) if fresh else None,
         )
 

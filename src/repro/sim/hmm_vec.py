@@ -30,13 +30,13 @@ of a per-charge run's ``add`` calls (amounts *and* key-creation order).
 The span structure of a run — which open/leaf/close calls a per-charge
 round loop makes, at which stream positions — is fixed by the plan and
 the per-round message counts, so it is compiled into the tape's span
-table on the pattern's first traced run.  At ``phases`` the breakdown
-is two ``np.bincount`` folds over the clock
-(:func:`~repro.sim.kernel.fold_phases`), with no tracer call per span;
-at ``full``, which records every span, the table drives the real
-:class:`~repro.obs.trace.Tracer` against the folded clock
-(:func:`~repro.sim.kernel.replay`).  The per-charge loop itself is kept
-under ``tests/`` as the oracle these results are compared ``==``
+table — the table a live :class:`~repro.obs.trace.Tracer` writes — on
+the pattern's first traced run, and read over the folded clock with no
+tracer call per span: at ``phases`` the breakdown is two
+``np.bincount`` folds (:func:`~repro.obs.trace.fold_phases`), and at
+``full`` the spans come from the same table
+(:func:`~repro.obs.trace.span_records`).  The per-charge loop itself is
+kept under ``tests/`` as the oracle these results are compared ``==``
 against.
 
 Bodies run in the shared superstep-major pass
@@ -64,11 +64,8 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.functions import CostTable
+from repro.obs.trace import CLOSE, LEAF, OPEN, Spans
 from repro.sim.kernel import (
-    CLOSE,
-    LEAF,
-    OPEN,
-    Spans,
     Tape,
     cached_plan,
     fold,
@@ -495,18 +492,19 @@ def _spans(plan: ChargePlan, b_len) -> Spans:
     return Spans(
         rows.astype(np.min_scalar_type(rows.max(initial=0))),
         _SPAN_NAMES,
-        attrs.ravel(),
+        tuple(attrs.ravel().tolist()),
     )
 
 
 # ------------------------------------------------------------------ entry
-def execute(program, f, contexts, pending, counters, tracer, on_round=None):
+def execute(program, f, contexts, pending, counters, trace, on_round=None):
     """Simulate the smoothed ``program`` from ``contexts`` and
     ``pending`` (both advanced in place) on its Figure 1 schedule priced
     under ``f``: the cached schedule, or a fresh walk that calls
     ``on_round`` (see :func:`_build_schedule`).  Adds the run's counts
-    to ``counters`` and leaves its spans in ``tracer``; returns the
-    charged time, the number of rounds and the body pass."""
+    to ``counters``; returns the charged time, the number of rounds, the
+    body pass and the phase totals and spans at trace level ``trace``
+    (:meth:`Tape.trace <repro.sim.kernel.Tape.trace>`)."""
     v, mu, steps = program.v, program.mu, program.supersteps
     if on_round is None:
         plan = _schedule_for(v, mu, steps)
@@ -521,8 +519,6 @@ def execute(program, f, contexts, pending, counters, tracer, on_round=None):
     clk = fold(tape.gather, pool)[0]
     # two words touched per message
     tape.add_counts(counters, words_touched=len(B), messages=len(B) // 2)
-    if tracer.enabled:
-        if tape.spans is None:
-            tape.spans = _spans(plan, b_len)
-        tape.trace(clk, tracer)
-    return float(clk[-1]), plan.R, bodies
+    if tape.spans is None and trace in ("phases", "full"):
+        tape.spans = _spans(plan, b_len)
+    return float(clk[-1]), plan.R, bodies, tape.trace(clk, trace)

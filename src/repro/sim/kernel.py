@@ -29,13 +29,14 @@ holds what they share:
   ``vec``, ``bt`` and ``brent`` simulations and the direct executor all
   execute bodies through it and keep only the *charging* to themselves;
 * :class:`Tape` — an operand gather over a pool, a span table
-  (:class:`Spans`, recorded by :class:`EventRecorder`) and counter
-  constants; :func:`fold` (seeded take + ``cumsum``, one row per host
-  for Brent), :func:`replay` (the span table into a live tracer, for
-  ``full``) and :func:`fold_phases` over the table compiled by
-  :func:`phase_events` (the ``phases`` breakdown in two ``bincount``
-  calls); :func:`observed`, the breakdown and counters a result
-  reports at each trace level;
+  (:class:`~repro.obs.trace.Spans`, the table a
+  :class:`~repro.obs.trace.Tracer` writes, recorded over stream
+  positions) and counter constants; :func:`fold` (seeded take +
+  ``cumsum``, one row per host for Brent) and :meth:`Tape.trace`,
+  which reads the span table over the folded clock: the ``phases``
+  breakdown in two ``bincount`` calls, and at ``full`` the spans;
+  :func:`observed`, the breakdown and counters a result reports at
+  each trace level;
 * :data:`PLANS` — the one bounded LRU every engine keeps its compiled
   plans in, keyed ``(engine, key)`` (:func:`cached_plan`,
   :func:`plan_cache_info`).
@@ -44,14 +45,22 @@ holds what they share:
 from __future__ import annotations
 
 import threading
-from array import array
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, NamedTuple
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
 from repro.dbsp.program import Message, ProcView, Program
-from repro.obs.trace import OTHER
+from repro.obs.trace import EventRecorder  # noqa: F401  (importable here too)
+from repro.obs.trace import (
+    OTHER,
+    PhaseEvents,
+    SpanRecord,
+    Spans,
+    fold_phases,
+    phase_events,
+    span_records,
+)
 
 __all__ = [
     "ArrayView",
@@ -60,12 +69,6 @@ __all__ = [
     "deliver_sorted",
     "BodyPass",
     "run_bodies",
-    "Spans",
-    "EventRecorder",
-    "PhaseEvents",
-    "phase_events",
-    "fold_phases",
-    "replay",
     "fold",
     "Tape",
     "observed",
@@ -550,221 +553,6 @@ def _run_bodies_scalar(program, contexts, pending, out, check_sends):
 
 
 # ---------------------------------------------------------------- tapes
-#: span table row kinds
-LEAF, OPEN, CLOSE = range(3)
-
-
-class Spans(NamedTuple):
-    """A span walk by stream position: the tracer calls a charge tape
-    makes, with positions where the tracer reads clock values.
-
-    ``rows[k] = (kind, code, start, end)``: an ``OPEN`` or ``CLOSE``
-    at position ``start`` (the clock a tracer's ``open``/``close``
-    samples is ``clk[start]``), or a ``LEAF`` from ``start`` to
-    ``end``.  ``names[code]`` is ``(name, category, attribute keys)``
-    (a close's code is unused), and ``attrs`` holds the attribute
-    values of every open with keys, in row order.
-    """
-
-    rows: np.ndarray
-    names: tuple[tuple[str, str | None, tuple[str, ...]], ...]
-    attrs: np.ndarray
-
-
-class EventRecorder:
-    """Records a span walk into a :class:`Spans` table.
-
-    Stands in for a recording :class:`~repro.obs.trace.Tracer`: the
-    same ``open``/``add_leaf``/``close`` calls, with ``clock`` and the
-    leaf bounds giving *positions* (indices into the clock array the
-    walk's charges will fold to) where the tracer takes clock values.
-    A compiler that knows its positions passes them as ``at``.
-    """
-
-    enabled = True
-    record = True
-
-    def __init__(self, clock: Callable[[], int] | None = None) -> None:
-        self.clock = clock
-        self._rows = array("q")
-        self._names: dict[tuple, int] = {}
-        self._attrs = array("q")
-
-    def _code(self, name: str, category: str | None, keys=()) -> int:
-        return self._names.setdefault((name, category, keys), len(self._names))
-
-    def open(self, name: str, category: str | None = None,
-             attrs: dict | None = None, at: int | None = None) -> None:
-        attrs = attrs or {}
-        self._attrs.extend(attrs.values())
-        self._rows.extend((
-            OPEN, self._code(name, category, tuple(attrs)),
-            self.clock() if at is None else at, 0,
-        ))
-
-    def add_leaf(self, name: str, category: str, start: int, end: int) -> None:
-        self._rows.extend((LEAF, self._code(name, category), start, end))
-
-    def close(self, at: int | None = None) -> None:
-        self._rows.extend((CLOSE, 0, self.clock() if at is None else at, 0))
-
-    def spans(self) -> Spans:
-        # tapes stay cached: keep the table in its smallest type
-        rows = np.frombuffer(self._rows, dtype=np.int64).reshape(-1, 4)
-        return Spans(
-            rows.astype(np.min_scalar_type(rows.max(initial=0))),
-            tuple(self._names),
-            np.array(self._attrs, dtype=np.int64),
-        )
-
-    def table(self) -> "PhaseEvents":
-        """The walk compiled for :func:`fold_phases`."""
-        return phase_events(self.spans())
-
-
-class PhaseEvents(NamedTuple):
-    """A span walk compiled into rows, for :func:`fold_phases`.
-
-    One row per leaf and per close of the walk, in call order: row
-    ``k`` has category ``names[category[k]]``, covers the clock from
-    ``clk[start[k]]`` to ``clk[end[k]]`` and lies inside the span
-    closed at row ``parent[k]`` (``len(category)`` for a root row).
-    ``names`` is in order of first appearance, the key order of
-    :attr:`Tracer.totals <repro.obs.trace.Tracer.totals>`.
-    """
-
-    names: tuple[str, ...]
-    category: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-    parent: np.ndarray
-
-
-def phase_events(spans: Spans) -> PhaseEvents:
-    """Compile a span table into its :class:`PhaseEvents` rows.
-
-    A span opened without a category inherits its parent's, and a root
-    span without one counts as ``"other"``, as in the tracer.
-    """
-    names: dict[str, int] = {}
-    #: per row: category code, start, end, open index of the enclosing span
-    out: list[tuple[int, int, int, int]] = []
-    close_row: list[int] = []  # row of each open's close
-    stack: list[tuple[str | None, int, int]] = []
-    for kind, code, t0, t1 in spans.rows.tolist():
-        cat = spans.names[code][1]
-        if kind == OPEN:
-            if cat is None and stack:
-                cat = stack[-1][0]
-            stack.append((cat, t0, len(close_row)))
-            close_row.append(-1)
-            continue
-        if kind == CLOSE:  # from the open's position to the close's
-            t1 = t0
-            cat, t0, index = stack.pop()
-            close_row[index] = len(out)
-        out.append((
-            names.setdefault(OTHER if cat is None else cat, len(names)),
-            t0, t1, stack[-1][2] if stack else -1,
-        ))
-    assert not stack, "unclosed spans in a compiled walk"
-    category, start, end, parent = np.array(out, dtype=np.int64).reshape(-1, 4).T
-    # root rows point one past the last row: a bin nobody reads
-    close_row.append(len(out))
-    pos_type = np.min_scalar_type(end.max(initial=0))
-    return PhaseEvents(
-        tuple(names),
-        category.astype(np.min_scalar_type(len(names))),
-        start.astype(pos_type),
-        end.astype(pos_type),
-        np.array(close_row)[parent].astype(np.min_scalar_type(len(out))),
-    )
-
-
-def fold_phases(events: PhaseEvents, clk) -> dict[str, float]:
-    """Per-category self-cost totals of a compiled walk over ``clk``.
-
-    Exactly the :attr:`Tracer.totals <repro.obs.trace.Tracer.totals>`
-    the walk would leave, bit for bit and in the same key order: a
-    row's cost is ``clk[end] - clk[start]``, a span's child cost is the
-    sum of its child rows' costs in call order (one ``bincount``), its
-    self cost is cost minus child cost (a leaf has no children), and
-    each category's total is the sum of its rows' self costs in call
-    order (a second ``bincount``).  ``bincount`` adds its weights one
-    at a time from ``0.0``, the order of the tracer's ``+=`` — unlike
-    ``np.add.reduce``, which may add pairwise.
-
-    Two rounds, the first with a swap span inside it, walked once by a
-    tracer over the clock and once by a recorder over its positions:
-
-    >>> from repro.obs.trace import Tracer
-    >>> clk = [0.0, 0.1, 0.3, 0.7, 1.5, 3.1]
-    >>> pos = 0
-    >>> tracer = Tracer(clock=lambda: clk[pos])
-    >>> rec = EventRecorder(clock=lambda: pos)
-    >>> for walker, at in ((tracer, clk), (rec, range(len(clk)))):
-    ...     for first, last in ((0, 3), (3, 5)):
-    ...         pos = first
-    ...         walker.open("round")
-    ...         walker.add_leaf("local", "local", at[first], at[first + 1])
-    ...         if last - first == 3:
-    ...             pos = first + 1
-    ...             walker.open("cycle-swaps", "swaps")
-    ...             walker.add_leaf("swap", "swaps", at[first + 1], at[last])
-    ...             pos = last
-    ...             walker.close()
-    ...         pos = last
-    ...         walker.close()
-    >>> events = rec.table()
-    >>> events.names
-    ('local', 'swaps', 'other')
-    >>> totals = fold_phases(events, clk)
-    >>> list(totals) == list(tracer.totals)
-    True
-    >>> [x.hex() for x in totals.values()] == [
-    ...     x.hex() for x in tracer.totals.values()]
-    True
-    """
-    clk = np.asarray(clk, dtype=np.float64)
-    n = len(events.category)
-    cost = clk[events.end] - clk[events.start]
-    child = np.bincount(events.parent, weights=cost, minlength=n + 1)[:n]
-    totals = np.bincount(
-        events.category, weights=cost - child, minlength=len(events.names)
-    )
-    return dict(zip(events.names, totals.tolist()))
-
-
-def replay(spans: Spans, clk, tracer) -> None:
-    """Drive ``tracer`` through the span table, its clock reading
-    ``clk[start]`` at every open and close: the calls, clock values and
-    attributes of the serial walk the table was compiled from."""
-    names = spans.names
-    attrs = iter(spans.attrs.tolist())
-    rows = spans.rows
-    now = 0.0
-    # the loop rebinds ``now`` to each row's start: the clock the
-    # tracer samples in ``open`` and ``close``
-    clock, tracer.clock = tracer.clock, lambda: now
-    add_leaf = tracer.add_leaf
-    for kind, code, now, end in zip(
-        rows[:, 0].tolist(),
-        rows[:, 1].tolist(),
-        clk[rows[:, 2]].tolist(),
-        clk[rows[:, 3]].tolist(),
-    ):
-        if kind == LEAF:
-            add_leaf(names[code][0], names[code][1], now, end)
-        elif kind == OPEN:
-            name, category, keys = names[code]
-            tracer.open(
-                name, category, {k: next(attrs) for k in keys} if keys else None
-            )
-        else:
-            tracer.close()
-    tracer.clock = clock
-
-
 def fold(gather: np.ndarray, pool: np.ndarray, seed: float = 0.0) -> np.ndarray:
     """Fold a charge tape: the clock after each of its operands.
 
@@ -800,17 +588,17 @@ class Tape:
         self.counts = counts if counts is not None else {}
         self._events: PhaseEvents | None = None
 
-    def trace(self, clk, tracer) -> None:
-        """Leave in ``tracer`` what walking the spans over ``clk``
-        would: every span at ``full``; otherwise the phase totals,
-        folded from the walk compiled once per tape (into a fresh
-        tracer)."""
-        if tracer.record:
-            replay(self.spans, clk, tracer)
-        elif tracer.enabled:
-            if self._events is None:
-                self._events = phase_events(self.spans)
-            tracer.totals = fold_phases(self._events, clk)
+    def trace(self, clk, trace: str) -> tuple[dict[str, float], list[SpanRecord]]:
+        """The phase totals and spans of the walk over ``clk`` at trace
+        level ``trace``: the totals at ``phases`` and ``full``, folded
+        from the walk compiled once per tape, and the spans at ``full``.
+        """
+        if trace not in ("phases", "full"):
+            return {}, []
+        if self._events is None:
+            self._events = phase_events(self.spans)
+        spans = span_records(self.spans, clk) if trace == "full" else []
+        return fold_phases(self._events, clk), spans
 
     def add_counts(self, counters, **per_run: int) -> None:
         """Add the tape's counter amounts, plus ``per_run`` to those
@@ -819,17 +607,20 @@ class Tape:
             counters.add(name, amount + per_run.get(name, 0))
 
 
-def observed(trace: str, tracer, counters, phases, rounds: int | None = None):
+def observed(trace: str, totals, counters, phases, rounds: int | None = None):
     """The ``breakdown`` and ``counters`` a simulation reports at trace
-    level ``trace``: the tracer's phase totals over every key of
-    ``phases`` (at ``phases`` and ``full``), and the counter snapshot,
-    ``rounds`` added (unless ``None``)."""
+    level ``trace``: the phase ``totals`` over every key of ``phases``
+    (at ``phases`` and ``full``; an ``"other"`` total of zero left
+    out), and the counter snapshot, ``rounds`` added (unless
+    ``None``)."""
     if trace == "off":
         return {}, {}
     breakdown: dict[str, float] = {}
     if trace != "counters":
         breakdown = dict.fromkeys(phases, 0.0)
-        breakdown.update(tracer.phase_totals())
+        breakdown.update(totals)
+        if breakdown.get(OTHER) == 0.0:
+            del breakdown[OTHER]
     if rounds is not None:
         counters.add("rounds", rounds)
     return breakdown, counters.snapshot()

@@ -49,7 +49,8 @@ class HMMOracle(HMMSimulator):
         run.execute()
         run.tracer.assert_closed()
         breakdown, counters = observed(
-            self.trace, run.tracer, run.counters, HMM_PHASES, run.round_index
+            self.trace, run.tracer.totals, run.counters, HMM_PHASES,
+            run.round_index,
         )
         return HMMSimResult(
             contexts=run.contexts,

@@ -76,9 +76,18 @@ def separate_run(program, engine, f, **opts):
 def test_default_run_makes_one_body_pass(engine, program, passes, tracer_calls):
     res = repro.run(program, engine, "x^0.5", v=16)
     assert passes == [PASS_MODULES[engine].__name__]
-    if engine != "brent":  # brent replays its host-level spans (see docs)
-        assert tracer_calls == []
+    assert tracer_calls == []
     assert res.to_json() == separate_run(program, engine, "x^0.5").to_json()
+
+
+@pytest.mark.parametrize("engine", sorted(PASS_MODULES))
+@pytest.mark.parametrize("program", ("sort", "fft-rec", "matmul"))
+def test_full_trace_makes_no_tracer_call(engine, program, tracer_calls):
+    """At ``full`` the spans are read from the tape's span table over
+    the folded clock, not walked through a tracer span by span."""
+    res = repro.run(program, engine, "x^0.5", v=16, trace="full")
+    assert res.trace
+    assert tracer_calls == []
 
 
 @pytest.mark.parametrize("engine", sorted(PASS_MODULES))

@@ -2,11 +2,13 @@
 
 At ``trace="phases"`` the ``vec``, ``bt`` and ``brent`` engines fold
 their breakdown from the tape's compiled span table
-(:func:`repro.sim.kernel.fold_phases`); at ``trace="full"`` they still
-walk a live :class:`~repro.obs.trace.Tracer`, span by span.  On
-generated programs with data-dependent local times the two must agree
-bit for bit, in key order, ``"other"`` (the ±ulp self cost of round
-spans) included.
+(:func:`repro.obs.trace.fold_phases`); at ``trace="full"`` they also
+read their spans from that table
+(:func:`repro.obs.trace.span_records`).  A live
+:class:`~repro.obs.trace.Tracer` keeps the same table over its own
+clock samples.  On hand-driven walks and on generated programs with
+data-dependent local times the levels must agree bit for bit, in key
+order, ``"other"`` (the ±ulp self cost of round spans) included.
 """
 
 from __future__ import annotations

@@ -178,14 +178,22 @@ class TestPredictionBands:
         assert p.wall_s > 0
 
     def test_uncalibrated_pair_falls_back_untrusted(self, model):
-        p = model.predict("hmm", "sort", 32)  # hmm not in _ENGINES
+        p = model.predict("vec", "matmul", 16)  # matmul not in _PROGRAMS
         assert not p.trusted and p.source == "bounds_only"
         assert p.charged_words > 0
         assert p.charged_words_hi / p.charged_words == pytest.approx(
             UNTRUSTED_BAND
         )
-        measured = _measured_words("hmm", "sort", 32)
+        measured = _measured_words("vec", "matmul", 16)
         assert p.charged_words_lo <= measured <= p.charged_words_hi
+
+    def test_hmm_is_priced_with_the_vec_models(self, model):
+        hmm, vec = (
+            model.predict(engine, "sort", 32).to_json()
+            for engine in ("hmm", "vec")
+        )
+        assert (hmm.pop("engine"), vec.pop("engine")) == ("hmm", "vec")
+        assert hmm == vec and hmm["trusted"]
 
     def test_unknown_engine_rejected(self, model):
         with pytest.raises(ValueError, match="unknown engine"):
