@@ -468,6 +468,10 @@ def calibrate_profile(
     Every cell runs the engine once per repeat (wall is best-of) with
     ``trace="counters"``; charged words and model time are
     deterministic, wall is the per-host quantity being calibrated.
+    Each repeat runs a freshly built program, so no simulation takes
+    its body pass from the program's memo
+    (:func:`repro.sim.kernel.program_pass`): every engine's wall,
+    ``direct``'s included, holds its body time.
     """
     from repro.bench import _git_revision
 
@@ -490,10 +494,10 @@ def calibrate_profile(
         for program_name in programs:
             rows: list[dict[str, Any]] = []
             for v in v_grid:
-                program = build_program(program_name, v, mu)
                 best_wall = math.inf
                 result = None
                 for _ in range(max(1, repeats)):
+                    program = build_program(program_name, v, mu)
                     t0 = time.perf_counter()
                     result = ENGINES[engine].run(
                         program, access, trace="counters"

@@ -88,6 +88,14 @@ DUMMY = None
 class Program:
     """A D-BSP program: machine shape plus the superstep sequence.
 
+    Bodies must be deterministic: what a body does may depend only on
+    what its view exposes (its context, inbox, pid, ``v`` and label).
+    The simulations rely on it: from a program's second run on they
+    keep its body pass on the program and run its bodies no more
+    (:func:`repro.sim.kernel.program_pass`).  ``make_context`` may
+    return different contexts from one run to the next; the pass is
+    keyed by the initial contexts, so that is safe.
+
     Parameters
     ----------
     v:

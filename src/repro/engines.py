@@ -173,7 +173,10 @@ def cached_program(name: str, v: int, mu: int = 8) -> Program:
 
     Programs and their bodies hold no state between runs (every run
     starts from ``initial_contexts()``), so one object serves every
-    run of its shape.  Callers that change a program build their own.
+    run of its shape.  Bodies are deterministic (see
+    :class:`~repro.dbsp.program.Program`), so the body pass the
+    simulations memoize on a program serves every run of it too.
+    Callers that change a program build their own.
 
     >>> cached_program("sort", v=8) is cached_program("sort", v=8)
     True

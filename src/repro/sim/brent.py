@@ -40,10 +40,11 @@ counter amounts), and for every fine run the Section 3
 program — taken from the same cache under ``"vec"`` and priced with
 ``g``.  A run then
 
-1. executes every body once, superstep-major, over the whole guest
-   machine (:func:`repro.sim.kernel.run_bodies`) — the contexts and
-   inboxes of any schedule that keeps each guest's supersteps in order,
-   the host-by-host one included;
+1. takes the body pass of every body, superstep-major, over the whole
+   guest machine, kept on the program from its second run on
+   (:func:`repro.sim.kernel.program_pass`) — the contexts and inboxes
+   of any schedule that keeps each guest's supersteps in order, the
+   host-by-host one included;
 2. folds each coarse superstep: a host's local time is a row of one
    :func:`~repro.sim.kernel.fold` over its guests' interleaved
    (cycling, local) charges, ``h`` is the largest per-host send or
@@ -106,7 +107,7 @@ from repro.sim.kernel import (
     cached_plan,
     fold,
     observed,
-    run_bodies,
+    program_pass,
 )
 from repro.sim.smoothing import build_label_set_hmm, smooth_program
 
@@ -207,8 +208,7 @@ class BrentSimulator:
             tuple((s.label, s.body is None) for s in normalized.supersteps),
         )
         plan = cached_plan("brent", key, lambda: _BrentPlan(*key))
-        contexts = normalized.initial_contexts()
-        bodies = run_bodies(normalized, contexts, [[] for _ in range(v)])
+        bodies, contexts, _ = program_pass(normalized)
         clk, messages = plan.fold(bodies)
         runs = [
             RunRecord(kind, first, n, float(clk[end] - clk[start]))

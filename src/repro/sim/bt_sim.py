@@ -38,11 +38,11 @@ add and every layout snapshot goes into a
 :class:`~repro.sim.kernel.Tape` and its plan, with the Theorem 12
 invariants asserted on the way.  Plans live in the kernel's one plan
 cache (:func:`repro.sim.kernel.cached_plan`, under ``"bt"``).  A run
-then executes the bodies in the shared superstep-major pass
-(:func:`repro.sim.kernel.run_bodies`), lays their local times into the
-tape's pool and folds it with one ``np.cumsum``
-(:func:`~repro.sim.kernel.fold`) — the serial ``t += c`` sums bit for
-bit, intermediate clocks included.  The recorded span table is the
+then takes the shared superstep-major body pass, kept on the program
+from its second run on (:func:`repro.sim.kernel.program_pass`), lays
+its local times into the tape's pool and folds it with one
+``np.cumsum`` (:func:`~repro.sim.kernel.fold`) — the serial ``t += c``
+sums bit for bit, intermediate clocks included.  The recorded span table is the
 one a live :class:`~repro.obs.trace.Tracer` writes, read over the
 folded clock: at ``phases``, compiled once per plan, it folds to the
 breakdown with two ``np.bincount`` calls
@@ -81,7 +81,7 @@ from repro.sim.kernel import (
     deliver_sorted,
     fold,
     observed,
-    run_bodies,
+    program_pass,
 )
 from repro.sim.smoothing import SmoothedProgram, build_label_set_bt, smooth_program
 
@@ -310,8 +310,11 @@ class _BTSimRun:
             self.n_slots - self.v
         )
         self.pid_to_slot = list(range(self.v))
-        self.contexts = program.initial_contexts()
-        self.pending: list[list[Message]] = [[] for _ in range(self.v)]
+        #: the run's contexts and inboxes: from the program's memoized
+        #: pass on the planned path, built by :meth:`execute` for the
+        #: ablations
+        self.contexts: list[dict] = []
+        self.pending: list[list[Message]] = []
         self.next_step = [0] * self.v
         self.round_index = 0
         self.layout_trace: list[LayoutSnapshot] = []
@@ -458,6 +461,8 @@ class _BTSimRun:
     def execute(self) -> tuple[dict[str, float], list[SpanRecord]]:
         """Run the simulation; returns its phase totals and spans."""
         if not self._plannable():
+            self.contexts = self.program.initial_contexts()
+            self.pending = [[] for _ in range(self.v)]
             self._rounds()
             self.tracer.assert_closed()
             return self.tracer.totals, self.tracer.spans
@@ -504,9 +509,10 @@ class _BTSimRun:
     def _run_plan(
         self, plan: _BTPlan
     ) -> tuple[dict[str, float], list[SpanRecord]]:
-        """Run the bodies in the shared pass and fold the plan's tape;
-        returns the phase totals and spans read from its span table."""
-        bodies = run_bodies(self.program, self.contexts, self.pending)
+        """Take the program's memoized body pass and fold the plan's
+        tape; returns the phase totals and spans read from its span
+        table."""
+        bodies, self.contexts, self.pending = program_pass(self.program)
         self.body_pass = bodies.select(self.smoothed.original_steps)
         machine = self.machine
         pool = np.concatenate((plan.values, bodies.local[plan.hole_src]))

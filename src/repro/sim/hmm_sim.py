@@ -39,7 +39,7 @@ from repro.functions import AccessFunction
 from repro.obs.counters import NULL_COUNTERS, Counters
 from repro.obs.trace import SpanRecord
 from repro.sim.hmm_vec import execute
-from repro.sim.kernel import BodyPass, observed
+from repro.sim.kernel import BodyPass, observed, program_pass, run_bodies
 from repro.sim.smoothing import SmoothedProgram, build_label_set_hmm, smooth_program
 
 __all__ = [
@@ -108,9 +108,10 @@ class HMMSimulator:
     """Figure 1's round-based scheduler, operational and fully charged.
 
     The schedule is walked once per machine shape and label sequence
-    and kept compiled (:mod:`repro.sim.hmm_vec`); a run executes the
-    bodies superstep-major and folds the charged clock from the
-    schedule priced under ``f``.  Time, counters, breakdown and spans
+    and kept compiled (:mod:`repro.sim.hmm_vec`); a run takes the
+    bodies' superstep-major pass (kept on the program from its second
+    run on) and folds the charged clock from the schedule priced under
+    ``f``.  Time, counters, breakdown and spans
     are those of a round loop charging one access at a time, bit for
     bit (``tests/hmm_oracle.py`` keeps that loop, and the identity
     suites compare against it).
@@ -184,7 +185,9 @@ class HMMSimulator:
 
         ``initial_contexts`` / ``initial_pending`` override the program's
         own initial state — to chain runs of supersteps while preserving
-        in-flight messages.
+        in-flight messages.  Such a run executes its bodies afresh;
+        every other run takes the smoothed program's memoized pass
+        (:func:`~repro.sim.kernel.program_pass`).
         """
         if label_set is None:
             label_set = build_label_set_hmm(
@@ -193,26 +196,30 @@ class HMMSimulator:
         smoothed = smooth_program(program, label_set)
         prog = smoothed.program
         counters = NULL_COUNTERS if self.trace == "off" else Counters()
-        contexts = (
-            initial_contexts
-            if initial_contexts is not None
-            else prog.initial_contexts()
-        )
-        # inboxes are kept ordered: caller-supplied boxes are sorted once
-        pending = (
-            [sorted(box) for box in initial_pending]
-            if initial_pending is not None
-            else [[] for _ in range(prog.v)]
-        )
+        fresh = initial_contexts is None and initial_pending is None
+        if fresh:
+            bodies, contexts, pending = program_pass(prog)
+        else:
+            contexts = (
+                initial_contexts
+                if initial_contexts is not None
+                else prog.initial_contexts()
+            )
+            # inboxes are kept ordered: caller-supplied boxes are sorted once
+            pending = (
+                [sorted(box) for box in initial_pending]
+                if initial_pending is not None
+                else [[] for _ in range(prog.v)]
+            )
+            bodies = run_bodies(prog, contexts, pending)
         snapshots: list[RoundSnapshot] = []
-        time, rounds, bodies, (totals, spans) = execute(
-            prog, self.f, contexts, pending, counters, self.trace,
+        time, rounds, (totals, spans) = execute(
+            prog, self.f, bodies, counters, self.trace,
             self._round_hook(smoothed.label_set, snapshots),
         )
         breakdown, counters = observed(
             self.trace, totals, counters, HMM_PHASES, rounds
         )
-        fresh = initial_contexts is None and initial_pending is None
         return HMMSimResult(
             contexts=contexts,
             time=time,

@@ -40,7 +40,12 @@ kept under ``tests/`` as the oracle these results are compared ``==``
 against.
 
 Bodies run in the shared superstep-major pass
-(:func:`repro.sim.kernel.run_bodies`), in one of its two modes:
+(:func:`repro.sim.kernel.run_bodies`), which the simulator makes and
+hands to :func:`execute`: a run from the program's own initial state
+takes the pass memoized on the program
+(:func:`repro.sim.kernel.program_pass`, kept from the program's second
+run on), so the bodies of a smoothed program run twice at most whatever
+the access function.  The pass runs in one of two modes:
 
 * **array mode** — every non-dummy superstep carries an ``array_body``
   and the program declares an ``array_schema``: contexts become column
@@ -72,7 +77,6 @@ from repro.sim.kernel import (
     interleave2,
     plan_cache_info,
     ranges_concat,
-    run_bodies,
 )
 
 __all__ = ["ChargePlan", "execute", "plan_cache_info"]
@@ -497,21 +501,19 @@ def _spans(plan: ChargePlan, b_len) -> Spans:
 
 
 # ------------------------------------------------------------------ entry
-def execute(program, f, contexts, pending, counters, trace, on_round=None):
-    """Simulate the smoothed ``program`` from ``contexts`` and
-    ``pending`` (both advanced in place) on its Figure 1 schedule priced
-    under ``f``: the cached schedule, or a fresh walk that calls
-    ``on_round`` (see :func:`_build_schedule`).  Adds the run's counts
-    to ``counters``; returns the charged time, the number of rounds, the
-    body pass and the phase totals and spans at trace level ``trace``
-    (:meth:`Tape.trace <repro.sim.kernel.Tape.trace>`)."""
+def execute(program, f, bodies, counters, trace, on_round=None):
+    """Charge the smoothed ``program``'s body pass ``bodies`` on its
+    Figure 1 schedule priced under ``f``: the cached schedule, or a
+    fresh walk that calls ``on_round`` (see :func:`_build_schedule`).
+    Adds the run's counts to ``counters``; returns the charged time, the
+    number of rounds and the phase totals and spans at trace level
+    ``trace`` (:meth:`Tape.trace <repro.sim.kernel.Tape.trace>`)."""
     v, mu, steps = program.v, program.mu, program.supersteps
     if on_round is None:
         plan = _schedule_for(v, mu, steps)
     else:
         plan = _build_schedule(v, mu, steps, on_round)
     prices = _prices_for(plan, f)
-    bodies = run_bodies(program, contexts, pending)
     tape, B, b_len = _assemble(plan, prices, bodies.src, bodies.dest)
     pool = np.concatenate(
         (prices.values, bodies.local[plan.local_src], B, prices.C_all)
@@ -521,4 +523,4 @@ def execute(program, f, contexts, pending, counters, trace, on_round=None):
     tape.add_counts(counters, words_touched=len(B), messages=len(B) // 2)
     if tape.spans is None and trace in ("phases", "full"):
         tape.spans = _spans(plan, b_len)
-    return float(clk[-1]), plan.R, bodies, tape.trace(clk, trace)
+    return float(clk[-1]), plan.R, tape.trace(clk, trace)

@@ -28,6 +28,11 @@ holds what they share:
   local times per ``(step, pid)`` and the send arrays per step.  The
   ``vec``, ``bt`` and ``brent`` simulations and the direct executor all
   execute bodies through it and keep only the *charging* to themselves;
+* :func:`program_pass` — that pass from a program's initial contexts,
+  memoized on the program from its second run on: what the guest
+  computes depends on neither the access function nor the engine, so
+  the simulations run a program's bodies twice at most and otherwise
+  redo only the charging;
 * :class:`Tape` — an operand gather over a pool, a span table
   (:class:`~repro.obs.trace.Spans`, the table a
   :class:`~repro.obs.trace.Tracer` writes, recorded over stream
@@ -44,6 +49,7 @@ holds what they share:
 
 from __future__ import annotations
 
+import pickle
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
@@ -69,6 +75,7 @@ __all__ = [
     "deliver_sorted",
     "BodyPass",
     "run_bodies",
+    "program_pass",
     "fold",
     "Tape",
     "observed",
@@ -331,29 +338,53 @@ class BodyPass:
     in superstep ``s`` (left unset for dummy steps); ``src[s]`` /
     ``dest[s]`` are the endpoints of the messages sent in superstep
     ``s``, pid-major (the order the scalar outboxes produce), or
-    ``None`` when the step sent none.
+    ``None`` when the step sent none.  A pass that :func:`program_pass`
+    keeps is shared by every run of its program, so it is frozen: its
+    arrays are read-only and ``src``/``dest`` are tuples.
     """
 
-    __slots__ = ("local", "src", "dest", "_pattern")
+    __slots__ = ("local", "src", "dest", "_pattern", "_selected")
 
-    def __init__(self, local: np.ndarray, src: list, dest: list) -> None:
+    def __init__(self, local: np.ndarray, src, dest) -> None:
         self.local = local
         self.src = src
         self.dest = dest
         #: ``(pid_type, pattern)`` of the last :meth:`pattern` call
         self._pattern: tuple[np.dtype, bytes] | None = None
+        #: ``(steps, pass)`` of the last :meth:`select` call
+        self._selected: tuple[list, BodyPass] | None = None
 
-    def select(self, steps) -> "BodyPass":
+    def select(self, steps: list[int]) -> "BodyPass":
         """The pass restricted to ``steps`` (ascending step indices),
         renumbered ``0 .. len(steps) - 1`` — how a simulation maps its
-        smoothed program's pass back onto the original steps."""
+        smoothed program's pass back onto the original steps.  Kept for
+        the last ``steps``, frozen with the pass, so a memoized pass is
+        selected once (and the selection's :meth:`pattern` built once)
+        however many runs read it."""
+        memo = self._selected
+        if memo is not None and memo[0] == steps:
+            return memo[1]
         n = len(self.src)
         local = self.local.reshape(n, -1) if n else self.local
-        return BodyPass(
+        selected = BodyPass(
             local[steps].ravel(),
             [self.src[s] for s in steps],
             [self.dest[s] for s in steps],
         )
+        if not self.local.flags.writeable:
+            selected._freeze()
+        self._selected = (steps, selected)
+        return selected
+
+    def _freeze(self) -> "BodyPass":
+        """Make the pass read-only (see the class notes)."""
+        self.local.flags.writeable = False
+        self.src, self.dest = tuple(self.src), tuple(self.dest)
+        for ends in (self.src, self.dest):
+            for arr in ends:
+                if arr is not None:
+                    arr.flags.writeable = False
+        return self
 
     def pattern(self, pid_type: np.dtype) -> bytes:
         """Every message the pass sent, as one compact byte string: the
@@ -414,6 +445,63 @@ def run_bodies(
     else:
         _run_bodies_scalar(program, contexts, pending, out, check_sends)
     return out
+
+
+def program_pass(
+    program: Program,
+) -> tuple[BodyPass, list[dict], list[list[Message]]]:
+    """:func:`run_bodies` of ``program`` from ``initial_contexts()``
+    with empty inboxes, memoized on the program from its second run on:
+    the pass, the final contexts and the messages left in the inboxes.
+
+    Bodies depend only on what their view exposes, so the pass is a
+    function of the program and its initial contexts; ``make_context``
+    may vary between runs, so the memo is keyed by the initial contexts,
+    compared by value (``==``).  A program's first run keeps nothing: it
+    runs the bodies and marks the program (an empty memo), because
+    keeping a pass costs a copy of the initial contexts, a pickle of the
+    final state and a freeze, which a program run once never earns back.
+    A later miss runs the bodies and replaces the memo with one tuple: a
+    copy of the initial contexts, the pass (frozen, see
+    :class:`BodyPass`, and shared by every hit) and one pickled copy of
+    the final contexts and inboxes, which every hit unpickles afresh —
+    so what a caller does with them cannot reach the memo.  A pass that
+    raises stores nothing; contexts that cannot be compared, or state
+    that cannot be pickled, run uncached.
+    """
+    contexts = program.initial_contexts()
+    memo = getattr(program, "_pass_memo", None)
+    if memo and _equal(memo[0], contexts):
+        return (memo[1], *pickle.loads(memo[2]))
+    pending: list[list[Message]] = [[] for _ in range(program.v)]
+    if memo is None:
+        bodies = run_bodies(program, contexts, pending)
+        program._pass_memo = ()  # type: ignore[attr-defined]
+        return bodies, contexts, pending
+    try:
+        initial = pickle.loads(pickle.dumps(contexts, pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        initial = None
+    if not _equal(initial, contexts):
+        initial = None  # not even equal to its copy (a NaN): never a hit
+    bodies = run_bodies(program, contexts, pending)
+    if initial is not None:
+        try:
+            final = pickle.dumps((contexts, pending), pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return bodies, contexts, pending
+        program._pass_memo = (  # type: ignore[attr-defined]
+            initial, bodies._freeze(), final,
+        )
+    return bodies, contexts, pending
+
+
+def _equal(a: Any, b: Any) -> bool:
+    """``a == b``, ``False`` when the comparison raises (numpy arrays)."""
+    try:
+        return bool(a == b)
+    except Exception:
+        return False
 
 
 def _array_mode_ok(program: Program, pending: list[list[Message]]) -> bool:

@@ -45,13 +45,37 @@ def test_checked_in_baselines_come_from_one_pass():
         assert len({doc[field] for doc in docs}) == 1, field
 
 
+def plan_summary(doc: dict) -> str:
+    """A plan bench document for an assertion message: all but its
+    header, its prediction rows and its latency histograms."""
+
+    def strip(cell):
+        if not isinstance(cell, dict):
+            return cell
+        return {k: strip(v) for k, v in cell.items()
+                if k != "latency_histogram"}
+
+    return json.dumps(
+        {k: strip(v) for k, v in doc.items()
+         if k not in HEADER and k != "prediction"},
+        indent=1,
+    )
+
+
 def test_plan_bench_smoke_passes_its_rules():
     doc = run_plan_bench(smoke=True,
                          calibration=str(ROOT / "CALIBRATION.json"))
-    assert doc["kind"] == "service_plan"
-    assert doc["non_envelope_errors"] == 0
-    assert "shed_429" in doc["phases"]["adversarial_costaware"]["bulk"]
-    assert check(doc, doc) == []
+    assert doc["kind"] == "service_plan", doc["kind"]
+    assert doc["non_envelope_errors"] == 0, plan_summary(doc)
+    assert "shed_429" in doc["phases"]["adversarial_costaware"]["bulk"], (
+        plan_summary(doc)
+    )
+    flagged = check(doc, doc)
+    missed = [row for row in doc.get("prediction", {}).get("rows", [])
+              if not row.get("within_band")]
+    assert flagged == [], "\n".join(flagged) + "\n" + plan_summary(doc) + (
+        "\nprediction rows out of band: " + json.dumps(missed, indent=1)
+    )
 
 
 class _RawErrors(BaseHTTPRequestHandler):

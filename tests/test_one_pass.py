@@ -1,13 +1,15 @@
-"""One body pass per ``repro.run`` call.
+"""At most one body pass per run, and none once a program keeps its pass.
 
-``vec``, ``bt`` and ``brent`` run every processor body once, in the
-shared superstep-major pass, and ``repro.run`` folds the direct
-baseline from that pass instead of running the bodies again.  These
-tests count the passes (``run_bodies`` wrapped where each module looks
-it up, and the bodies themselves), check that the folded baseline is
-the one the separate direct run charges, that every case without a
-usable pass still makes the separate run, and that the errors of the
-direct run come out of ``repro.run`` unchanged.
+``vec``, ``bt`` and ``brent`` run every processor body once per run, in
+the shared superstep-major pass memoized on the program they run from
+its second run on (``kernel.program_pass``), and ``repro.run`` folds
+the direct baseline from that pass instead of running the bodies
+again.  These tests count
+the passes (``run_bodies`` wrapped where each module looks it up, and
+the bodies themselves), check that the folded baseline is the one the
+separate direct run charges, that every case without a usable pass
+still makes the separate run, and that the errors of the direct run
+come out of ``repro.run`` unchanged.
 """
 
 from __future__ import annotations
@@ -17,25 +19,34 @@ import re
 import pytest
 
 import repro
+from repro.analysis.predict import calibrate_profile
+from repro.bench import WORKLOADS, _run_engine_workload
 from repro.dbsp import machine as dbsp_machine
 from repro.dbsp.machine import DBSPMachine
 from repro.dbsp.program import Program, Superstep
 from repro.engines import ENGINES, build_program, resolve_access_function
 from repro.obs.trace import Tracer
-from repro.sim import brent, bt_sim, hmm_vec, kernel
+from repro.sim import hmm_sim, kernel
+from repro.sim.smoothing import (
+    build_label_set_bt,
+    build_label_set_hmm,
+    smooth_program,
+)
 
-PASS_MODULES = {"vec": hmm_vec, "bt": bt_sim, "brent": brent}
+PASS_ENGINES = ("brent", "bt", "vec")
 PROGRAMS = ("sort", "fft-rec", "matmul", "listrank", "random")
 
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Names of the modules that ran a ``run_bodies`` pass, in order."""
+    """Names of the modules that ran a ``run_bodies`` pass, in order:
+    ``repro.sim.kernel`` for a pass ``program_pass`` made."""
     calls: list[str] = []
-    for module in (*PASS_MODULES.values(), dbsp_machine):
+    run_bodies = kernel.run_bodies
+    for module in (kernel, hmm_sim, dbsp_machine):
         def counted(*args, _name=module.__name__, **kwargs):
             calls.append(_name)
-            return kernel.run_bodies(*args, **kwargs)
+            return run_bodies(*args, **kwargs)
 
         monkeypatch.setattr(module, "run_bodies", counted)
     return calls
@@ -71,16 +82,42 @@ def separate_run(program, engine, f, **opts):
     return result
 
 
-@pytest.mark.parametrize("engine", sorted(PASS_MODULES))
+def runs_program(engine, program, f):
+    """The program object ``engine`` runs, and so keeps the pass on:
+    vec and bt run a smoothing (vec's label set depends on ``f``),
+    brent the program padded to end in a global sync."""
+    f = resolve_access_function(f)
+    if engine == "brent":
+        return program.with_global_sync()
+    build = build_label_set_hmm if engine == "vec" else build_label_set_bt
+    label_set = build(f, program.v, program.mu)
+    return smooth_program(program, label_set).program
+
+
+@pytest.mark.parametrize("engine", PASS_ENGINES)
 @pytest.mark.parametrize("program", PROGRAMS)
 def test_default_run_makes_one_body_pass(engine, program, passes, tracer_calls):
-    res = repro.run(program, engine, "x^0.5", v=16)
-    assert passes == [PASS_MODULES[engine].__name__]
-    assert tracer_calls == []
-    assert res.to_json() == separate_run(program, engine, "x^0.5").to_json()
+    """A fresh program's first two runs make one pass each (the first
+    run keeps nothing, so a program run once pays nothing for the
+    memo).  Every later run makes none, and so does a run under the
+    other ``f``, unless the engine runs another program under it (vec's
+    other smoothing): the first two runs of that program make its
+    passes."""
+    prog = build_program(program, 16)
+    runs: dict[int, int] = {}
+    for f in ("x^0.5", "x^0.5", "x^0.5", "log", "log", "log", "x^0.5"):
+        ran = id(runs_program(engine, prog, f))
+        passes.clear()
+        res = repro.run(prog, engine, f)
+        assert passes == [kernel.__name__] * (runs.get(ran, 0) < 2), f
+        runs[ran] = runs.get(ran, 0) + 1
+        assert tracer_calls == []
+        assert res.to_json() == separate_run(program, engine, f).to_json()
+    if engine != "vec":  # bt's label set is f-free, brent smooths nothing
+        assert len(runs) == 1
 
 
-@pytest.mark.parametrize("engine", sorted(PASS_MODULES))
+@pytest.mark.parametrize("engine", PASS_ENGINES)
 @pytest.mark.parametrize("program", ("sort", "fft-rec", "matmul"))
 def test_full_trace_makes_no_tracer_call(engine, program, tracer_calls):
     """At ``full`` the spans are read from the tape's span table over
@@ -90,7 +127,7 @@ def test_full_trace_makes_no_tracer_call(engine, program, tracer_calls):
     assert tracer_calls == []
 
 
-@pytest.mark.parametrize("engine", sorted(PASS_MODULES))
+@pytest.mark.parametrize("engine", PASS_ENGINES)
 @pytest.mark.parametrize("f", ("x^0.5", "log"))
 @pytest.mark.parametrize("trace", ("off", "counters", "phases", "full"))
 def test_folded_baseline_equals_the_direct_run(engine, f, trace):
@@ -181,7 +218,7 @@ def test_fallbacks_make_the_separate_direct_run(case, passes):
     assert res.to_json() == separate_run(prog, engine, "x^0.5", **opts).to_json()
 
 
-@pytest.mark.parametrize("engine", sorted(PASS_MODULES))
+@pytest.mark.parametrize("engine", PASS_ENGINES)
 def test_default_run_executes_each_body_once(engine):
     prog, calls = counting_program()
     n_body = sum(1 for s in prog.supersteps if s.body is not None)
@@ -275,7 +312,7 @@ def cross_error(label: int, array: bool) -> tuple[type, str]:
     )
 
 
-@pytest.mark.parametrize("engine", sorted(PASS_MODULES))
+@pytest.mark.parametrize("engine", PASS_ENGINES)
 @pytest.mark.parametrize("array", (False, True), ids=("scalar", "array"))
 def test_degree_error_is_the_direct_runs(engine, array):
     error, message = GATHER_ARRAY_ERROR if array else GATHER_ERROR
@@ -283,7 +320,7 @@ def test_degree_error_is_the_direct_runs(engine, array):
         repro.run(gather_program(8, 2, array), engine, "x^0.5")
 
 
-@pytest.mark.parametrize("engine", sorted(PASS_MODULES))
+@pytest.mark.parametrize("engine", PASS_ENGINES)
 @pytest.mark.parametrize("array", (False, True), ids=("scalar", "array"))
 def test_crossing_error_is_the_direct_runs(engine, array):
     label = CROSS_LABEL[engine]
@@ -305,3 +342,20 @@ def test_unvalidated_machine_accepts_a_degree_above_mu():
     g = resolve_access_function("x^0.5")
     assert not DBSPMachine(g).reproduces(prog, pass_)
     assert DBSPMachine(g, validate=False).reproduces(prog, pass_)
+
+
+def test_timed_repeats_each_run_their_bodies(passes):
+    """The bench cells and the calibration matrix keep the best wall of
+    their repeats; each repeat runs a fresh program, so none takes its
+    pass from the memo and every wall holds the body pass, as ``direct``'s
+    does."""
+    for w in WORKLOADS:
+        if w.engine in PASS_ENGINES:
+            passes.clear()
+            _run_engine_workload(w, v=16, repeats=3)
+            assert passes == [kernel.__name__] * 3, w.name
+    passes.clear()
+    calibrate_profile(
+        engines=PASS_ENGINES, programs=("sort",), v_grid=(8, 16), repeats=3
+    )
+    assert passes == [kernel.__name__] * (len(PASS_ENGINES) * 2 * 3)
